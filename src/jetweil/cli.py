@@ -174,12 +174,7 @@ def _bench_family(family: str, args) -> dict:
 
 def cmd_bench(args) -> int:
     families = ["linear", "mul"] if args.family == "both" else [args.family]
-    if args.parallel and len(families) > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            reports = list(pool.map(lambda f: _bench_family(f, args),
-                                    families))
-    else:
-        reports = [_bench_family(f, args) for f in families]
+    reports = [_bench_family(f, args) for f in families]
 
     nested_prog = random_program(seed=args.seed, depth=20, n_inputs=2)
     nested = run_nested_bench(nested_prog, [0.3, 0.4],
@@ -250,15 +245,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repetitions", type=int, default=5)
     p_bench.add_argument("--batch", type=int, default=2048)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--parallel", action="store_true")
     p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 
+# Options taking a CSV vector, whose value may begin with a minus sign.
+_VECTOR_OPTIONS = ("--x", "--dirs", "--omega", "--envelope", "--tail")
+
+
+def _attach_negative_vectors(argv: list[str]) -> list[str]:
+    """Rewrite ``--x -0.5,0.3`` as ``--x=-0.5,0.3``.
+
+    argparse reads a value that starts with '-' and is not a plain negative
+    number as an option, and then reports the vector option as missing its
+    argument.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in _VECTOR_OPTIONS and nxt.startswith("-"):
+            try:
+                _dirs(nxt)
+            except ValueError:
+                pass
+            else:
+                out.append(f"{tok}={nxt}")
+                i += 2
+                continue
+        out.append(tok)
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_vectors(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import instrument
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import Node, PrimitiveKind, Program, eval_generic
 from .weil import (WeilShape, WeilValue, make_shape, multi_factorial,
                    weil_add, weil_const, weil_mul, weil_neg, weil_recip,
@@ -134,11 +134,21 @@ class DerivativeTable:
 
 def taylor_eval(prog: Program, spec: SeedSpec,
                 max_dim: int | None = None) -> DerivativeTable:
-    """One lifted pass; entries are alpha! times the output coefficients."""
+    """One lifted pass; entries are alpha! times the output coefficients.
+
+    Raises NumericOverflowError, carrying the output's node index, when any
+    output coefficient is non-finite.
+    """
     inputs = seed(spec, max_dim=max_dim)
     shape = inputs[0].shape if inputs else make_shape(spec.caps, max_dim=max_dim)
     sem = WeilSemantics(shape)
     outputs = eval_generic(prog, inputs, sem)
+    for slot, out in zip(prog.outputs, outputs):
+        if not np.all(np.isfinite(out.coeffs)):
+            node = slot - prog.n_inputs if slot >= prog.n_inputs else None
+            where = f"node {node}" if node is not None else f"input {slot}"
+            raise NumericOverflowError(
+                f"non-finite output coefficient at {where}", node=node)
     entries: dict[tuple[int, ...], np.ndarray] = {}
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for idx, alpha in enumerate(shape.multi_indices()):

@@ -43,12 +43,6 @@ ARITY = {
     PrimitiveKind.POW_CONST: 1, PrimitiveKind.CONST: 0,
 }
 
-_UNARY_SMOOTH = {
-    PrimitiveKind.EXP, PrimitiveKind.LOG, PrimitiveKind.SIN, PrimitiveKind.COS,
-    PrimitiveKind.TANH, PrimitiveKind.SQRT, PrimitiveKind.RECIP,
-}
-
-
 @dataclass(frozen=True)
 class Node:
     op: PrimitiveKind

@@ -5,6 +5,23 @@ generator e_j satisfies e_j**(cap_j + 1) == 0.  Multiplication is truncated
 convolution, so series truncation is structural: products past any cap are
 simply never formed.  Coefficients may carry a trailing batch axis, which
 every operation broadcasts over.
+
+Multiplication has two kernels, picked from the operands' own shapes:
+
+* pair table: both operands unbatched (1-D coefficients) and at most
+  ``PAIR_LIMIT`` index pairs (alpha, beta) with alpha + beta inside the caps.
+  The pairs are built once per caps and reduced with one ``np.bincount``;
+  the Python cost no longer grows with the dimension.
+* slice loop: everything else (batched or mixed operands, or more pairs than
+  the limit).  One vectorized slice update per coefficient of the unbatched
+  factor, which amortizes well over a batch axis.
+
+Both kernels add the terms of every output coefficient in the same order,
+so for finite coefficients they agree bit for bit.
+
+Unary lifts compose the scalar Taylor series at the primal with the
+nilpotent part by Horner steps; the tanh series comes from the recurrence
+for y' = 1 - y**2 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 """
 from __future__ import annotations
 
@@ -18,6 +35,8 @@ import numpy as np
 from .errors import DomainError, IncompatibleShapesError, ShapeTooLargeError
 
 DEFAULT_MAX_DIM = 1 << 20
+# Largest pair table weil_mul builds; three intp index arrays, 24 MiB at most.
+PAIR_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -163,13 +182,45 @@ def weil_neg(a: WeilValue) -> WeilValue:
     return WeilValue(a.shape, -a.coeffs)
 
 
-def weil_scale(a: WeilValue, c) -> WeilValue:
-    return WeilValue(a.shape, a.coeffs * np.asarray(c, dtype=float))
+@lru_cache(maxsize=None)
+def _pair_table(shape: WeilShape):
+    """Flat indices (i, j, i + j) of every pair alpha + beta inside the caps.
+
+    The flat index is linear in the multi-index, so the target of a pair is
+    simply i + j.  Pairs are sorted by ascending i, the order in which the
+    slice loop visits them.  None when there are more than PAIR_LIMIT pairs.
+    """
+    if math.prod((c + 1) * (c + 2) // 2 for c in shape.caps) > PAIR_LIMIT:
+        return None
+    i = np.zeros(1, dtype=np.intp)
+    j = np.zeros(1, dtype=np.intp)
+    for cap, stride in zip(shape.caps, shape.strides):
+        ax, bx = np.nonzero(np.add.outer(np.arange(cap + 1),
+                                         np.arange(cap + 1)) <= cap)
+        i = (i[:, None] + ax * stride).ravel()
+        j = (j[:, None] + bx * stride).ravel()
+    order = np.argsort(i, kind="stable")
+    i, j = i[order], j[order]
+    return i, j, i + j
 
 
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
-    """Truncated convolution; exponent overflow past any cap is dropped."""
+    """Truncated convolution; exponent overflow past any cap is dropped.
+
+    Two unbatched operands with at most PAIR_LIMIT index pairs use the
+    cached pair table: one gather, one product and one ``np.bincount``.
+    All other products run the slice loop over the unbatched factor's
+    coefficients.  Both add each output's terms in ascending order of the
+    first factor's index, so their results are bit-identical for finite
+    coefficients.
+    """
     shape = _check_shapes(a, b)
+    if a.coeffs.ndim == 1 and b.coeffs.ndim == 1:
+        pairs = _pair_table(shape)
+        if pairs is not None:
+            i, j, k = pairs
+            return WeilValue(shape, np.bincount(
+                k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
     if a.coeffs.ndim > b.coeffs.ndim:
         a, b = b, a  # iterate over the unbatched factor
     caps = shape.caps
@@ -241,15 +292,13 @@ def _series_cos(c0, K):
 
 
 def _series_tanh(c0, K):
-    # phi^(l) is a polynomial in t = tanh(c0):  P_0 = t,  P_{l+1} = P_l' (1-t^2).
-    t = np.tanh(c0)
-    out = [t]
-    poly = np.array([0.0, 1.0])  # coefficients of P_0 in ascending powers of t
-    for l in range(1, K + 1):
-        dpoly = np.polynomial.polynomial.polyder(poly)
-        poly = np.polynomial.polynomial.polymul(dpoly, np.array([1.0, 0.0, -1.0]))
-        out.append(np.polynomial.polynomial.polyval(t, poly) / math.factorial(l))
-    return out
+    # y(t) = tanh(c0 + t) solves y' = 1 - y^2, so its Taylor coefficients obey
+    # (l+1) y_{l+1} = [l == 0] - sum_{j<=l} y_j y_{l-j}.
+    y = [np.tanh(c0)]
+    for l in range(K):
+        conv = sum(y[j] * y[l - j] for j in range(l + 1))
+        y.append((float(l == 0) - conv) / (l + 1))
+    return y
 
 
 def _series_sqrt(c0, K):

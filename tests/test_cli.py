@@ -191,3 +191,40 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "eval" in proc.stdout
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("x, want", [("1", 0), ("1000", 3)])
+def test_taylor_stdout_is_strict_json(capsys, tmp_path, x, want):
+    path = tmp_path / "exp.slp"
+    path.write_text("input x\ny = exp x\noutput y\n")
+    code, out, err = run_cli(capsys, "taylor", str(path), "--x", x,
+                             "--dirs", "1", "--caps", "2")
+    assert code == want
+    if want == 0:
+        assert _strict_json(out)["entries"]
+    else:
+        assert out == ""
+        assert "non-finite" in err and "node 0" in err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("eval", [("--x", "-0.5,0.3")]),
+    ("grad", [("--x", "-0.5,0.3"), ("--omega", "-1.5,2")]),
+    ("taylor", [("--x", "-0.5,0.3"), ("--dirs", "-1,0;0,-1"),
+                ("--caps", "1,1"), ("--envelope", "-1,2,3"),
+                ("--tail", "-2e0,0.5")]),
+])
+def test_negative_vector_values(capsys, tmp_path, command, options):
+    path = tmp_path / "two.slp"
+    path.write_text("input a b\nu = mul a b\noutput u a\n")
+    spaced = [command, str(path)] + [t for pair in options for t in pair]
+    joined = [command, str(path)] + [f"{k}={v}" for k, v in options]
+    result = run_cli(capsys, *spaced)
+    assert result == run_cli(capsys, *joined)
+    assert "expected one argument" not in result[2]

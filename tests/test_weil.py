@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from jetweil.errors import (DomainError, IncompatibleShapesError,
                             ShapeTooLargeError)
-from jetweil.weil import (WeilValue, make_shape, multi_factorial, weil_add,
-                          weil_const, weil_generator, weil_mul, weil_neg,
-                          weil_pow_int, weil_recip, weil_sub, weil_unary)
+from jetweil.weil import (PAIR_LIMIT, WeilValue, make_shape, multi_factorial,
+                          weil_add, weil_const, weil_generator, weil_mul,
+                          weil_neg, weil_pow_int, weil_recip, weil_sub,
+                          weil_unary)
 
 
 def val(caps, coeffs):
@@ -83,15 +84,21 @@ def test_mul_shape_mismatch():
 
 
 def test_mul_batched_against_loop():
+    # Unbatched products use the pair table and batched ones the slice loop;
+    # both add every coefficient's terms in one order, so they agree exactly.
+    # (1500,) has more pairs than PAIR_LIMIT and loops unbatched too.
+    assert 1501 * 1502 // 2 > PAIR_LIMIT
     rng = np.random.default_rng(0)
-    shape = make_shape([2, 2])
-    a = WeilValue(shape, rng.normal(size=(9, 5)))
-    b = WeilValue(shape, rng.normal(size=(9, 5)))
-    batched = weil_mul(a, b)
-    for i in range(5):
-        single = weil_mul(WeilValue(shape, a.coeffs[:, i]),
-                          WeilValue(shape, b.coeffs[:, i]))
-        assert np.allclose(batched.coeffs[:, i], single.coeffs, atol=1e-14)
+    for caps in [(2,), (15,), (2, 2), (4, 4, 4), (1,) * 6, (15, 15),
+                 (1500,)]:
+        shape = make_shape(caps)
+        a = WeilValue(shape, rng.normal(size=(shape.dim, 5)))
+        b = WeilValue(shape, rng.normal(size=(shape.dim, 5)))
+        batched = weil_mul(a, b)
+        for i in range(5):
+            single = weil_mul(WeilValue(shape, a.coeffs[:, i]),
+                              WeilValue(shape, b.coeffs[:, i]))
+            assert np.array_equal(batched.coeffs[:, i], single.coeffs), caps
 
 
 def test_mul_mixed_batch():
@@ -114,6 +121,22 @@ def test_unary_exp_example():
 def test_unary_log_example():
     w = val([2], [1, 1, 0])
     assert np.allclose(weil_unary("log", w).coeffs, [0, 1, -0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("caps", [(15,), (3, 3)])
+def test_tanh_against_exp_and_recip(caps):
+    # tanh x = 1 - 2 / (1 + exp(2x)), built from the other lifts.
+    rng = np.random.default_rng(2)
+    shape = make_shape(caps)
+    for primal in (-2.0, -0.3, 0.0, 0.7, 3.0):
+        coeffs = rng.uniform(-0.5, 0.5, size=shape.dim)
+        coeffs[0] = primal
+        x = WeilValue(shape, coeffs)
+        one = weil_const(shape, 1.0)
+        r = weil_recip(weil_add(one, weil_unary("exp", weil_add(x, x))))
+        ref = weil_sub(one, weil_add(r, r))
+        got = weil_unary("tanh", x)
+        assert np.allclose(got.coeffs, ref.coeffs, rtol=0, atol=1e-12)
 
 
 def test_unary_constant_jet():
