@@ -142,7 +142,9 @@ def taylor_eval(prog: Program, spec: SeedSpec,
     inputs = seed(spec, max_dim=max_dim)
     shape = inputs[0].shape if inputs else make_shape(spec.caps, max_dim=max_dim)
     sem = WeilSemantics(shape)
-    outputs = eval_generic(prog, inputs, sem)
+    # non-finite outputs raise below, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = eval_generic(prog, inputs, sem)
     for slot, out in zip(prog.outputs, outputs):
         if not np.all(np.isfinite(out.coeffs)):
             node = slot - prog.n_inputs if slot >= prog.n_inputs else None

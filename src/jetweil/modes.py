@@ -15,7 +15,8 @@ import numpy as np
 
 from . import instrument
 from .errors import DimensionMismatchError, DomainError
-from .slp import ARITY, Node, PrimitiveKind, Program, eval_primal
+from .slp import (Node, PrimitiveKind, Program, RealSemantics, eval_primal,
+                  node_error, primal_slots)
 
 
 def local_partials(node: Node, args: Sequence[float]) -> tuple[float, ...]:
@@ -61,80 +62,32 @@ def local_partials(node: Node, args: Sequence[float]) -> tuple[float, ...]:
     raise ValueError(f"no derivative rule for {op}")
 
 
-def _forward_primal(prog: Program, x: Sequence[float]) -> list[float]:
-    if len(x) != prog.n_inputs:
-        raise DimensionMismatchError(
-            f"program takes {prog.n_inputs} inputs, got {len(x)}")
-    slots = [float(v) for v in x]
-    sem_args = slots  # alias for readability
-    for k, node in enumerate(prog.nodes):
-        if node.op is PrimitiveKind.CONST:
-            slots.append(node.const)
-            continue
-        args = [sem_args[r] for r in node.operands]
-        try:
-            slots.append(_apply_value(node, args))
-        except DomainError as err:
-            err.node = k
-            raise
-    return slots
-
-
-def _apply_value(node: Node, args: Sequence[float]) -> float:
-    op = node.op
-    if op is PrimitiveKind.ADD:
-        return args[0] + args[1]
-    if op is PrimitiveKind.SUB:
-        return args[0] - args[1]
-    if op is PrimitiveKind.MUL:
-        return args[0] * args[1]
-    if op is PrimitiveKind.NEG:
-        return -args[0]
-    if op is PrimitiveKind.EXP:
-        return math.exp(args[0])
-    if op is PrimitiveKind.LOG:
-        if args[0] <= 0:
-            raise DomainError("log requires a positive argument", args[0])
-        return math.log(args[0])
-    if op is PrimitiveKind.SIN:
-        return math.sin(args[0])
-    if op is PrimitiveKind.COS:
-        return math.cos(args[0])
-    if op is PrimitiveKind.TANH:
-        return math.tanh(args[0])
-    if op is PrimitiveKind.SQRT:
-        if args[0] < 0:
-            raise DomainError("sqrt of a negative argument", args[0])
-        return math.sqrt(args[0])
-    if op is PrimitiveKind.RECIP:
-        if args[0] == 0:
-            raise DomainError("reciprocal of zero", args[0])
-        return 1.0 / args[0]
-    if op is PrimitiveKind.POW_CONST:
-        return args[0] ** node.const
-    raise ValueError(f"unhandled primitive {op}")
-
-
 def eval_dual(prog: Program, x: Sequence[float],
               v: Sequence[float]) -> tuple[list[float], list[float]]:
-    """One forward sweep with a single tangent; returns (outputs, tangents)."""
+    """One forward sweep with a single tangent; returns (outputs, tangents).
+
+    Values follow primal_slots, checks included.
+    """
     if len(x) != prog.n_inputs or len(v) != prog.n_inputs:
         raise DimensionMismatchError("point/tangent length mismatch")
+    real = RealSemantics().apply
     vals = [float(a) for a in x]
     dots = [float(a) for a in v]
-    for k, node in enumerate(prog.nodes):
-        if node.op is PrimitiveKind.CONST:
-            vals.append(node.const)
-            dots.append(0.0)
-            continue
-        args = [vals[r] for r in node.operands]
-        try:
-            vals.append(_apply_value(node, args))
-            parts = local_partials(node, args)
-        except DomainError as err:
-            err.node = k
-            raise
-        dots.append(sum(p * dots[r] for p, r in zip(parts, node.operands)))
+    try:
+        for k, node in enumerate(prog.nodes):
+            if node.op is PrimitiveKind.CONST:
+                value, parts = node.const, ()
+            else:
+                args = [vals[r] for r in node.operands]
+                value = real(node, args)
+                parts = local_partials(node, args)
+            if not math.isfinite(value):
+                raise OverflowError
+            vals.append(value)
+            dots.append(sum((p * dots[r] for p, r in zip(parts, node.operands)),
+                            0.0))
+    except (DomainError, OverflowError) as err:
+        raise node_error(err, node, k) from None
     return ([vals[r] for r in prog.outputs],
             [dots[r] for r in prog.outputs])
 
@@ -163,7 +116,7 @@ class Tape:
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
-    return Tape(program=prog, primals=_forward_primal(prog, x))
+    return Tape(program=prog, primals=primal_slots(prog, x))
 
 
 def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
@@ -175,15 +128,18 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
     adj = tape.adjoints
     for w, r in zip(omega, prog.outputs):
         adj[r] += float(w)
-    for k in range(prog.n_nodes - 1, -1, -1):
-        node = prog.nodes[k]
-        u_bar = adj[prog.n_inputs + k]
-        if node.op is PrimitiveKind.CONST:
-            continue
-        args = [tape.primals[r] for r in node.operands]
-        parts = local_partials(node, args)
-        for p, r in zip(parts, node.operands):
-            adj[r] += p * u_bar
+    try:
+        for k in range(prog.n_nodes - 1, -1, -1):
+            node = prog.nodes[k]
+            u_bar = adj[prog.n_inputs + k]
+            if node.op is PrimitiveKind.CONST:
+                continue
+            args = [tape.primals[r] for r in node.operands]
+            parts = local_partials(node, args)
+            for p, r in zip(parts, node.operands):
+                adj[r] += p * u_bar
+    except (DomainError, OverflowError) as err:
+        raise node_error(err, node, k) from None
     return adj[:prog.n_inputs]
 
 

@@ -282,28 +282,38 @@ def eval_generic(prog: Program, inputs: Sequence, semantics):
     return [slots[r] for r in prog.outputs]
 
 
-def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
-    sem = RealSemantics()
+def node_error(err: Exception, node: Node, k: int) -> Exception:
+    """What a first-order mode raises when node k fails with err: a
+    DomainError gets the node index, and an OverflowError (which the modes
+    also raise for a non-finite value) becomes NumericOverflowError."""
+    if isinstance(err, DomainError):
+        err.node = k
+        return err
+    return NumericOverflowError(
+        f"overflow at node {k} ({node.op.value})", node=k)
+
+
+def primal_slots(prog: Program, x: Sequence[float]) -> list[float]:
+    """Every slot's value: the inputs, then each node in turn."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
+    real = RealSemantics().apply
     slots = [float(v) for v in x]
-    for k, node in enumerate(prog.nodes):
-        if node.op is PrimitiveKind.CONST:
-            value = node.const
-        else:
-            try:
-                value = sem.apply(node, [slots[r] for r in node.operands])
-            except DomainError as err:
-                err.node = k
-                raise
-            except OverflowError:
-                raise NumericOverflowError(
-                    f"overflow at node {k} ({node.op.value})", node=k) from None
-        if not math.isfinite(value):
-            raise NumericOverflowError(
-                f"non-finite intermediate at node {k} ({node.op.value})", node=k)
-        slots.append(value)
+    try:
+        for k, node in enumerate(prog.nodes):
+            value = (node.const if node.op is PrimitiveKind.CONST
+                     else real(node, [slots[r] for r in node.operands]))
+            if not math.isfinite(value):
+                raise OverflowError
+            slots.append(value)
+    except (DomainError, OverflowError) as err:
+        raise node_error(err, node, k) from None
+    return slots
+
+
+def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
+    slots = primal_slots(prog, x)
     return [slots[r] for r in prog.outputs]
 
 

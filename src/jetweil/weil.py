@@ -6,29 +6,28 @@ convolution, so series truncation is structural: products past any cap are
 simply never formed.  Coefficients may carry a trailing batch axis, which
 every operation broadcasts over.
 
-Multiplication has two kernels, picked from the operands' own shapes:
+Three kernels, picked from the operands' own shapes:
 
-* pair table: both operands unbatched (1-D coefficients) and at most
-  ``PAIR_LIMIT`` index pairs (alpha, beta) with alpha + beta inside the caps.
-  The pairs are built once per caps and reduced with one ``np.bincount``;
-  the Python cost no longer grows with the dimension.
-* slice loop: everything else (batched or mixed operands, or more pairs than
-  the limit).  One vectorized slice update per coefficient of the unbatched
-  factor, which amortizes well over a batch axis.
+* pair table: products of two unbatched operands, reduced over the cached
+  index pairs (alpha, beta) with one ``np.bincount``.
+* slice loop: products with a batched operand, one slice update per nonzero
+  row of the unbatched factor.  A gather over the pairs wins at B = 128 but
+  loses at B = 2048.
+* graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
+  multiplies coefficient alpha by |alpha|, which fixes y one total degree at
+  a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
-Both kernels add the terms of every output coefficient in the same order,
-so for finite coefficients they agree bit for bit.
-
-Unary lifts compose the scalar Taylor series at the primal with the
-nilpotent part by Horner steps; the tanh series comes from the recurrence
-for y' = 1 - y**2 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+All three add each coefficient's terms in ascending order of the first
+factor's index, so batched and unbatched results agree bit for bit.  Past
+``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
+and the recurrences build each coefficient's pairs when they reach it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +36,10 @@ from .errors import DomainError, IncompatibleShapesError, ShapeTooLargeError
 DEFAULT_MAX_DIM = 1 << 20
 # Largest pair table weil_mul builds; three intp index arrays, 24 MiB at most.
 PAIR_LIMIT = 1 << 20
+# Most products one batched recurrence gathers at a time (4 MiB of float64).
+# Summed over sin lifts at B = 2048, 2**19 ran (6,6,6) and (15,15) twice as
+# fast as 2**20 or no limit, and the benchmark's small caps as fast.
+GATHER_LIMIT = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -204,15 +207,21 @@ def _pair_table(shape: WeilShape):
     return i, j, i + j
 
 
+@lru_cache(maxsize=None)
+def _slice_table(shape: WeilShape):
+    """(dst, src) slices of the slice loop for every flat index."""
+    heads = [[slice(x, None) for x in range(c + 1)] for c in shape.caps]
+    tails = [[slice(0, c + 1 - x) for x in range(c + 1)] for c in shape.caps]
+    return [(tuple(map(list.__getitem__, heads, alpha)),
+             tuple(map(list.__getitem__, tails, alpha)))
+            for alpha in shape.multi_indices()]
+
+
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
-    Two unbatched operands with at most PAIR_LIMIT index pairs use the
-    cached pair table: one gather, one product and one ``np.bincount``.
-    All other products run the slice loop over the unbatched factor's
-    coefficients.  Both add each output's terms in ascending order of the
-    first factor's index, so their results are bit-identical for finite
-    coefficients.
+    Two unbatched operands use the pair table while it has at most
+    PAIR_LIMIT pairs; all other products run the slice loop.
     """
     shape = _check_shapes(a, b)
     if a.coeffs.ndim == 1 and b.coeffs.ndim == 1:
@@ -223,41 +232,131 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
                 k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
     if a.coeffs.ndim > b.coeffs.ndim:
         a, b = b, a  # iterate over the unbatched factor
-    caps = shape.caps
     tshape = shape.tensor_shape
     batch = b.coeffs.shape[1:]
     ta = a.coeffs
-    tb = b.coeffs.reshape(tshape + b.coeffs.shape[1:])
+    tb = b.coeffs.reshape(tshape + batch)
     out = np.zeros(tshape + batch)
-    alphas = shape.multi_indices()
-    for ia in range(shape.dim):
-        av = ta[ia]
-        if not np.any(av):
-            continue
-        alpha = alphas[ia]
-        dst = tuple(slice(x, None) for x in alpha)
-        src = tuple(slice(0, cap + 1 - x) for x, cap in zip(alpha, caps))
-        out[dst] += av * tb[src]
+    table = _slice_table(shape)
+    for ia in np.flatnonzero(ta.reshape(shape.dim, -1).any(axis=1)):
+        dst, src = table[ia]
+        out[dst] += ta[ia] * tb[src]
     return WeilValue(shape, out.reshape((shape.dim,) + batch))
 
 
-def _nilpotent_part(w: WeilValue) -> WeilValue:
-    coeffs = w.coeffs.copy()
-    coeffs[0] = 0.0
-    return WeilValue(w.shape, coeffs)
+@lru_cache(maxsize=None)
+def _degrees(shape: WeilShape) -> np.ndarray:
+    """Total degree |alpha| of every flat index, then 0 for the zero row."""
+    deg = np.indices(shape.tensor_shape).reshape(shape.p, -1).sum(axis=0)
+    return np.append(deg, 0).astype(float)
 
 
-def _taylor_recompose(w: WeilValue, series: Sequence) -> WeilValue:
-    """Horner evaluation of sum_l series[l] * n**l with n the nilpotent part."""
-    nil = _nilpotent_part(w)
-    if not np.any(nil.coeffs):
-        return weil_const(w.shape, series[0] * np.ones_like(w.primal))
-    acc = weil_const(w.shape, np.broadcast_to(
-        np.asarray(series[-1], dtype=float), np.shape(w.primal)))
-    for coef in reversed(series[:-1]):
-        acc = weil_mul(acc, nil)
-        acc.coeffs[0] += coef
-    return acc
+@lru_cache(maxsize=None)
+def _levels(shape: WeilShape):
+    """(d, targets, conv) for each total degree d = 1..K, in that order.
+
+    ``targets`` holds the flat indices alpha with |alpha| == d.  For each of
+    them ``conv(a, b)`` sums a[beta] * b[alpha - beta] over beta != 0 in
+    ascending beta, where a and b carry a zero row after their dim rows.
+    None past PAIR_LIMIT pairs.
+    """
+    pairs = _pair_table(shape)
+    if pairs is None:
+        return None
+    i, j, k = pairs
+    keep = i != 0
+    order = np.argsort(k[keep], kind="stable")  # by target, ascending beta
+    i, j, k = i[keep][order], j[keep][order], k[keep][order]
+    deg = _degrees(shape)[k]
+    levels = []
+    for d in range(1, shape.max_total_degree + 1):
+        sel = deg == d
+        targets, start, count = np.unique(k[sel], return_index=True,
+                                          return_counts=True)
+        pos = np.repeat(np.arange(len(targets)), count)
+        # row r of I, J: the pairs of targets[r], padded with the zero row
+        I = np.full((len(targets), count.max()), shape.dim)
+        J = I.copy()
+        I[pos, np.arange(len(pos)) - start[pos]] = i[sel]
+        J[pos, np.arange(len(pos)) - start[pos]] = j[sel]
+        levels.append((np.float64(d), targets,
+                       _level_conv(I, J, i[sel], j[sel], pos)))
+    return tuple(levels)
+
+
+def _level_conv(I, J, i, j, pos):
+    """Unbatched, one ``np.bincount`` over the pairs; batched, the padded
+    gather summed along its rows, GATHER_LIMIT products at a time.  Both add
+    in ascending beta, so a batch column matches its unbatched lift exactly.
+    """
+    cols = max(1, GATHER_LIMIT // I.size)
+
+    def conv(a, b):
+        if a.ndim == 1:
+            return np.bincount(pos, a[i] * b[j], len(I))
+        if a.shape[1] == 1:  # numpy would sum a lone column pairwise
+            return conv(a[:, 0], b[:, 0])[:, None]
+        if a.shape[1] <= cols:
+            prod = a[I]
+            prod *= b[J]
+            return prod.sum(axis=1)
+        return np.concatenate([conv(a[:, lo:lo + cols], b[:, lo:lo + cols])
+                               for lo in range(0, a.shape[1], cols)], axis=1)
+    return conv
+
+
+def _box_levels(shape: WeilShape):
+    """_levels past PAIR_LIMIT pairs, one target at a time: the pairs of
+    alpha are the beta != 0 of the box beta <= alpha, built when reached."""
+    deg = _degrees(shape)[:-1]
+    for k in np.argsort(deg, kind="stable")[1:]:
+        box = tuple(x + 1 for x in shape.alpha_of(int(k)))
+        i = np.dot(shape.strides, np.indices(box).reshape(shape.p, -1)[:, 1:])
+        yield deg[k], np.array([k]), _level_conv(
+            i[None], k - i[None], i, k - i, np.zeros(len(i), dtype=np.intp))
+
+
+def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
+    """Lift a unary primitive: D is a derivation, and coefficient alpha of
+    D y = f'(x) D x gives y_alpha from lower degrees of y through one
+    ``conv``.  Domain checks are the caller's."""
+    shape = w.shape
+    batch = w.batch_shape
+    # operands carry a zero row after the dim coefficients, for the padding
+    x = np.zeros((shape.dim + 1,) + ((math.prod(batch),) if batch else ()))
+    x[:-1] = w.coeffs.reshape(x[:-1].shape)
+    dx = _degrees(shape).reshape((-1,) + (1,) * (x.ndim - 1)) * x  # D x
+    x0 = x[:1]  # a row, so scalar and batched primals take one ufunc path
+    y = np.zeros_like(x)
+    levels = _levels(shape) or _box_levels(shape)
+    if kind == "exp":  # D y = y D x
+        y[:1] = np.exp(x0)
+        for d, t, conv in levels:
+            y[t] = conv(dx, y) / d
+    elif kind in ("sin", "cos"):  # D s = c D x, D c = -s D x
+        s, c = y, np.zeros_like(x)
+        s[:1], c[:1] = np.sin(x0), np.cos(x0)
+        for d, t, conv in levels:
+            s[t], c[t] = conv(dx, c) / d, conv(dx, s) / -d
+        y = s if kind == "sin" else c
+    elif kind == "tanh":  # D y = u D x with u = 1 - y**2
+        u = np.zeros_like(x)
+        y0 = y[:1] = np.tanh(x0)
+        u[:1] = 1.0 - y0 * y0
+        for d, t, conv in levels:
+            yt = y[t] = conv(dx, u) / d
+            u[t] = -(conv(y, y) + y0 * yt)
+    elif kind == "log":  # x D y = D x
+        y[:1] = np.log(x0)
+        for d, t, conv in levels:
+            y[t] = (d * x[t] - conv(d * x - dx, y)) / (d * x0)
+    elif kind == "pow":  # x D y = r y D x: sqrt from y**2 = x, recip from x y = 1
+        y[:1] = x0 ** r
+        for d, t, conv in levels:
+            y[t] = conv((r + 1.0) * dx - d * x, y) / (d * x0)
+    else:
+        raise ValueError(f"unsupported unary primitive {kind!r}")
+    return WeilValue(shape, y[:-1].reshape((shape.dim,) + batch))
 
 
 def _require(cond, message: str, primal):
@@ -266,92 +365,11 @@ def _require(cond, message: str, primal):
         raise DomainError(message, value=bad)
 
 
-def _series_exp(c0, K):
-    e = np.exp(c0)
-    return [e / math.factorial(l) for l in range(K + 1)]
-
-
-def _series_log(c0, K):
-    _require(np.asarray(c0) > 0, "log requires a positive primal", c0)
-    out = [np.log(c0)]
-    for l in range(1, K + 1):
-        out.append((-1.0) ** (l - 1) / (l * c0 ** l))
-    return out
-
-
-def _series_sin(c0, K):
-    s, c = np.sin(c0), np.cos(c0)
-    cycle = [s, c, -s, -c]
-    return [cycle[l % 4] / math.factorial(l) for l in range(K + 1)]
-
-
-def _series_cos(c0, K):
-    s, c = np.sin(c0), np.cos(c0)
-    cycle = [c, -s, -c, s]
-    return [cycle[l % 4] / math.factorial(l) for l in range(K + 1)]
-
-
-def _series_tanh(c0, K):
-    # y(t) = tanh(c0 + t) solves y' = 1 - y^2, so its Taylor coefficients obey
-    # (l+1) y_{l+1} = [l == 0] - sum_{j<=l} y_j y_{l-j}.
-    y = [np.tanh(c0)]
-    for l in range(K):
-        conv = sum(y[j] * y[l - j] for j in range(l + 1))
-        y.append((float(l == 0) - conv) / (l + 1))
-    return y
-
-
-def _series_sqrt(c0, K):
-    _require(np.asarray(c0) > 0, "sqrt lift requires a positive primal", c0)
-    out = [np.sqrt(c0)]
-    binom = 0.5
-    fac = 1.0
-    for l in range(1, K + 1):
-        fac *= binom / l
-        out.append(fac * c0 ** (0.5 - l))
-        binom -= 1.0
-    return out
-
-
-def _series_recip(c0, K):
-    _require(np.asarray(c0) != 0, "reciprocal of a non-invertible element "
-             "(primal coefficient is zero)", c0)
-    inv = 1.0 / np.asarray(c0, dtype=float)
-    return [(-1.0) ** l * inv ** (l + 1) for l in range(K + 1)]
-
-
-def _series_pow(c0, K, exponent: float):
-    c0a = np.asarray(c0, dtype=float)
-    if exponent != round(exponent):
-        _require(c0a > 0, "fractional power requires a positive primal", c0)
-    elif exponent < 0:
-        _require(c0a != 0, "negative power of a non-invertible element", c0)
-    out = []
-    fac = 1.0
-    for l in range(K + 1):
-        if l > 0:
-            fac *= (exponent - (l - 1)) / l
-        if fac == 0.0:
-            out.append(np.zeros_like(c0a) if c0a.ndim else 0.0)
-        else:
-            out.append(fac * c0a ** (exponent - l))
-    return out
-
-
-_SERIES: dict[str, Callable] = {
-    "exp": _series_exp,
-    "log": _series_log,
-    "sin": _series_sin,
-    "cos": _series_cos,
-    "tanh": _series_tanh,
-    "sqrt": _series_sqrt,
-    "recip": _series_recip,
-}
-
-
 def weil_recip(w: WeilValue) -> WeilValue:
-    """Multiplicative inverse via the truncated geometric series."""
-    return _taylor_recompose(w, _series_recip(w.primal, w.shape.max_total_degree))
+    """Multiplicative inverse, the power -1."""
+    _require(np.asarray(w.primal) != 0, "reciprocal of a non-invertible "
+             "element (primal coefficient is zero)", w.primal)
+    return _graded("pow", w, -1.0)
 
 
 def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
@@ -367,22 +385,31 @@ def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
 
 
 def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilValue:
-    """Lift a smooth scalar primitive by Taylor recomposition at the primal."""
+    """Lift a smooth scalar primitive by its graded recurrence."""
     if kind == "neg":
         return weil_neg(w)
-    K = w.shape.max_total_degree
+    if kind == "recip":
+        return weil_recip(w)
+    c0 = np.asarray(w.primal)
     if kind == "pow":
         if exponent is None:
             raise ValueError("pow lift needs an exponent")
         if exponent == round(exponent) and exponent >= 0:
             return weil_pow_int(w, int(round(exponent)))
-        return _taylor_recompose(w, _series_pow(w.primal, K, exponent))
-    try:
-        series = _SERIES[kind]
-    except KeyError:
-        raise ValueError(f"unsupported unary primitive {kind!r}") from None
-    if kind in ("sqrt",) and not np.any(_nilpotent_part(w).coeffs):
-        # constant jet: allow the domain boundary itself
-        _require(np.asarray(w.primal) >= 0, "sqrt of a negative primal", w.primal)
-        return weil_const(w.shape, np.sqrt(w.primal) * np.ones_like(w.primal))
-    return _taylor_recompose(w, series(w.primal, K))
+        if exponent != round(exponent):
+            _require(c0 > 0, "fractional power requires a positive primal",
+                     w.primal)
+        else:
+            _require(c0 != 0, "negative power of a non-invertible element",
+                     w.primal)
+        return _graded("pow", w, exponent)
+    if kind == "log":
+        _require(c0 > 0, "log requires a positive primal", w.primal)
+    elif kind == "sqrt":
+        if not np.any(w.coeffs[1:]):
+            # constant jet: allow the domain boundary itself
+            _require(c0 >= 0, "sqrt of a negative primal", w.primal)
+            return weil_const(w.shape, np.sqrt(w.primal) * np.ones_like(w.primal))
+        _require(c0 > 0, "sqrt lift requires a positive primal", w.primal)
+        return _graded("pow", w, 0.5)
+    return _graded(kind, w)

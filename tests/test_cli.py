@@ -54,12 +54,21 @@ def test_eval_missing_file(capsys):
     assert code == 2
 
 
-def test_domain_error_exit_code(capsys, tmp_path):
-    path = tmp_path / "log.slp"
-    path.write_text("input x\ny = log x\noutput y\n")
-    code, _, err = run_cli(capsys, "eval", str(path), "--x", "-1")
+@pytest.mark.parametrize("command, body, x, word", [
+    ("eval", "y = log x", "-1", "log"),
+    ("grad", "y = exp x", "1000", "overflow at node 0"),
+    ("grad", "y = pow x 0.5", "-4", "fractional power"),
+    ("grad", "y = pow x -1", "0", "negative power"),
+    ("grad", "t = exp x\ny = mul t t", "400", "overflow at node 1"),
+], ids=["eval-log", "grad-exp", "grad-pow-half", "grad-pow-minus-one",
+        "grad-square-of-exp"])
+def test_domain_error_exit_code(capsys, tmp_path, command, body, x, word):
+    path = tmp_path / "edge.slp"
+    path.write_text(f"input x\n{body}\noutput y\n")
+    code, out, err = run_cli(capsys, command, str(path), "--x", x, "--json")
     assert code == 3
-    assert "log" in err
+    assert out == ""
+    assert word in err
 
 
 def test_grad_product(capsys, prod_file):
@@ -199,6 +208,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("x, want", [("1", 0), ("1000", 3)])
 def test_taylor_stdout_is_strict_json(capsys, tmp_path, x, want):
     path = tmp_path / "exp.slp"

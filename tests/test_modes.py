@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from jetweil import instrument
-from jetweil.errors import DimensionMismatchError
+from jetweil.errors import (DimensionMismatchError, DomainError,
+                            NumericOverflowError)
 from jetweil.modes import (Tape, compose_programs, compose_vjp_check,
                            eval_dual, jvp, pairing_residual, record_tape,
                            reverse_sweep, vjp)
-from jetweil.slp import Program, parse_program, random_program
+from jetweil.slp import Program, eval_primal, parse_program, random_program
 
 PROD = parse_program("input a b\nt = mul a b\noutput t")
 IDENTITY = Program(n_inputs=2, nodes=(), outputs=(0, 1))
@@ -148,3 +149,23 @@ def test_functoriality_fuzz():
         x = [rng.uniform(-1, 1) for _ in range(f.n_inputs)]
         worst = max(worst, compose_vjp_check(f, g, x, [1.0]))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("body, x, error, node", [
+    ("c = const 2\ny = exp x", 1000.0, NumericOverflowError, 1),
+    ("c = const 2\ny = pow x 0.5", -4.0, DomainError, 1),
+    ("c = const 2\ny = pow x -1", 0.0, DomainError, 1),
+    ("t = exp x\ny = mul t t", 400.0, NumericOverflowError, 1),
+    ("t = sqrt x\ny = neg t", 0.0, DomainError, 0),
+], ids=["exp", "pow-half", "pow-minus-one", "square-of-exp",
+        "sqrt-derivative"])
+def test_first_order_errors_name_the_node(body, x, error, node):
+    # every first-order mode fails with the class and node eval_primal gives
+    prog = parse_program(f"input x\n{body}\noutput y")
+    calls = [lambda: jvp(prog, [x], [1.0]), lambda: vjp(prog, [x], [1.0])]
+    if node == 1:
+        calls.append(lambda: eval_primal(prog, [x]))
+    for call in calls:
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.value.node == node

@@ -254,3 +254,149 @@ def test_multi_factorial():
     assert multi_factorial((0, 0)) == 1
     assert multi_factorial((3, 2, 1)) == 12
     assert multi_factorial((4,)) == math.factorial(4)
+
+
+IDENTITY_CAPS = [(15,), (3, 3), (4, 4, 4), (1,) * 6, (2, 2, 2)]
+
+
+def _jet(shape, rng, primal, batch=()):
+    coeffs = rng.uniform(-0.5, 0.5, size=(shape.dim,) + batch)
+    coeffs[0] = primal
+    return WeilValue(shape, coeffs)
+
+
+def _gap(a, b):
+    return float(np.max(np.abs(a.coeffs - b.coeffs)))
+
+
+@pytest.mark.parametrize("caps", IDENTITY_CAPS)
+def test_graded_lift_identities(caps):
+    rng = np.random.default_rng(3)
+    shape = make_shape(caps)
+    one = weil_const(shape, 1.0)
+    x = _jet(shape, rng, -0.4)
+    pos = _jet(shape, rng, 1.3)
+    sin, cos = weil_unary("sin", x), weil_unary("cos", x)
+    root = weil_unary("sqrt", pos)
+    log = weil_unary("log", pos)
+    gaps = {
+        "exp(x) exp(-x)": _gap(weil_mul(weil_unary("exp", x),
+                                        weil_unary("exp", weil_neg(x))), one),
+        "sin^2 + cos^2": _gap(weil_add(weil_mul(sin, sin),
+                                       weil_mul(cos, cos)), one),
+        "log(exp x)": _gap(weil_unary("log", weil_unary("exp", x)), x),
+        "sqrt(x)^2": _gap(weil_mul(root, root), pos),
+        "recip(x) x": _gap(weil_mul(weil_recip(pos), pos), one),
+        "pow(x, 2.5)": _gap(
+            weil_unary("pow", pos, exponent=2.5),
+            weil_unary("exp", weil_mul(weil_const(shape, 2.5), log))),
+    }
+    assert max(gaps.values()) <= 1e-12, gaps
+
+
+UNARY_CASES = [("exp", None), ("log", None), ("sin", None), ("cos", None),
+               ("tanh", None), ("sqrt", None), ("recip", None),
+               ("pow", 2.5), ("pow", -1.5), ("pow", -2.0), ("pow", 3.0)]
+
+
+@pytest.mark.parametrize("caps", [(2,), (15,), (2, 2), (4, 4, 4), (1,) * 6,
+                                  (6, 6, 6)])
+def test_unary_batched_against_loop(caps):
+    # One batched lift and one unbatched lift per column add every
+    # coefficient's terms in the same order, so they agree exactly.
+    rng = np.random.default_rng(4)
+    shape = make_shape(caps)
+    w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=5), batch=(5,))
+    for kind, exponent in UNARY_CASES:
+        batched = (weil_recip(w) if kind == "recip"
+                   else weil_unary(kind, w, exponent=exponent))
+        for i in range(5):
+            col = WeilValue(shape, w.coeffs[:, i])
+            single = (weil_recip(col) if kind == "recip"
+                      else weil_unary(kind, col, exponent=exponent))
+            assert np.array_equal(batched.coeffs[:, i], single.coeffs), \
+                (kind, exponent, caps)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 9])
+def test_unary_batched_in_column_blocks(monkeypatch, batch):
+    # A small GATHER_LIMIT splits every level into blocks of 2 to 5 columns,
+    # and 9 columns leave a lone one; each still matches its unbatched lift.
+    from jetweil import weil
+    monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
+    weil._levels.cache_clear()
+    try:
+        rng = np.random.default_rng(6)
+        shape = make_shape((4, 4))
+        w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch), batch=(batch,))
+        for kind in ("exp", "sin", "tanh", "log"):
+            batched = weil_unary(kind, w)
+            for i in range(batch):
+                single = weil_unary(kind, WeilValue(shape, w.coeffs[:, i]))
+                assert np.array_equal(batched.coeffs[:, i], single.coeffs), kind
+    finally:
+        weil._levels.cache_clear()
+
+
+def test_unary_past_pair_limit_matches_table(monkeypatch):
+    # Past PAIR_LIMIT the lifts build each target's pairs from its box,
+    # in the order of the table, so they agree exactly.
+    from jetweil import weil
+    rng = np.random.default_rng(5)
+    shape = make_shape((3, 2, 2))
+    cases = [(kind, exponent, batch) for kind, exponent in UNARY_CASES
+             for batch in ((), (3,))]
+    values = {batch: _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch),
+                          batch=batch) for batch in ((), (3,))}
+
+    def lift(kind, exponent, batch):
+        w = values[batch]
+        return (weil_recip(w) if kind == "recip"
+                else weil_unary(kind, w, exponent=exponent))
+
+    table = [lift(*case) for case in cases]
+    monkeypatch.setattr(weil, "PAIR_LIMIT", 0)
+    weil._pair_table.cache_clear()
+    weil._levels.cache_clear()
+    try:
+        for case, ref in zip(cases, table):
+            assert np.array_equal(lift(*case).coeffs, ref.coeffs), case
+    finally:
+        weil._pair_table.cache_clear()
+        weil._levels.cache_clear()
+
+
+@pytest.mark.parametrize("kind, exponent, primal, message", [
+    ("log", None, 0.0, "log requires a positive primal"),
+    ("sqrt", None, -1.0, "sqrt lift requires a positive primal"),
+    ("pow", 0.5, -4.0, "fractional power requires a positive primal"),
+    ("pow", -1.0, 0.0, "negative power of a non-invertible element"),
+    ("recip", None, 0.0, "reciprocal of a non-invertible element "
+                         "(primal coefficient is zero)"),
+])
+def test_unary_domain_errors(kind, exponent, primal, message):
+    from jetweil.jets import SeedSpec, taylor_eval
+    from jetweil.slp import parse_program
+    w = val([2], [primal, 1.0, 0.0])
+    with pytest.raises(DomainError) as exc:
+        if kind == "recip":
+            weil_recip(w)
+        else:
+            weil_unary(kind, w, exponent=exponent)
+    assert str(exc.value) == message
+    assert exc.value.value == primal
+    # inside a program the evaluator adds the node index
+    op = f"pow x {exponent}" if kind == "pow" else f"{kind} x"
+    prog = parse_program(f"input x\nc = const 1\ny = {op}\noutput y\n")
+    with pytest.raises(DomainError) as exc:
+        taylor_eval(prog, SeedSpec((primal,), ((1.0,),), (2,)))
+    assert str(exc.value) == message
+    assert exc.value.node == 1
+
+
+def test_sqrt_of_constant_jet_at_zero():
+    out = weil_unary("sqrt", weil_const(make_shape([3]), 0.0))
+    assert np.array_equal(out.coeffs, np.zeros(4))
+    with pytest.raises(DomainError) as exc:
+        weil_unary("sqrt", weil_const(make_shape([3]), -1.0))
+    assert str(exc.value) == "sqrt of a negative primal"
