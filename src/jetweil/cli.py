@@ -7,6 +7,7 @@ byte-stable apart from timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -195,7 +196,9 @@ def cmd_bench(args) -> int:
     return 1 if violation else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jetweil",
         description="higher-order automatic differentiation over "
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--family", choices=["linear", "mul", "both"],
                          default="both")
     p_bench.add_argument("--q", type=int, default=500)
-    p_bench.add_argument("--dims", type=_ints, default=list(DEFAULT_DIMS))
+    p_bench.add_argument("--dims", type=_ints, default=DEFAULT_DIMS)
     p_bench.add_argument("--repetitions", type=int, default=5)
     p_bench.add_argument("--batch", type=int, default=2048)
     p_bench.add_argument("--seed", type=int, default=0)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import instrument
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, NumericOverflowError
 from .slp import (Node, PrimitiveKind, Program, RealSemantics, eval_primal,
                   node_error, primal_slots)
 
@@ -92,9 +92,25 @@ def eval_dual(prog: Program, x: Sequence[float],
             [dots[r] for r in prog.outputs])
 
 
+def _finite(prog: Program, values: list[float], slots: Sequence[int],
+            what: str) -> list[float]:
+    """values, or NumericOverflowError naming the slot of the first
+    non-finite one.  Checked once on the result, not per node."""
+    for value, slot in zip(values, slots):
+        if not math.isfinite(value):
+            node = slot - prog.n_inputs if slot >= prog.n_inputs else None
+            where = f"node {node}" if node is not None else f"input {slot}"
+            raise NumericOverflowError(f"non-finite {what} at {where}",
+                                       node=node)
+    return values
+
+
 def jvp(prog: Program, x: Sequence[float], v: Sequence[float]) -> list[float]:
-    """Jacobian-vector product J_f(x) v without materializing the Jacobian."""
-    return eval_dual(prog, x, v)[1]
+    """Jacobian-vector product J_f(x) v without materializing the Jacobian.
+
+    Raises NumericOverflowError when an output's tangent is non-finite.
+    """
+    return _finite(prog, eval_dual(prog, x, v)[1], prog.outputs, "tangent")
 
 
 @dataclass
@@ -145,9 +161,13 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
 
 def vjp(prog: Program, x: Sequence[float],
         omega: Sequence[float]) -> list[float]:
-    """Vector-Jacobian product J_f(x)^T omega via tape and reverse sweep."""
+    """Vector-Jacobian product J_f(x)^T omega via tape and reverse sweep.
+
+    Raises NumericOverflowError when an input's adjoint is non-finite.
+    """
     tape = record_tape(prog, x)
-    return reverse_sweep(tape, omega)
+    return _finite(prog, reverse_sweep(tape, omega), range(prog.n_inputs),
+                   "adjoint")
 
 
 def pairing_residual(prog: Program, x: Sequence[float], v: Sequence[float],

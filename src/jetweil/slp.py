@@ -12,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (DomainError, DimensionMismatchError, NumericOverflowError,
@@ -97,6 +98,27 @@ class Program:
     @property
     def n_slots(self) -> int:
         return self.n_inputs + len(self.nodes)
+
+    @cached_property
+    def dead_after(self) -> tuple[tuple[int, ...], ...]:
+        """For each node k, the node slots no later node or output reads.
+
+        A slot nothing reads dies at the node that makes it.  Input slots
+        are never listed: they belong to the caller.  Cached on the program,
+        so the table lives exactly as long as the program does.
+        """
+        last = {}
+        for k, node in enumerate(self.nodes):
+            last[self.n_inputs + k] = k
+            for ref in node.operands:
+                last[ref] = k
+        for ref in self.outputs:
+            last.pop(ref, None)
+        dead: list[list[int]] = [[] for _ in self.nodes]
+        for ref, k in last.items():
+            if ref >= self.n_inputs:
+                dead[k].append(ref)
+        return tuple(map(tuple, dead))
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -263,12 +285,18 @@ class RealSemantics:
 
 
 def eval_generic(prog: Program, inputs: Sequence, semantics):
-    """Evaluate nodes in topological order under the supplied semantics."""
+    """Evaluate nodes in topological order under the supplied semantics.
+
+    Liveness: the evaluator drops its reference to a node's value right
+    after the last node that reads it (``Program.dead_after``), so a lifted
+    pass holds only the values still to be read.  Outputs and the caller's
+    inputs are kept.
+    """
     if len(inputs) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(inputs)}")
     slots = list(inputs)
-    for k, node in enumerate(prog.nodes):
+    for k, (node, dead) in enumerate(zip(prog.nodes, prog.dead_after)):
         if node.op is PrimitiveKind.CONST:
             value = semantics.constant(node.const)
         else:
@@ -279,6 +307,8 @@ def eval_generic(prog: Program, inputs: Sequence, semantics):
                 err.node = k
                 raise
         slots.append(value)
+        for r in dead:
+            slots[r] = None
     return [slots[r] for r in prog.outputs]
 
 

@@ -11,8 +11,7 @@ Three kernels, picked from the operands' own shapes:
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
 * slice loop: products with a batched operand, one slice update per nonzero
-  row of the unbatched factor.  A gather over the pairs wins at B = 128 but
-  loses at B = 2048.
+  row of the factor with fewer axes, so a constant factor costs one update.
 * graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
@@ -21,10 +20,24 @@ All three add each coefficient's terms in ascending order of the first
 factor's index, so batched and unbatched results agree bit for bit.  Past
 ``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
 and the recurrences build each coefficient's pairs when they reach it.
+
+Scratch: the batched temporaries of the slice loop and of the recurrences'
+gathers go into two float64 buffers that each thread keeps for reuse
+(``threading.local``, since ``check --parallel`` lifts from worker threads).
+Each buffer holds ``GATHER_LIMIT`` values, 4 MiB; a larger temporary is
+allocated afresh.  Fresh temporaries of this size go back to the OS when
+freed (malloc maps them, or trims them off the top of its heap), so every
+call page-faulted them in again, which at B = 2048 cost more than the
+arithmetic.  The scratch holds temporaries only: no
+returned array is a view into it.  The gathers run ``np.take`` with
+``mode="clip"``, because the default ``mode="raise"`` always copies through
+a temporary ``out``; the index check moves to ``_level_conv``, which checks
+each table once, when it is built.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -40,6 +53,20 @@ PAIR_LIMIT = 1 << 20
 # Summed over sin lifts at B = 2048, 2**19 ran (6,6,6) and (15,15) twice as
 # fast as 2**20 or no limit, and the benchmark's small caps as fast.
 GATHER_LIMIT = 1 << 19
+
+_scratch = threading.local()
+
+
+def _scratch_buffer(which: int, n: int) -> np.ndarray:
+    """Flat float64 scratch buffer ``which`` (0 or 1) of the calling thread,
+    of at least n values; a fresh array past GATHER_LIMIT values."""
+    if n > GATHER_LIMIT:
+        return np.empty(n)
+    try:
+        return _scratch.bufs[which]
+    except AttributeError:
+        _scratch.bufs = (np.empty(GATHER_LIMIT), np.empty(GATHER_LIMIT))
+        return _scratch.bufs[which]
 
 
 @dataclass(frozen=True)
@@ -237,10 +264,13 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     ta = a.coeffs
     tb = b.coeffs.reshape(tshape + batch)
     out = np.zeros(tshape + batch)
+    scratch = _scratch_buffer(0, out.size)
     table = _slice_table(shape)
     for ia in np.flatnonzero(ta.reshape(shape.dim, -1).any(axis=1)):
         dst, src = table[ia]
-        out[dst] += ta[ia] * tb[src]
+        part, acc = tb[src], out[dst]
+        np.add(acc, np.multiply(ta[ia], part, out=scratch[:part.size]
+                                .reshape(part.shape)), out=acc)
     return WeilValue(shape, out.reshape((shape.dim,) + batch))
 
 
@@ -280,15 +310,22 @@ def _levels(shape: WeilShape):
         I[pos, np.arange(len(pos)) - start[pos]] = i[sel]
         J[pos, np.arange(len(pos)) - start[pos]] = j[sel]
         levels.append((np.float64(d), targets,
-                       _level_conv(I, J, i[sel], j[sel], pos)))
+                       _level_conv(I, J, i[sel], j[sel], pos, shape.dim)))
     return tuple(levels)
 
 
-def _level_conv(I, J, i, j, pos):
+def _level_conv(I, J, i, j, pos, dim: int):
     """Unbatched, one ``np.bincount`` over the pairs; batched, the padded
     gather summed along its rows, GATHER_LIMIT products at a time.  Both add
     in ascending beta, so a batch column matches its unbatched lift exactly.
+
+    The gathers run unchecked into the thread's scratch, so the index
+    tables are checked here, once: every entry lies in 0..dim, the rows of
+    an operand with its zero row.
     """
+    for table in (I, J):
+        if table.min() < 0 or table.max() > dim:
+            raise IndexError(f"level table index outside 0..{dim}")
     cols = max(1, GATHER_LIMIT // I.size)
 
     def conv(a, b):
@@ -297,8 +334,11 @@ def _level_conv(I, J, i, j, pos):
         if a.shape[1] == 1:  # numpy would sum a lone column pairwise
             return conv(a[:, 0], b[:, 0])[:, None]
         if a.shape[1] <= cols:
-            prod = a[I]
-            prod *= b[J]
+            n, gather = I.size * a.shape[1], I.shape + a.shape[1:]
+            prod = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather),
+                          "clip")
+            prod *= b.take(J, 0, _scratch_buffer(1, n)[:n].reshape(gather),
+                           "clip")
             return prod.sum(axis=1)
         return np.concatenate([conv(a[:, lo:lo + cols], b[:, lo:lo + cols])
                                for lo in range(0, a.shape[1], cols)], axis=1)
@@ -313,7 +353,8 @@ def _box_levels(shape: WeilShape):
         box = tuple(x + 1 for x in shape.alpha_of(int(k)))
         i = np.dot(shape.strides, np.indices(box).reshape(shape.p, -1)[:, 1:])
         yield deg[k], np.array([k]), _level_conv(
-            i[None], k - i[None], i, k - i, np.zeros(len(i), dtype=np.intp))
+            i[None], k - i[None], i, k - i, np.zeros(len(i), dtype=np.intp),
+            shape.dim)
 
 
 def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
@@ -323,24 +364,29 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     shape = w.shape
     batch = w.batch_shape
     # operands carry a zero row after the dim coefficients, for the padding
-    x = np.zeros((shape.dim + 1,) + ((math.prod(batch),) if batch else ()))
-    x[:-1] = w.coeffs.reshape(x[:-1].shape)
-    dx = _degrees(shape).reshape((-1,) + (1,) * (x.ndim - 1)) * x  # D x
-    x0 = x[:1]  # a row, so scalar and batched primals take one ufunc path
-    y = np.zeros_like(x)
+    rows = (shape.dim + 1,) + ((math.prod(batch),) if batch else ())
+    coeffs = w.coeffs.reshape((shape.dim,) + rows[1:])
+    deg = _degrees(shape).reshape((-1,) + (1,) * (len(rows) - 1))
+    dx = np.zeros(rows)  # D x
+    np.multiply(deg[:-1], coeffs, out=dx[:-1])
+    x0 = coeffs[:1]  # a row, so scalar and batched primals take one ufunc path
+    if kind in ("log", "pow"):
+        x = np.zeros(rows)
+        x[:-1] = coeffs
+    y = np.zeros(rows)
     levels = _levels(shape) or _box_levels(shape)
     if kind == "exp":  # D y = y D x
         y[:1] = np.exp(x0)
         for d, t, conv in levels:
             y[t] = conv(dx, y) / d
     elif kind in ("sin", "cos"):  # D s = c D x, D c = -s D x
-        s, c = y, np.zeros_like(x)
+        s, c = y, np.zeros(rows)
         s[:1], c[:1] = np.sin(x0), np.cos(x0)
         for d, t, conv in levels:
             s[t], c[t] = conv(dx, c) / d, conv(dx, s) / -d
         y = s if kind == "sin" else c
     elif kind == "tanh":  # D y = u D x with u = 1 - y**2
-        u = np.zeros_like(x)
+        u = np.zeros(rows)
         y0 = y[:1] = np.tanh(x0)
         u[:1] = 1.0 - y0 * y0
         for d, t, conv in levels:
@@ -406,10 +452,26 @@ def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilVa
     if kind == "log":
         _require(c0 > 0, "log requires a positive primal", w.primal)
     elif kind == "sqrt":
-        if not np.any(w.coeffs[1:]):
-            # constant jet: allow the domain boundary itself
-            _require(c0 >= 0, "sqrt of a negative primal", w.primal)
-            return weil_const(w.shape, np.sqrt(w.primal) * np.ones_like(w.primal))
-        _require(c0 > 0, "sqrt lift requires a positive primal", w.primal)
+        # a constant jet may sit on the domain boundary; decided per column
+        const = ~np.any(w.coeffs[1:], axis=0)
+        _require(~const | (c0 >= 0), "sqrt of a negative primal", w.primal)
+        _require(const | (c0 > 0), "sqrt lift requires a positive primal",
+                 w.primal)
+        if np.all(const):
+            return weil_const(w.shape, np.sqrt(w.primal))
+        if np.any(const):
+            return _sqrt_columns(w, const)
         return _graded("pow", w, 0.5)
     return _graded(kind, w)
+
+
+def _sqrt_columns(w: WeilValue, const: np.ndarray) -> WeilValue:
+    """sqrt of a batch mixing constant jets with others: sqrt(c0) for the
+    constant columns, the pow 1/2 recurrence over the rest."""
+    cols = w.coeffs.reshape(w.shape.dim, -1)
+    const = const.reshape(-1)
+    out = np.zeros_like(cols)
+    out[0, const] = np.sqrt(cols[0, const])
+    out[:, ~const] = _graded("pow", WeilValue(w.shape, cols[:, ~const]),
+                             0.5).coeffs
+    return WeilValue(w.shape, out.reshape(w.coeffs.shape))

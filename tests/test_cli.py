@@ -54,17 +54,20 @@ def test_eval_missing_file(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command, body, x, word", [
-    ("eval", "y = log x", "-1", "log"),
-    ("grad", "y = exp x", "1000", "overflow at node 0"),
-    ("grad", "y = pow x 0.5", "-4", "fractional power"),
-    ("grad", "y = pow x -1", "0", "negative power"),
-    ("grad", "t = exp x\ny = mul t t", "400", "overflow at node 1"),
+@pytest.mark.parametrize("command, inputs, body, x, word", [
+    ("eval", "x", "y = log x", "-1", "log"),
+    ("grad", "x", "y = exp x", "1000", "overflow at node 0"),
+    ("grad", "x", "y = pow x 0.5", "-4", "fractional power"),
+    ("grad", "x", "y = pow x -1", "0", "negative power"),
+    ("grad", "x", "t = exp x\ny = mul t t", "400", "overflow at node 1"),
+    ("grad", "a b c", "t = mul a b\ny = mul t c", "1e200,1e-200,1e200",
+     "non-finite adjoint at input 1"),
 ], ids=["eval-log", "grad-exp", "grad-pow-half", "grad-pow-minus-one",
-        "grad-square-of-exp"])
-def test_domain_error_exit_code(capsys, tmp_path, command, body, x, word):
+        "grad-square-of-exp", "grad-infinite-adjoint"])
+def test_domain_error_exit_code(capsys, tmp_path, command, inputs, body, x,
+                                word):
     path = tmp_path / "edge.slp"
-    path.write_text(f"input x\n{body}\noutput y\n")
+    path.write_text(f"input {inputs}\n{body}\noutput y\n")
     code, out, err = run_cli(capsys, command, str(path), "--x", x, "--json")
     assert code == 3
     assert out == ""
@@ -238,3 +241,25 @@ def test_negative_vector_values(capsys, tmp_path, command, options):
     result = run_cli(capsys, *spaced)
     assert result == run_cli(capsys, *joined)
     assert "expected one argument" not in result[2]
+
+
+def test_parser_built_once_and_usage_errors_repeat(tmp_path):
+    # main reuses one parser; argparse still writes each usage error to the
+    # stderr of the moment and exits 2
+    import contextlib
+    import io
+
+    from jetweil.cli import build_parser
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["eval"]) == 2
+        assert "the following arguments are required" in err.getvalue()
+    path = tmp_path / "sq.slp"
+    path.write_text("input x\ny = mul x x\noutput y\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", str(path), "--x", "3"]) == 0
+        assert main(["eval", str(path), "--x", "4"]) == 0
+    assert out.getvalue().split() == ["9.0", "16.0"]

@@ -169,3 +169,27 @@ def test_first_order_errors_name_the_node(body, x, error, node):
         with pytest.raises(error) as exc:
             call()
         assert exc.value.node == node
+
+
+def test_non_finite_adjoints_and_tangents_raise():
+    # every value is finite, but d z / d b = a c = 1e400 is not
+    prog = parse_program("input a b c\nt = mul a b\nz = mul t c\noutput z")
+    x = [1e200, 1e-200, 1e200]
+    assert eval_primal(prog, x) == [1e200]
+    with pytest.raises(NumericOverflowError,
+                       match="non-finite adjoint at input 1") as exc:
+        vjp(prog, x, [1.0])
+    assert exc.value.node is None
+    with pytest.raises(NumericOverflowError,
+                       match="non-finite tangent at node 1") as exc:
+        jvp(prog, x, [0.0, 1.0, 0.0])
+    assert exc.value.node == 1
+    # an output that is an input slot is named as the input
+    passthrough = parse_program("input a b\nt = mul a a\noutput t b")
+    assert jvp(passthrough, [1.0, 2.0], [1.0, 0.0]) == [2.0, 0.0]
+    with pytest.raises(NumericOverflowError,
+                       match="non-finite tangent at node 0"):
+        jvp(passthrough, [1e100, 1.0], [1e300, 0.0])
+    with pytest.raises(NumericOverflowError,
+                       match="non-finite tangent at input 1"):
+        jvp(passthrough, [1.0, 1.0], [0.0, math.inf])

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +164,66 @@ def test_safe_fuzz_ten_thousand_evals():
             x = [rng.uniform(-1, 1) for _ in range(prog.n_inputs)]
             eval_primal(prog, x)
             evals += 1
+
+
+class _Box:
+    """A value that can be weakly referenced."""
+
+    def __init__(self, v: float):
+        self.v = v
+
+
+class _WeakSemantics:
+    """Real semantics over boxes; records, before each node, which earlier
+    node results are still alive."""
+
+    def __init__(self):
+        self.refs = []
+        self.alive = []
+
+    def constant(self, c):
+        return self._keep(_Box(c))
+
+    def apply(self, node, args):
+        self.alive.append([r() is not None for r in self.refs])
+        value = RealSemantics().apply(node, [a.v for a in args])
+        return self._keep(_Box(value))
+
+    def _keep(self, box):
+        self.refs.append(weakref.ref(box))
+        return box
+
+
+# t is an output and a later operand, x an input returned as an output, u
+# squares t through one slot, and d is never read
+LIVENESS = ("input x y\nt = mul x y\nu = mul t t\nv = sin t\nw = cos v\n"
+            "d = neg x\noutput t u w x\n")
+
+
+def test_dead_after_table():
+    prog = parse_program(LIVENESS)
+    # slots: x 0, y 1, t 2, u 3, v 4, w 5, d 6; v dies at w, d where it is
+    # made; inputs are never released
+    assert prog.dead_after == ((), (), (), (4,), (6,))
+    assert prog.dead_after is prog.dead_after
+
+
+def test_eval_generic_releases_dead_slots():
+    prog = parse_program("input x\na = sin x\nb = cos a\nc = exp b\n"
+                         "d = neg c\noutput d\n")
+    sem = _WeakSemantics()
+    (out,) = eval_generic(prog, [_Box(0.3)], sem)
+    assert out.v == eval_primal(prog, [0.3])[0]
+    # before node 2 runs, node 0 (read only by node 1) is gone
+    assert sem.alive[2] == [False, True]
+    assert sem.alive[3] == [False, False, True]
+
+
+def test_eval_generic_keeps_outputs_and_inputs():
+    prog = parse_program(LIVENESS)
+    x = [1.5, -0.25]
+    assert eval_generic(prog, x, RealSemantics()) == eval_primal(prog, x)
+    inputs = [_Box(v) for v in x]
+    outs = eval_generic(prog, inputs, _WeakSemantics())
+    assert [o.v for o in outs] == eval_primal(prog, x)
+    assert outs[3] is inputs[0]

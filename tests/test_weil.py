@@ -400,3 +400,97 @@ def test_sqrt_of_constant_jet_at_zero():
     with pytest.raises(DomainError) as exc:
         weil_unary("sqrt", weil_const(make_shape([3]), -1.0))
     assert str(exc.value) == "sqrt of a negative primal"
+
+
+def test_sqrt_boundary_decided_per_column():
+    # column 0 is the constant jet at 0, column 1 is not: each column lifts
+    # as it would alone
+    shape = make_shape([2])
+    w = WeilValue(shape, np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.0]]))
+    out = weil_unary("sqrt", w)
+    for i in range(2):
+        single = weil_unary("sqrt", WeilValue(shape, w.coeffs[:, i]))
+        assert np.array_equal(out.coeffs[:, i], single.coeffs)
+    assert np.array_equal(out.coeffs[:, 0], np.zeros(3))
+    # a non-constant column at 0 and a constant one below 0 still fail
+    with pytest.raises(DomainError, match="requires a positive primal"):
+        weil_unary("sqrt", WeilValue(shape, np.array([[0.0, 0.0],
+                                                      [0.0, 0.5],
+                                                      [0.0, 0.0]])))
+    with pytest.raises(DomainError, match="sqrt of a negative primal"):
+        weil_unary("sqrt", WeilValue(shape, np.array([[-1.0, 1.0],
+                                                      [0.0, 0.5],
+                                                      [0.0, 0.0]])))
+
+
+def _batched_kernels(shape, rng, batch):
+    """A batched product and three batched lifts, with their inputs."""
+    a = _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch), batch=(batch,))
+    b = _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch), batch=(batch,))
+    return [weil_mul(a, b), weil_unary("sin", a), weil_unary("tanh", b),
+            weil_unary("log", a)]
+
+
+def test_batched_results_do_not_alias_scratch():
+    # results outlive later kernel calls of other shapes and batches, which
+    # reuse the same scratch, and stay exactly as they were
+    from jetweil import weil
+    rng = np.random.default_rng(7)
+    kept = _batched_kernels(make_shape((1,) * 6), rng, 300)
+    copies = [r.coeffs.copy() for r in kept]
+    for caps, batch in [((2, 2), 1000), ((4, 4), 64), ((1,) * 6, 300)]:
+        _batched_kernels(make_shape(caps), rng, batch)
+    for r, c in zip(kept, copies):
+        assert np.array_equal(r.coeffs, c)
+        for buf in weil._scratch.bufs:
+            assert not np.shares_memory(r.coeffs, buf)
+
+
+def test_level_tables_are_bounds_checked():
+    from jetweil import weil
+    zero = np.zeros(1, dtype=np.intp)
+    with pytest.raises(IndexError):
+        weil._level_conv(np.array([[4]]), np.array([[0]]), zero, zero, zero,
+                         3)
+    with pytest.raises(IndexError):
+        weil._level_conv(np.array([[1]]), np.array([[-1]]), zero, zero, zero,
+                         3)
+
+
+def test_threads_lift_like_serial():
+    # each thread keeps its own scratch: threads (more than cores) lifting
+    # different batches at once, switching often, give their serial
+    # results bit for bit
+    import sys
+    import threading
+    cases = [(make_shape((1,) * 6), 700), (make_shape((2, 2, 2)), 900),
+             (make_shape((1,) * 4), 300), (make_shape((3, 3)), 500)]
+    serial = [_batched_kernels(shape, np.random.default_rng(i), batch)
+              for i, (shape, batch) in enumerate(cases)]
+    results = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def work(i):
+        shape, batch = cases[i]
+        start.wait(timeout=60)
+        for _ in range(5):
+            results[i].append(_batched_kernels(
+                shape, np.random.default_rng(i), batch))
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs, ref in zip(results, serial):
+        assert len(runs) == 5
+        for run in runs:
+            for got, want in zip(run, ref):
+                assert np.array_equal(got.coeffs, want.coeffs)
