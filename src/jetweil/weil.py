@@ -268,7 +268,7 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     table = _slice_table(shape)
     for ia in np.flatnonzero(ta.reshape(shape.dim, -1).any(axis=1)):
         dst, src = table[ia]
-        part, acc = tb[src], out[dst]
+        part, acc = tb[src], out[dst]  # `out[dst] += t` re-assigns the view
         np.add(acc, np.multiply(ta[ia], part, out=scratch[:part.size]
                                 .reshape(part.shape)), out=acc)
     return WeilValue(shape, out.reshape((shape.dim,) + batch))
