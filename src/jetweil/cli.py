@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -123,42 +122,22 @@ def cmd_taylor(args) -> int:
     return 0
 
 
-def _run_check_chunked(name: str, count: int | None, seed: int, jobs: int,
-                       delta_const: float):
-    kwargs = {"delta_const": delta_const} if name == "stability" else {}
-    if count is None or jobs <= 1 or count < 2 * jobs:
-        return [run_suite(name, count=count, seed=seed, **kwargs)]
-    sizes = [count // jobs + (1 if i < count % jobs else 0)
-             for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_suite, name, count=sz,
-                               seed=seed + 1000 * i, **kwargs)
-                   for i, sz in enumerate(sizes) if sz]
-        return [f.result() for f in futures]
-
-
 def cmd_check(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    jobs = os.cpu_count() or 1 if args.parallel else 1
     failed = False
     results = []
     for name in names:
-        chunks = _run_check_chunked(name, args.count, args.seed, jobs,
-                                    args.delta_const)
-        merged = {
-            "suite": name,
-            "count": sum(c.count for c in chunks),
-            "tolerance": chunks[0].tolerance,
-            "max_residual": max(c.max_residual for c in chunks),
-            "violations": sum(c.violations for c in chunks),
-            "passed": all(c.passed for c in chunks),
-        }
-        results.append(merged)
-        failed = failed or not merged["passed"]
-        print(f"{name}: count={merged['count']} "
-              f"max_residual={merged['max_residual']:.3e} "
-              f"violations={merged['violations']} "
-              f"{'PASS' if merged['passed'] else 'FAIL'}")
+        kwargs = ({"delta_const": args.delta_const} if name == "stability"
+                  else {})
+        res = run_suite(name, count=args.count, seed=args.seed, **kwargs)
+        row = res.to_json_dict()
+        del row["notes"]
+        results.append(row)
+        failed = failed or not res.passed
+        print(f"{name}: count={res.count} "
+              f"max_residual={res.max_residual:.3e} "
+              f"violations={res.violations} "
+              f"{'PASS' if res.passed else 'FAIL'}")
     if args.json:
         _emit({"results": results})
     return 1 if failed else 0
@@ -236,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--count", type=int, default=None)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--delta-const", type=float, default=4.0)
-    p_check.add_argument("--parallel", action="store_true")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(fn=cmd_check)
 

@@ -3,22 +3,21 @@
 Inputs are seeded as base + sum_j e_j * v_j, the program is evaluated once
 under coefficient-array semantics, and each coefficient is rescaled by the
 factorial of its multi-index to obtain the mixed directional derivative
-table.
+table.  Each primitive's lift is its ``lift`` rule in ``slp.PRIMITIVES``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import instrument
 from .errors import DimensionMismatchError, NumericOverflowError
-from .slp import Node, PrimitiveKind, Program, eval_generic
+from .slp import PRIMITIVES, Node, Program, eval_generic
 from .weil import (WeilShape, WeilValue, make_shape, multi_factorial,
-                   weil_add, weil_const, weil_mul, weil_neg, weil_recip,
-                   weil_sub, weil_unary)
+                   weil_const)
 
 
 class WeilSemantics:
@@ -34,20 +33,7 @@ class WeilSemantics:
 
     def apply(self, node: Node, args: Sequence[WeilValue]) -> WeilValue:
         instrument.counters["lifted_primitives"] += 1
-        op = node.op
-        if op is PrimitiveKind.ADD:
-            return weil_add(args[0], args[1])
-        if op is PrimitiveKind.SUB:
-            return weil_sub(args[0], args[1])
-        if op is PrimitiveKind.MUL:
-            return weil_mul(args[0], args[1])
-        if op is PrimitiveKind.NEG:
-            return weil_neg(args[0])
-        if op is PrimitiveKind.RECIP:
-            return weil_recip(args[0])
-        if op is PrimitiveKind.POW_CONST:
-            return weil_unary("pow", args[0], exponent=node.const)
-        return weil_unary(op.value, args[0])
+        return PRIMITIVES[node.op].lift(args, node.const)
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,6 @@ class DerivativeTable:
     directions: tuple[tuple[float, ...], ...]
     entries: dict[tuple[int, ...], np.ndarray]
     coeffs: dict[tuple[int, ...], np.ndarray]
-    raw_outputs: list[WeilValue] = field(default_factory=list)
 
     def entry(self, alpha: Sequence[int]) -> np.ndarray:
         return self.entries[tuple(alpha)]
@@ -159,8 +144,7 @@ def taylor_eval(prog: Program, spec: SeedSpec,
         entries[alpha] = raw * multi_factorial(alpha)
     return DerivativeTable(shape=shape, base=spec.base,
                            directions=spec.directions,
-                           entries=entries, coeffs=coeffs,
-                           raw_outputs=list(outputs))
+                           entries=entries, coeffs=coeffs)
 
 
 def basis_seed(x: Sequence[float], cap: int) -> SeedSpec:
@@ -178,8 +162,6 @@ def directional_taylor(prog: Program, x: Sequence[float],
         raise ValueError("order k must be >= 1")
     spec = SeedSpec(base=tuple(x), directions=(tuple(v),), caps=(k,))
     table = taylor_eval(prog, spec)
-    if table.raw_outputs and table.raw_outputs[0].coeffs.shape[0] != k + 1:
-        raise DimensionMismatchError("unexpected coefficient count")
     m = len(table.coeffs[(0,)])
     if m != 1:
         raise DimensionMismatchError(

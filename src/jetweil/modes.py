@@ -4,6 +4,7 @@ Forward mode propagates value/tangent pairs through the program; reverse
 mode records primal intermediates on a tape and accumulates adjoints along
 a reverse sweep.  ``pairing_residual`` probes the duality between the two,
 ``compose_vjp_check`` probes functoriality under syntactic composition.
+Values and partial derivatives come from the rule table ``slp.PRIMITIVES``.
 """
 from __future__ import annotations
 
@@ -15,51 +16,13 @@ import numpy as np
 
 from . import instrument
 from .errors import DimensionMismatchError, DomainError, NumericOverflowError
-from .slp import (Node, PrimitiveKind, Program, RealSemantics, eval_primal,
-                  node_error, primal_slots)
+from .slp import (PRIMITIVES, Node, Program, eval_primal, node_error,
+                  primal_slots)
 
 
 def local_partials(node: Node, args: Sequence[float]) -> tuple[float, ...]:
     """Value-level partial derivatives of one primitive at its operands."""
-    op = node.op
-    if op is PrimitiveKind.ADD:
-        return (1.0, 1.0)
-    if op is PrimitiveKind.SUB:
-        return (1.0, -1.0)
-    if op is PrimitiveKind.MUL:
-        return (args[1], args[0])
-    if op is PrimitiveKind.NEG:
-        return (-1.0,)
-    if op is PrimitiveKind.EXP:
-        return (math.exp(args[0]),)
-    if op is PrimitiveKind.LOG:
-        if args[0] <= 0:
-            raise DomainError("log requires a positive argument", args[0])
-        return (1.0 / args[0],)
-    if op is PrimitiveKind.SIN:
-        return (math.cos(args[0]),)
-    if op is PrimitiveKind.COS:
-        return (-math.sin(args[0]),)
-    if op is PrimitiveKind.TANH:
-        t = math.tanh(args[0])
-        return (1.0 - t * t,)
-    if op is PrimitiveKind.SQRT:
-        if args[0] <= 0:
-            raise DomainError("sqrt derivative needs a positive argument", args[0])
-        return (0.5 / math.sqrt(args[0]),)
-    if op is PrimitiveKind.RECIP:
-        if args[0] == 0:
-            raise DomainError("reciprocal of zero", args[0])
-        return (-1.0 / (args[0] * args[0]),)
-    if op is PrimitiveKind.POW_CONST:
-        e = node.const
-        a = args[0]
-        if e == 0:
-            return (0.0,)
-        if a == 0 and e < 1:
-            raise DomainError("power derivative singular at zero", a)
-        return (e * a ** (e - 1),)
-    raise ValueError(f"no derivative rule for {op}")
+    return PRIMITIVES[node.op].partials(args, node.const)
 
 
 def eval_dual(prog: Program, x: Sequence[float],
@@ -70,17 +33,14 @@ def eval_dual(prog: Program, x: Sequence[float],
     """
     if len(x) != prog.n_inputs or len(v) != prog.n_inputs:
         raise DimensionMismatchError("point/tangent length mismatch")
-    real = RealSemantics().apply
     vals = [float(a) for a in x]
     dots = [float(a) for a in v]
     try:
         for k, node in enumerate(prog.nodes):
-            if node.op is PrimitiveKind.CONST:
-                value, parts = node.const, ()
-            else:
-                args = [vals[r] for r in node.operands]
-                value = real(node, args)
-                parts = local_partials(node, args)
+            rule = PRIMITIVES[node.op]
+            args = [vals[r] for r in node.operands]
+            value = rule.value(args, node.const)
+            parts = rule.partials(args, node.const)
             if not math.isfinite(value):
                 raise OverflowError
             vals.append(value)
@@ -148,10 +108,8 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
         for k in range(prog.n_nodes - 1, -1, -1):
             node = prog.nodes[k]
             u_bar = adj[prog.n_inputs + k]
-            if node.op is PrimitiveKind.CONST:
-                continue
             args = [tape.primals[r] for r in node.operands]
-            parts = local_partials(node, args)
+            parts = PRIMITIVES[node.op].partials(args, node.const)
             for p, r in zip(parts, node.operands):
                 adj[r] += p * u_bar
     except (DomainError, OverflowError) as err:

@@ -496,4 +496,4 @@ def _schedule_table(x, dirs, k, entries) -> DerivativeTable:
                            directions=spec_dirs,
                            entries={a: np.asarray(v)
                                     for a, v in entries.items()},
-                           coeffs=coeffs, raw_outputs=[])
+                           coeffs=coeffs)

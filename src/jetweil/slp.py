@@ -1,9 +1,15 @@
-"""Straight-line program IR, text parser, and generic topological evaluator.
+"""Straight-line program IR, primitive rule table, text parser, and generic
+topological evaluator.
 
 A program is a branch-free list of primitive nodes over input slots and
 earlier nodes.  Evaluation is parameterized by a scalar semantics, so the
 same walk performs plain evaluation, coefficient-array lifting, dual-number
 forward mode, tape recording, and symbolic expansion.
+
+``PRIMITIVES`` defines each primitive once: its checked value, its partial
+derivatives, its condition number and its lift to the truncated coefficient
+algebra.  Forward, reverse, stability and lifted evaluation all look their
+rules up there.
 """
 from __future__ import annotations
 
@@ -13,8 +19,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
+from . import weil
 from .errors import (DomainError, DimensionMismatchError, NumericOverflowError,
                      ParseError)
 
@@ -42,6 +49,179 @@ ARITY = {
     PrimitiveKind.LOG: 1, PrimitiveKind.SIN: 1, PrimitiveKind.COS: 1,
     PrimitiveKind.TANH: 1, PrimitiveKind.SQRT: 1, PrimitiveKind.RECIP: 1,
     PrimitiveKind.POW_CONST: 1, PrimitiveKind.CONST: 0,
+}
+
+UNIT_ROUNDOFF = 2.0 ** -53
+KAPPA_CAP = 1.0 / UNIT_ROUNDOFF
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One primitive's rules, each called as ``rule(operands, constant)``:
+    the checked value, the partial derivatives (DomainError where they do
+    not exist), the condition number with its capped flag, and the lift to
+    ``weil`` values.  A lift looks its kernel up in ``weil`` at each call,
+    so rebinding a kernel there reaches every node; ``const`` has no lift,
+    since each semantics builds constants itself."""
+
+    value: Callable
+    partials: Callable
+    kappa: Callable
+    lift: Callable | None
+
+
+def _capped(k: float) -> tuple[float, bool]:
+    return min(k, KAPPA_CAP), k >= KAPPA_CAP
+
+
+def _sum_kappa(a, s: float) -> tuple[float, bool]:
+    num = abs(a[0]) + abs(a[1])
+    if s == 0:
+        return (KAPPA_CAP, True) if num > 0 else (1.0, False)
+    return _capped(num / abs(s))
+
+
+def _log_value(a, c):
+    if a[0] <= 0:
+        raise DomainError("log requires a positive argument", a[0])
+    return math.log(a[0])
+
+
+def _log_partials(a, c):
+    if a[0] <= 0:
+        raise DomainError("log requires a positive argument", a[0])
+    return (1.0 / a[0],)
+
+
+def _log_kappa(a, c):
+    la = math.log(a[0])
+    return (KAPPA_CAP, True) if la == 0 else _capped(abs(1.0 / la))
+
+
+def _sin_kappa(a, c):
+    s = math.sin(a[0])
+    if s == 0:
+        return (1.0, False) if a[0] == 0 else (KAPPA_CAP, True)
+    return _capped(abs(a[0] * math.cos(a[0]) / s))
+
+
+def _cos_kappa(a, c):
+    co = math.cos(a[0])
+    if co == 0:
+        return KAPPA_CAP, True
+    return _capped(abs(a[0] * math.sin(a[0]) / co))
+
+
+def _tanh_partials(a, c):
+    t = math.tanh(a[0])
+    return (1.0 - t * t,)
+
+
+def _tanh_kappa(a, c):
+    if a[0] == 0:
+        return 1.0, False
+    t = math.tanh(a[0])
+    return _capped(abs(a[0] * (1.0 - t * t) / t))
+
+
+def _sqrt_value(a, c):
+    if a[0] < 0:
+        raise DomainError("sqrt of a negative argument", a[0])
+    return math.sqrt(a[0])
+
+
+def _sqrt_partials(a, c):
+    if a[0] <= 0:
+        raise DomainError("sqrt derivative needs a positive argument", a[0])
+    return (0.5 / math.sqrt(a[0]),)
+
+
+def _recip_value(a, c):
+    if a[0] == 0:
+        raise DomainError("reciprocal of zero", a[0])
+    return 1.0 / a[0]
+
+
+def _recip_partials(a, c):
+    if a[0] == 0:
+        raise DomainError("reciprocal of zero", a[0])
+    if a[0] * a[0] == 0:
+        raise OverflowError("derivative of recip past the float range")
+    return (-1.0 / (a[0] * a[0]),)
+
+
+def _pow_value(a, e):
+    x = a[0]
+    if e != round(e) and x <= 0:
+        raise DomainError("fractional power of a non-positive argument", x)
+    if e < 0 and x == 0:
+        raise DomainError("negative power of zero", x)
+    return x ** e
+
+
+def _pow_partials(a, e):
+    x = a[0]
+    if e == 0:
+        return (0.0,)
+    if x == 0 and e < 1:
+        raise DomainError("power derivative singular at zero", x)
+    return (e * x ** (e - 1),)
+
+
+def _unary_lift(kind: str) -> Callable:
+    return lambda a, c: weil.weil_unary(kind, a[0])
+
+
+def _kappa_one(a, c):
+    return 1.0, False
+
+
+PRIMITIVES: dict[PrimitiveKind, Rule] = {
+    PrimitiveKind.CONST: Rule(
+        value=lambda a, c: c, partials=lambda a, c: (),
+        kappa=lambda a, c: (0.0, False), lift=None),
+    PrimitiveKind.ADD: Rule(
+        value=lambda a, c: a[0] + a[1], partials=lambda a, c: (1.0, 1.0),
+        kappa=lambda a, c: _sum_kappa(a, a[0] + a[1]),
+        lift=lambda a, c: weil.weil_add(a[0], a[1])),
+    PrimitiveKind.SUB: Rule(
+        value=lambda a, c: a[0] - a[1], partials=lambda a, c: (1.0, -1.0),
+        kappa=lambda a, c: _sum_kappa(a, a[0] - a[1]),
+        lift=lambda a, c: weil.weil_sub(a[0], a[1])),
+    PrimitiveKind.MUL: Rule(
+        value=lambda a, c: a[0] * a[1], partials=lambda a, c: (a[1], a[0]),
+        kappa=_kappa_one, lift=lambda a, c: weil.weil_mul(a[0], a[1])),
+    PrimitiveKind.NEG: Rule(
+        value=lambda a, c: -a[0], partials=lambda a, c: (-1.0,),
+        kappa=_kappa_one, lift=lambda a, c: weil.weil_neg(a[0])),
+    PrimitiveKind.EXP: Rule(
+        value=lambda a, c: math.exp(a[0]),
+        partials=lambda a, c: (math.exp(a[0]),),
+        kappa=lambda a, c: (abs(a[0]), False), lift=_unary_lift("exp")),
+    PrimitiveKind.LOG: Rule(
+        value=_log_value, partials=_log_partials, kappa=_log_kappa,
+        lift=_unary_lift("log")),
+    PrimitiveKind.SIN: Rule(
+        value=lambda a, c: math.sin(a[0]),
+        partials=lambda a, c: (math.cos(a[0]),),
+        kappa=_sin_kappa, lift=_unary_lift("sin")),
+    PrimitiveKind.COS: Rule(
+        value=lambda a, c: math.cos(a[0]),
+        partials=lambda a, c: (-math.sin(a[0]),),
+        kappa=_cos_kappa, lift=_unary_lift("cos")),
+    PrimitiveKind.TANH: Rule(
+        value=lambda a, c: math.tanh(a[0]), partials=_tanh_partials,
+        kappa=_tanh_kappa, lift=_unary_lift("tanh")),
+    PrimitiveKind.SQRT: Rule(
+        value=_sqrt_value, partials=_sqrt_partials,
+        kappa=lambda a, c: (0.5, False), lift=_unary_lift("sqrt")),
+    PrimitiveKind.RECIP: Rule(
+        value=_recip_value, partials=_recip_partials, kappa=_kappa_one,
+        lift=lambda a, c: weil.weil_recip(a[0])),
+    PrimitiveKind.POW_CONST: Rule(
+        value=_pow_value, partials=_pow_partials,
+        kappa=lambda a, e: (abs(e), False),
+        lift=lambda a, e: weil.weil_unary("pow", a[0], exponent=e)),
 }
 
 @dataclass(frozen=True)
@@ -244,44 +424,7 @@ class RealSemantics:
         return c
 
     def apply(self, node: Node, args):
-        op = node.op
-        if op is PrimitiveKind.ADD:
-            return args[0] + args[1]
-        if op is PrimitiveKind.SUB:
-            return args[0] - args[1]
-        if op is PrimitiveKind.MUL:
-            return args[0] * args[1]
-        if op is PrimitiveKind.NEG:
-            return -args[0]
-        if op is PrimitiveKind.EXP:
-            return math.exp(args[0])
-        if op is PrimitiveKind.LOG:
-            if args[0] <= 0:
-                raise DomainError("log requires a positive argument", args[0])
-            return math.log(args[0])
-        if op is PrimitiveKind.SIN:
-            return math.sin(args[0])
-        if op is PrimitiveKind.COS:
-            return math.cos(args[0])
-        if op is PrimitiveKind.TANH:
-            return math.tanh(args[0])
-        if op is PrimitiveKind.SQRT:
-            if args[0] < 0:
-                raise DomainError("sqrt of a negative argument", args[0])
-            return math.sqrt(args[0])
-        if op is PrimitiveKind.RECIP:
-            if args[0] == 0:
-                raise DomainError("reciprocal of zero", args[0])
-            return 1.0 / args[0]
-        if op is PrimitiveKind.POW_CONST:
-            e = node.const
-            a = args[0]
-            if e != round(e) and a <= 0:
-                raise DomainError("fractional power of a non-positive argument", a)
-            if e < 0 and a == 0:
-                raise DomainError("negative power of zero", a)
-            return a ** e
-        raise ValueError(f"unhandled primitive {op}")
+        return PRIMITIVES[node.op].value(args, node.const)
 
 
 def eval_generic(prog: Program, inputs: Sequence, semantics):
@@ -328,12 +471,11 @@ def primal_slots(prog: Program, x: Sequence[float]) -> list[float]:
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
-    real = RealSemantics().apply
     slots = [float(v) for v in x]
     try:
         for k, node in enumerate(prog.nodes):
-            value = (node.const if node.op is PrimitiveKind.CONST
-                     else real(node, [slots[r] for r in node.operands]))
+            value = PRIMITIVES[node.op].value(
+                [slots[r] for r in node.operands], node.const)
             if not math.isfinite(value):
                 raise OverflowError
             slots.append(value)

@@ -4,7 +4,8 @@ Each sweep step gets an adjoint-Lipschitz constant and a relative-error
 term derived from the primitive's condition number at the recorded primal;
 their product bounds the computed pullback norm.  Fan-out is counted as an
 explicit duplication step of norm sqrt(r), which is what makes the product
-inequality literally checkable on arbitrary DAGs.
+inequality literally checkable on arbitrary DAGs.  Partial derivatives and
+condition numbers come from the rule table ``slp.PRIMITIVES``.
 """
 from __future__ import annotations
 
@@ -15,94 +16,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .modes import record_tape, reverse_sweep
-from .slp import Node, PrimitiveKind, Program
-
-UNIT_ROUNDOFF = 2.0 ** -53
-KAPPA_CAP = 1.0 / UNIT_ROUNDOFF
+from .modes import local_partials, record_tape, reverse_sweep
+# KAPPA_CAP, the cap of the rules' condition numbers, is re-exported
+from .slp import KAPPA_CAP, PRIMITIVES, UNIT_ROUNDOFF, Node, Program
 
 
 def adjoint_lipschitz(node: Node, primal_operands: Sequence[float]) -> float:
-    """Operator norm of the primitive's local adjoint map at the primal."""
-    op = node.op
-    if op in (PrimitiveKind.ADD, PrimitiveKind.SUB):
-        return math.sqrt(2.0)
-    if op is PrimitiveKind.MUL:
-        a, b = primal_operands
-        return math.hypot(a, b)
-    if op is PrimitiveKind.CONST:
-        return 0.0
-    if op is PrimitiveKind.NEG:
-        return 1.0
-    a = primal_operands[0]
-    if op is PrimitiveKind.EXP:
-        return math.exp(a)
-    if op is PrimitiveKind.LOG:
-        return 1.0 / abs(a)
-    if op is PrimitiveKind.SIN:
-        return abs(math.cos(a))
-    if op is PrimitiveKind.COS:
-        return abs(math.sin(a))
-    if op is PrimitiveKind.TANH:
-        t = math.tanh(a)
-        return abs(1.0 - t * t)
-    if op is PrimitiveKind.SQRT:
-        return 0.5 / math.sqrt(a)
-    if op is PrimitiveKind.RECIP:
-        return 1.0 / (a * a)
-    if op is PrimitiveKind.POW_CONST:
-        e = node.const
-        return abs(e) * abs(a) ** (e - 1) if a != 0 or e >= 1 else KAPPA_CAP
-    raise ValueError(f"no adjoint norm for {op}")
+    """Operator norm of the local adjoint map: the 2-norm of the partials."""
+    return math.hypot(*local_partials(node, primal_operands))
 
 
 def condition_estimate(node: Node,
                        primal_operands: Sequence[float]) -> tuple[float, bool]:
     """Relative condition number of the primitive; (value, capped-flag)."""
-    op = node.op
-    if op in (PrimitiveKind.MUL, PrimitiveKind.RECIP, PrimitiveKind.NEG):
-        return 1.0, False
-    if op is PrimitiveKind.CONST:
-        return 0.0, False
-    if op in (PrimitiveKind.ADD, PrimitiveKind.SUB):
-        a, b = primal_operands
-        s = a + b if op is PrimitiveKind.ADD else a - b
-        num = abs(a) + abs(b)
-        if s == 0:
-            return (KAPPA_CAP, True) if num > 0 else (1.0, False)
-        return min(num / abs(s), KAPPA_CAP), num / abs(s) >= KAPPA_CAP
-    a = primal_operands[0]
-    if op is PrimitiveKind.EXP:
-        return abs(a), False
-    if op is PrimitiveKind.SQRT:
-        return 0.5, False
-    if op is PrimitiveKind.POW_CONST:
-        return abs(node.const), False
-    # generic |a * phi'(a) / phi(a)| with a documented cap at singular primals
-    if op is PrimitiveKind.LOG:
-        la = math.log(a)
-        if la == 0:
-            return KAPPA_CAP, True
-        return min(abs(1.0 / la), KAPPA_CAP), abs(1.0 / la) >= KAPPA_CAP
-    if op is PrimitiveKind.SIN:
-        s, c = math.sin(a), math.cos(a)
-        if s == 0:
-            return (1.0, False) if a == 0 else (KAPPA_CAP, True)
-        k = abs(a * c / s)
-        return min(k, KAPPA_CAP), k >= KAPPA_CAP
-    if op is PrimitiveKind.COS:
-        s, c = math.sin(a), math.cos(a)
-        if c == 0:
-            return KAPPA_CAP, True
-        k = abs(a * s / c)
-        return min(k, KAPPA_CAP), k >= KAPPA_CAP
-    if op is PrimitiveKind.TANH:
-        if a == 0:
-            return 1.0, False
-        t = math.tanh(a)
-        k = abs(a * (1.0 - t * t) / t)
-        return min(k, KAPPA_CAP), k >= KAPPA_CAP
-    raise ValueError(f"no condition rule for {op}")
+    return PRIMITIVES[node.op].kappa(primal_operands, node.const)
 
 
 @dataclass(frozen=True)
@@ -168,7 +95,7 @@ def stability_bound(prog: Program, x: Sequence[float],
         local = adjoint_lipschitz(node, args)
         kappa, capped = condition_estimate(node, args)
         delta = 0.0 if force_zero_delta else delta_const * UNIT_ROUNDOFF * kappa
-        eff = max(local, 1.0) if node.op is not PrimitiveKind.CONST else 1.0
+        eff = max(local, 1.0)
         product *= (1.0 + delta) * eff
         delta_sum += delta
         rows.append(StabilityRow(kind="primitive", node=k, lipschitz=eff,

@@ -23,7 +23,7 @@ and the recurrences build each coefficient's pairs when they reach it.
 
 Scratch: the batched temporaries of the slice loop and of the recurrences'
 gathers go into two float64 buffers that each thread keeps for reuse
-(``threading.local``, since ``check --parallel`` lifts from worker threads).
+(``threading.local``, since library callers may lift from threads).
 Each buffer holds ``GATHER_LIMIT`` values, 4 MiB; a larger temporary is
 allocated afresh.  Fresh temporaries of this size go back to the OS when
 freed (malloc maps them, or trims them off the top of its heap), so every

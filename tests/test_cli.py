@@ -177,14 +177,6 @@ def test_check_deterministic(capsys):
     assert out1 == out2
 
 
-def test_check_parallel_matches_shape(capsys):
-    code, out, _ = run_cli(capsys, "check", "duality", "--count", "40",
-                           "--seed", "3", "--parallel", "--json")
-    assert code == 0
-    payload = json.loads(out[out.index("{"):])
-    assert payload["results"][0]["count"] == 40
-
-
 def test_bench_mul_reported_not_gated(capsys):
     code, out, _ = run_cli(capsys, "bench", "--family", "mul", "--q", "40",
                            "--dims", "2,4,8,16,32", "--batch", "128",

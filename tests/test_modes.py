@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from jetweil import instrument
+from jetweil.cli import main
 from jetweil.errors import (DimensionMismatchError, DomainError,
                             NumericOverflowError)
+from jetweil.jets import SeedSpec, taylor_eval
 from jetweil.modes import (Tape, compose_programs, compose_vjp_check,
                            eval_dual, jvp, pairing_residual, record_tape,
                            reverse_sweep, vjp)
 from jetweil.slp import Program, eval_primal, parse_program, random_program
+from jetweil.stability import stability_bound
 
 PROD = parse_program("input a b\nt = mul a b\noutput t")
 IDENTITY = Program(n_inputs=2, nodes=(), outputs=(0, 1))
@@ -169,6 +172,61 @@ def test_first_order_errors_name_the_node(body, x, error, node):
         with pytest.raises(error) as exc:
             call()
         assert exc.value.node == node
+
+
+def _outcome(call):
+    """(error class, node) of a failing call; None when it returns."""
+    try:
+        call()
+    except (DomainError, NumericOverflowError) as err:
+        return type(err), err.node
+    return None
+
+
+@pytest.mark.parametrize("rhs, x, error, primal_error", [
+    ("log u", 0.0, DomainError, DomainError),
+    ("log u", -1.0, DomainError, DomainError),
+    ("sqrt u", 0.0, DomainError, None),
+    ("sqrt u", -1.0, DomainError, DomainError),
+    ("recip u", 0.0, DomainError, DomainError),
+    ("recip u", 1e-300, NumericOverflowError, None),
+    ("pow u 0.5", 0.0, DomainError, DomainError),
+    ("pow u 0.5", -1.0, DomainError, DomainError),
+    ("pow u -1", 0.0, DomainError, DomainError),
+    ("pow u -2", 0.0, DomainError, DomainError),
+    ("pow u 1.5", 0.0, DomainError, DomainError),
+    ("pow u 0", 0.0, None, None),
+    ("exp u", 1000.0, NumericOverflowError, NumericOverflowError),
+    ("pow u 3", 1e200, NumericOverflowError, NumericOverflowError),
+], ids=["log-0", "log-neg", "sqrt-0", "sqrt-neg", "recip-0",
+        "recip-derivative-overflow", "pow-half-0",
+        "pow-half-neg", "pow-minus-one-0", "pow-minus-two-0",
+        "pow-three-halves-0", "pow-zero-0", "exp-overflow",
+        "pow-three-overflow"])
+def test_domain_edges_agree_across_modes(rhs, x, error, primal_error,
+                                         tmp_path, capsys):
+    # the edge primitive is node 2 and the output; sqrt at 0 and recip at
+    # 1e-300 have a value but no finite derivative
+    text = f"input x\nc = const 0\nu = add x c\ny = {rhs}\noutput y\n"
+    prog = parse_program(text)
+    expected = None if error is None else (error, 2)
+    calls = [lambda: jvp(prog, [x], [1.0]), lambda: vjp(prog, [x], [1.0]),
+             lambda: stability_bound(prog, [x], [1.0])]
+    calls += [lambda k=k: taylor_eval(prog, SeedSpec((x,), ((1.0,),), (k,)))
+              for k in (1, 3)]
+    assert [_outcome(call) for call in calls] == [expected] * len(calls)
+    primal = None if primal_error is None else (primal_error, 2)
+    assert _outcome(lambda: eval_primal(prog, [x])) == primal
+
+    path = tmp_path / "edge.slp"
+    path.write_text(text)
+    for argv in (["grad", str(path), "--x", repr(x), "--json"],
+                 ["taylor", str(path), "--x", repr(x), "--dirs", "1",
+                  "--caps", "3", "--json"]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == (0 if error is None else 3)
+        assert (out == "") == (error is not None)
 
 
 def test_non_finite_adjoints_and_tangents_raise():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetweil.bench import bench_program, run_weil_bench
 from jetweil.errors import (DomainError, NumericOverflowError, ParseError)
-from jetweil.slp import (Node, PrimitiveKind, Program, RealSemantics,
-                         eval_generic, eval_primal, parse_program,
-                         pretty_print, random_program)
+from jetweil.slp import (PRIMITIVES, Node, PrimitiveKind, Program,
+                         RealSemantics, eval_generic, eval_primal,
+                         parse_program, pretty_print, random_program)
 
 SQUARE = "input x\ny = mul x x\noutput y\n"
 SIN_PROD = "input a b\nt = mul a b\ns = sin t\noutput s\n"
@@ -227,3 +228,23 @@ def test_eval_generic_keeps_outputs_and_inputs():
     outs = eval_generic(prog, inputs, _WeakSemantics())
     assert [o.v for o in outs] == eval_primal(prog, x)
     assert outs[3] is inputs[0]
+
+
+def test_bench_peak_bytes_count_live_values():
+    # a lifted pass holds the inputs and the values not yet released, not
+    # one array per slot; the count here is taken by weak references
+    prog = bench_program("linear", q=40, seed=0)
+    sem = _WeakSemantics()
+    eval_generic(prog, [_Box(0.5) for _ in range(prog.n_inputs)], sem)
+    held = prog.n_inputs + 1 + max(sum(alive) for alive in sem.alive)
+    assert held < prog.n_slots
+    dims = (2, 4, 8, 16, 32)
+    report = run_weil_bench(prog, "linear", dims=dims, repetitions=1,
+                            warmup=0, batch=4)
+    assert [r.peak_coeff_bytes for r in report.runs] == \
+        [held * dim * 4 * 8 for dim in dims]
+
+
+def test_rule_table_covers_every_primitive():
+    # div is desugared by the parser and never reaches an evaluator
+    assert set(PRIMITIVES) == set(PrimitiveKind) - {PrimitiveKind.DIV}

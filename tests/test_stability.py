@@ -47,6 +47,14 @@ def test_condition_cap_and_flag():
     assert capped and kappa == KAPPA_CAP
 
 
+def test_pow_zero_at_zero_bound():
+    # x**0 is constant, so its adjoint map is zero even at x = 0
+    prog = parse_program("input x\ny = pow x 0\noutput y")
+    report = stability_bound(prog, [0.0], [1.0])
+    assert report.product_bound == 1.0
+    assert report.rows[0].local_norm == 0.0
+
+
 def test_identity_program_bound():
     prog = Program(n_inputs=2, nodes=(), outputs=(0, 1))
     report = stability_bound(prog, [1.0, 2.0], [0.6, -0.8])
