@@ -20,11 +20,6 @@ from .slp import (PRIMITIVES, Node, Program, eval_primal, node_error,
                   primal_slots)
 
 
-def local_partials(node: Node, args: Sequence[float]) -> tuple[float, ...]:
-    """Value-level partial derivatives of one primitive at its operands."""
-    return PRIMITIVES[node.op].partials(args, node.const)
-
-
 def eval_dual(prog: Program, x: Sequence[float],
               v: Sequence[float]) -> tuple[list[float], list[float]]:
     """One forward sweep with a single tangent; returns (outputs, tangents).

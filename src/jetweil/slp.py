@@ -439,17 +439,18 @@ def eval_generic(prog: Program, inputs: Sequence, semantics):
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(inputs)}")
     slots = list(inputs)
+    # values go straight into slots: a local would keep a released value
+    # alive while the next node runs
     for k, (node, dead) in enumerate(zip(prog.nodes, prog.dead_after)):
         if node.op is PrimitiveKind.CONST:
-            value = semantics.constant(node.const)
+            slots.append(semantics.constant(node.const))
         else:
-            args = [slots[r] for r in node.operands]
             try:
-                value = semantics.apply(node, args)
+                slots.append(semantics.apply(
+                    node, [slots[r] for r in node.operands]))
             except DomainError as err:
                 err.node = k
                 raise
-        slots.append(value)
         for r in dead:
             slots[r] = None
     return [slots[r] for r in prog.outputs]

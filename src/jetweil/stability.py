@@ -16,14 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .modes import local_partials, record_tape, reverse_sweep
+from .modes import record_tape, reverse_sweep
 # KAPPA_CAP, the cap of the rules' condition numbers, is re-exported
 from .slp import KAPPA_CAP, PRIMITIVES, UNIT_ROUNDOFF, Node, Program
 
 
 def adjoint_lipschitz(node: Node, primal_operands: Sequence[float]) -> float:
-    """Operator norm of the local adjoint map: the 2-norm of the partials."""
-    return math.hypot(*local_partials(node, primal_operands))
+    """Operator norm of the local adjoint map: the 2-norm of the partials.
+
+    Raises DomainError where the partials do not exist (``log`` at -1,
+    ``sqrt`` at 0) and OverflowError where they overflow.
+    """
+    return math.hypot(*PRIMITIVES[node.op].partials(primal_operands,
+                                                    node.const))
 
 
 def condition_estimate(node: Node,

@@ -183,6 +183,7 @@ class _WeakSemantics:
         self.alive = []
 
     def constant(self, c):
+        self.alive.append([r() is not None for r in self.refs])
         return self._keep(_Box(c))
 
     def apply(self, node, args):
@@ -230,16 +231,18 @@ def test_eval_generic_keeps_outputs_and_inputs():
     assert outs[3] is inputs[0]
 
 
-def test_bench_peak_bytes_count_live_values():
+@pytest.mark.parametrize("family", ["linear", "mul"])
+@pytest.mark.parametrize("seed", range(6))
+def test_bench_peak_bytes_count_live_values(family, seed):
     # a lifted pass holds the inputs and the values not yet released, not
     # one array per slot; the count here is taken by weak references
-    prog = bench_program("linear", q=40, seed=0)
+    prog = bench_program(family, q=40, seed=seed)
     sem = _WeakSemantics()
     eval_generic(prog, [_Box(0.5) for _ in range(prog.n_inputs)], sem)
     held = prog.n_inputs + 1 + max(sum(alive) for alive in sem.alive)
     assert held < prog.n_slots
     dims = (2, 4, 8, 16, 32)
-    report = run_weil_bench(prog, "linear", dims=dims, repetitions=1,
+    report = run_weil_bench(prog, family, dims=dims, repetitions=1,
                             warmup=0, batch=4)
     assert [r.peak_coeff_bytes for r in report.runs] == \
         [held * dim * 4 * 8 for dim in dims]

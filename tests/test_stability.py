@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from jetweil.errors import DomainError
 from jetweil.slp import Node, PrimitiveKind, Program, parse_program, \
     random_program
 from jetweil.stability import (KAPPA_CAP, UNIT_ROUNDOFF, adjoint_lipschitz,
@@ -45,6 +46,17 @@ def test_condition_cap_and_flag():
     add = Node(PrimitiveKind.ADD, (0, 1))
     kappa, capped = condition_estimate(add, [1.0, -1.0])
     assert capped and kappa == KAPPA_CAP
+
+
+@pytest.mark.parametrize("node,x", [
+    (Node(PrimitiveKind.LOG, (0,)), -1.0),
+    (Node(PrimitiveKind.SQRT, (0,)), 0.0),
+    (Node(PrimitiveKind.POW_CONST, (0,), 0.5), 0.0),
+])
+def test_adjoint_lipschitz_outside_domain_raises(node, x):
+    # the norm comes from the partial rules, so their domain checks apply
+    with pytest.raises(DomainError):
+        adjoint_lipschitz(node, [x])
 
 
 def test_pow_zero_at_zero_bound():
