@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -30,7 +31,11 @@ SLOPE_WINDOW = (0.8, 1.3)
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """The CSV values, refusing NaN (it fails no comparison) and inf."""
+    out = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return out
 
 
 def _ints(text: str) -> list[int]:
@@ -123,6 +128,8 @@ def cmd_taylor(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.delta_const) and args.delta_const >= 0.0):
+        raise ValueError("--delta-const must be finite and >= 0")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     results = []

@@ -1,21 +1,24 @@
 """Seeding, one-pass lifted evaluation, and mixed-derivative extraction.
 
-Inputs are seeded as base + sum_j e_j * v_j, the program is evaluated once
-under coefficient-array semantics, and each coefficient is rescaled by the
-factorial of its multi-index to obtain the mixed directional derivative
-table.  Each primitive's lift is its ``lift`` rule in ``slp.PRIMITIVES``.
+Inputs are seeded as base + sum_j e_j * v_j and the program is evaluated
+once under coefficient-array semantics.  The derivative table is the
+outputs' coefficient vectors, one row per multi-index alpha in (|alpha|,
+alpha) order; alpha! times row alpha is the mixed directional derivative.
+Each primitive's lift is its ``lift`` rule in ``slp.PRIMITIVES``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import instrument
 from .errors import DimensionMismatchError, NumericOverflowError
-from .slp import PRIMITIVES, Node, Program, eval_generic
+from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
 from .weil import (WeilShape, WeilValue, make_shape, multi_factorial,
                    weil_const)
 
@@ -62,58 +65,67 @@ class SeedSpec:
     def n(self) -> int:
         return len(self.base)
 
-    @property
-    def p(self) -> int:
-        return len(self.caps)
-
 
 def seed(spec: SeedSpec, max_dim: int | None = None) -> list[WeilValue]:
     """Component-wise seeded values: degree 0 holds x, degree e_j holds v_j."""
     shape = make_shape(spec.caps, max_dim=max_dim)
-    out = []
-    for i in range(spec.n):
-        coeffs = np.zeros(shape.dim)
-        coeffs[0] = spec.base[i]
-        for j, direction in enumerate(spec.directions):
-            coeffs[shape.strides[j]] = direction[i]
-        out.append(WeilValue(shape, coeffs))
-    return out
+    coeffs = np.zeros((spec.n, shape.dim))
+    coeffs[:, 0] = spec.base
+    coeffs[:, list(shape.strides)] = np.transpose(spec.directions)
+    return [WeilValue(shape, row) for row in coeffs]
 
 
 @dataclass
 class DerivativeTable:
-    """Mixed directional derivatives keyed by multi-index.
-
-    ``entries`` holds factorial-rescaled derivative values (m-vectors);
-    ``coeffs`` keeps the raw coefficients the envelope checks are stated on.
-    """
+    """Row r of ``raw`` holds the outputs' coefficients of e^alpha, alpha =
+    ``alphas[r]``, which the envelope checks are stated on; ``values`` is
+    alpha! times them, the mixed directional derivatives.  The rows are a
+    prefix of ``shape.graded()``: all of it for ``taylor_eval``, the
+    |alpha| <= k part for ``nested_jvp_schedule``."""
 
     shape: WeilShape
     base: tuple[float, ...]
     directions: tuple[tuple[float, ...], ...]
-    entries: dict[tuple[int, ...], np.ndarray]
-    coeffs: dict[tuple[int, ...], np.ndarray]
+    raw: np.ndarray
+
+    @property
+    def alphas(self) -> tuple[tuple[int, ...], ...]:
+        """The multi-indices of the rows, in (|alpha|, alpha) order."""
+        return self.shape.graded()[1][:len(self.raw)]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.raw * self.shape.factorials()[:len(self.raw), None]
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], int]:
+        return {alpha: r for r, alpha in enumerate(self.alphas)}
 
     def entry(self, alpha: Sequence[int]) -> np.ndarray:
-        return self.entries[tuple(alpha)]
+        return self.values[self._rows[tuple(alpha)]]
 
     def coeff(self, alpha: Sequence[int]) -> np.ndarray:
-        return self.coeffs[tuple(alpha)]
+        return self.raw[self._rows[tuple(alpha)]]
 
-    def sorted_alphas(self) -> list[tuple[int, ...]]:
-        return sorted(self.entries, key=lambda a: (sum(a), a))
+    # Read-only alpha -> row views, kept because perfbench/workloads.py reads
+    # them; the package itself uses entry(), coeff() and the arrays.
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        return MappingProxyType(dict(zip(self.alphas, self.values)))
+
+    @cached_property
+    def coeffs(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        return MappingProxyType(dict(zip(self.alphas, self.raw)))
 
     def to_json_dict(self) -> dict:
         return {
             "caps": list(self.shape.caps),
             "base": list(self.base),
             "directions": [list(d) for d in self.directions],
-            "entries": [
-                {"alpha": list(alpha),
-                 "value": [float(v) for v in np.atleast_1d(self.entries[alpha])],
-                 "coeff": [float(v) for v in np.atleast_1d(self.coeffs[alpha])]}
-                for alpha in self.sorted_alphas()
-            ],
+            "entries": [{"alpha": list(alpha), "value": value, "coeff": coeff}
+                        for alpha, value, coeff in zip(
+                            self.alphas, self.values.tolist(),
+                            self.raw.tolist())],
         }
 
 
@@ -130,21 +142,12 @@ def taylor_eval(prog: Program, spec: SeedSpec,
     # non-finite outputs raise below, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = eval_generic(prog, inputs, sem)
-    for slot, out in zip(prog.outputs, outputs):
-        if not np.all(np.isfinite(out.coeffs)):
-            node = slot - prog.n_inputs if slot >= prog.n_inputs else None
-            where = f"node {node}" if node is not None else f"input {slot}"
-            raise NumericOverflowError(
-                f"non-finite output coefficient at {where}", node=node)
-    entries: dict[tuple[int, ...], np.ndarray] = {}
-    coeffs: dict[tuple[int, ...], np.ndarray] = {}
-    for idx, alpha in enumerate(shape.multi_indices()):
-        raw = np.array([out.coeffs[idx] for out in outputs])
-        coeffs[alpha] = raw
-        entries[alpha] = raw * multi_factorial(alpha)
+    # an output's largest |coefficient| is finite when all of them are
+    check_finite(prog, [np.abs(out.coeffs).max() for out in outputs],
+                 prog.outputs, "output coefficient")
+    raw = np.stack([out.coeffs for out in outputs], axis=1)[shape.graded()[0]]
     return DerivativeTable(shape=shape, base=spec.base,
-                           directions=spec.directions,
-                           entries=entries, coeffs=coeffs)
+                           directions=spec.directions, raw=raw)
 
 
 def basis_seed(x: Sequence[float], cap: int) -> SeedSpec:
@@ -161,12 +164,11 @@ def directional_taylor(prog: Program, x: Sequence[float],
     if k < 1:
         raise ValueError("order k must be >= 1")
     spec = SeedSpec(base=tuple(x), directions=(tuple(v),), caps=(k,))
-    table = taylor_eval(prog, spec)
-    m = len(table.coeffs[(0,)])
-    if m != 1:
+    raw = taylor_eval(prog, spec).raw
+    if raw.shape[1] != 1:
         raise DimensionMismatchError(
             "directional_taylor expects a single-output program")
-    return np.array([float(table.coeffs[(l,)][0]) for l in range(k + 1)])
+    return raw[:, 0]
 
 
 @dataclass(frozen=True)
@@ -202,14 +204,17 @@ def coefficient_envelope(table: DerivativeTable,
         if np.linalg.norm(d) > 1.0 + 1e-12:
             raise ValueError(
                 "envelope check requires direction norms <= 1")
-    max_degree = max(sum(a) for a in table.coeffs)
+    max_degree = sum(table.alphas[-1])
     if len(bounds) <= max_degree:
         raise ValueError(
             f"need bounds for degrees 0..{max_degree}, got {len(bounds)}")
     rows = []
     passed = True
-    for alpha in sorted(table.coeffs, key=lambda a: (sum(a), a)):
-        norm = float(np.linalg.norm(table.coeffs[alpha]))
+    for alpha, coeff in zip(table.alphas, table.raw):
+        # hypot cannot overflow on the way, and is |c| for one output
+        norm = math.hypot(*coeff)
+        if not math.isfinite(norm):
+            raise NumericOverflowError(f"norm of coefficient {alpha} overflows")
         bound = float(bounds[sum(alpha)]) / multi_factorial(alpha)
         bad = norm > bound * (1.0 + 1e-12)
         passed = passed and not bad
@@ -219,9 +224,16 @@ def coefficient_envelope(table: DerivativeTable,
 
 
 def tail_bound(m_next: float, k: int, rho: float) -> float:
-    """Cauchy-style remainder bound M * rho^(k+1) / (k+1)!."""
+    """Cauchy-style remainder bound M * rho^(k+1) / (k+1)!; raises
+    NumericOverflowError when it or a factor of it is past float64."""
     if rho <= 0:
         raise ValueError("radius must be positive")
     if m_next < 0:
         raise ValueError("derivative bound must be non-negative")
-    return m_next * rho ** (k + 1) / math.factorial(k + 1)
+    try:
+        bound = m_next * rho ** (k + 1) / math.factorial(k + 1)
+    except OverflowError:  # rho ** (k + 1), or (k + 1)! past 170!
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise NumericOverflowError("tail bound overflows float64")
+    return bound

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import instrument
-from .errors import DimensionMismatchError, DomainError, NumericOverflowError
-from .slp import (PRIMITIVES, Node, Program, eval_primal, node_error,
-                  primal_slots)
+from .errors import DimensionMismatchError, DomainError
+from .slp import (PRIMITIVES, Node, Program, check_finite, eval_primal,
+                  node_error, primal_slots)
 
 
 def eval_dual(prog: Program, x: Sequence[float],
@@ -47,25 +47,13 @@ def eval_dual(prog: Program, x: Sequence[float],
             [dots[r] for r in prog.outputs])
 
 
-def _finite(prog: Program, values: list[float], slots: Sequence[int],
-            what: str) -> list[float]:
-    """values, or NumericOverflowError naming the slot of the first
-    non-finite one.  Checked once on the result, not per node."""
-    for value, slot in zip(values, slots):
-        if not math.isfinite(value):
-            node = slot - prog.n_inputs if slot >= prog.n_inputs else None
-            where = f"node {node}" if node is not None else f"input {slot}"
-            raise NumericOverflowError(f"non-finite {what} at {where}",
-                                       node=node)
-    return values
-
-
 def jvp(prog: Program, x: Sequence[float], v: Sequence[float]) -> list[float]:
     """Jacobian-vector product J_f(x) v without materializing the Jacobian.
 
     Raises NumericOverflowError when an output's tangent is non-finite.
     """
-    return _finite(prog, eval_dual(prog, x, v)[1], prog.outputs, "tangent")
+    return check_finite(prog, eval_dual(prog, x, v)[1], prog.outputs,
+                        "tangent")
 
 
 @dataclass
@@ -80,10 +68,6 @@ class Tape:
         instrument.counters["tape_allocations"] += 1
         if not self.adjoints:
             self.adjoints = [0.0] * len(self.primals)
-
-    def reset(self):
-        for i in range(len(self.adjoints)):
-            self.adjoints[i] = 0.0
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
@@ -119,8 +103,8 @@ def vjp(prog: Program, x: Sequence[float],
     Raises NumericOverflowError when an input's adjoint is non-finite.
     """
     tape = record_tape(prog, x)
-    return _finite(prog, reverse_sweep(tape, omega), range(prog.n_inputs),
-                   "adjoint")
+    return check_finite(prog, reverse_sweep(tape, omega),
+                        range(prog.n_inputs), "adjoint")
 
 
 def pairing_residual(prog: Program, x: Sequence[float], v: Sequence[float],

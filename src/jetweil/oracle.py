@@ -267,6 +267,7 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
         return np.asarray(y), np.asarray(dy)
 
     zero = np.zeros(len(x))
+    units = [tuple(1 if i == j else 0 for i in range(p)) for j in range(p)]
     entries: dict[tuple[int, ...], np.ndarray] = {}
     max_cond = 0.0
     max_resid = 0.0
@@ -275,9 +276,8 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
         y, _ = ray_pass(zero, zero)
         entries[(0,) * p] = y
         for j in range(p):
-            alpha = tuple(1 if i == j else 0 for i in range(p))
             _, dy = ray_pass(zero, dirs[j])
-            entries[alpha] = dy
+            entries[units[j]] = dy
         count = ScheduleCount(p=p, k=k, passes=passes)
         assert passes == budget
         return (_schedule_table(x, dirs, k, entries), count,
@@ -345,9 +345,7 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
                                     p, m, k, s)
         if center_value is not None:
             entries[(0,) * p] = center_value
-            for j in range(p):
-                alpha = tuple(1 if i == j else 0 for i in range(p))
-                entries[alpha] = center_jvps[j]
+            entries.update(zip(units, center_jvps))
         count = ScheduleCount(p=p, k=k, passes=passes)
         diags = ScheduleDiagnostics(max_condition=cond, max_residual=0.0,
                                     ill_conditioned=cond > 1e8)
@@ -386,9 +384,7 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
     # order 0 and 1
     if center_value is not None:
         entries[(0,) * p] = center_value
-        for j in range(p):
-            alpha = tuple(1 if i == j else 0 for i in range(p))
-            entries[alpha] = center_jvps[j]
+        entries.update(zip(units, center_jvps))
     else:
         vals0 = np.array([d[0] for d in ray_derivs if d is not None])
         entries[(0,) * p] = vals0.mean(axis=0)
@@ -402,9 +398,7 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
                                                np.array(rhs))
         max_cond = max(max_cond, cond)
         max_resid = max(max_resid, resid)
-        for j in range(p):
-            alpha = tuple(1 if i == j else 0 for i in range(p))
-            entries[alpha] = sol[j]
+        entries.update(zip(units, sol))
 
     # orders 2..k via polarization systems
     for order in range(2, k + 1):
@@ -487,13 +481,11 @@ def _solve_polarization(a_mat: np.ndarray, rhs: np.ndarray):
 
 
 def _schedule_table(x, dirs, k, entries) -> DerivativeTable:
-    p = len(dirs)
-    shape = make_shape((k,) * p) if p else make_shape((k,))
-    spec_dirs = tuple(tuple(float(c) for c in d) for d in dirs)
-    coeffs = {a: np.asarray(v) / multi_factorial(a)
-              for a, v in entries.items()}
+    """The rows of the C(p+k, k) alphas with |alpha| <= k, the first ones in
+    the graded order of the box (k,)^p."""
+    shape = make_shape((k,) * len(dirs))
+    n = math.comb(len(dirs) + k, k)
+    raw = np.array([entries[a] for a in shape.graded()[1][:n]])
     return DerivativeTable(shape=shape, base=tuple(x),
-                           directions=spec_dirs,
-                           entries={a: np.asarray(v)
-                                    for a, v in entries.items()},
-                           coeffs=coeffs)
+                           directions=tuple(tuple(d.tolist()) for d in dirs),
+                           raw=raw / shape.factorials()[:n, None])

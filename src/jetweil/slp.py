@@ -467,6 +467,19 @@ def node_error(err: Exception, node: Node, k: int) -> Exception:
         f"overflow at node {k} ({node.op.value})", node=k)
 
 
+def check_finite(prog: Program, values: list[float], slots: Sequence[int],
+                 what: str) -> list[float]:
+    """values, or NumericOverflowError naming the slot of the first
+    non-finite one.  Checked once on the result, not per node."""
+    for value, slot in zip(values, slots):
+        if not math.isfinite(value):
+            node = slot - prog.n_inputs if slot >= prog.n_inputs else None
+            where = f"node {node}" if node is not None else f"input {slot}"
+            raise NumericOverflowError(f"non-finite {what} at {where}",
+                                       node=node)
+    return values
+
+
 def primal_slots(prog: Program, x: Sequence[float]) -> list[float]:
     """Every slot's value: the inputs, then each node in turn."""
     if len(x) != prog.n_inputs:

@@ -78,8 +78,8 @@ def _fanout_counts(prog: Program) -> Counter:
 
 
 def stability_bound(prog: Program, x: Sequence[float],
-                    omega: Sequence[float], delta_const: float = 4.0,
-                    force_zero_delta: bool = False) -> StabilityReport:
+                    omega: Sequence[float],
+                    delta_const: float = 4.0) -> StabilityReport:
     """Run a reverse sweep and assemble the multiplicative norm bound.
 
     Each primitive contributes max(local adjoint norm, 1): the sweep step
@@ -99,7 +99,7 @@ def stability_bound(prog: Program, x: Sequence[float],
         args = [tape.primals[r] for r in node.operands]
         local = adjoint_lipschitz(node, args)
         kappa, capped = condition_estimate(node, args)
-        delta = 0.0 if force_zero_delta else delta_const * UNIT_ROUNDOFF * kappa
+        delta = delta_const * UNIT_ROUNDOFF * kappa
         eff = max(local, 1.0)
         product *= (1.0 + delta) * eff
         delta_sum += delta
@@ -109,7 +109,7 @@ def stability_bound(prog: Program, x: Sequence[float],
     for slot, count in sorted(_fanout_counts(prog).items()):
         if count < 2:
             continue
-        delta = 0.0 if force_zero_delta else delta_const * UNIT_ROUNDOFF
+        delta = delta_const * UNIT_ROUNDOFF
         eff = math.sqrt(count)
         product *= (1.0 + delta) * eff
         delta_sum += delta

@@ -89,18 +89,6 @@ class WeilShape:
     def max_total_degree(self) -> int:
         return sum(self.caps)
 
-    def index(self, alpha: Sequence[int]) -> int:
-        if len(alpha) != self.p:
-            raise IncompatibleShapesError(
-                f"multi-index length {len(alpha)} != {self.p}")
-        idx = 0
-        for a, cap, stride in zip(alpha, self.caps, self.strides):
-            if not 0 <= a <= cap:
-                raise IncompatibleShapesError(
-                    f"exponent {a} outside [0, {cap}]")
-            idx += a * stride
-        return idx
-
     def alpha_of(self, idx: int) -> tuple[int, ...]:
         out = []
         for stride in self.strides:
@@ -108,20 +96,27 @@ class WeilShape:
             out.append(a)
         return tuple(out)
 
+    @lru_cache(maxsize=None)
     def multi_indices(self) -> tuple[tuple[int, ...], ...]:
-        return _alpha_table(self.caps)
+        return tuple(tuple(a) for a in np.ndindex(self.tensor_shape))
+
+    @lru_cache(maxsize=None)
+    def graded(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+        """The flat indices in (|alpha|, alpha) order, and their alphas: the
+        flat order is lexicographic, so a stable sort by |alpha| does it."""
+        order = np.argsort(_degrees(self)[:-1], kind="stable")
+        return order, tuple(self.multi_indices()[k] for k in order)
+
+    @lru_cache(maxsize=None)
+    def factorials(self) -> np.ndarray:
+        """alpha! as float64 in ``graded()`` order; OverflowError past 170!."""
+        return np.array([float(multi_factorial(a)) for a in self.graded()[1]])
 
     def __eq__(self, other) -> bool:  # structural: caps only
         return isinstance(other, WeilShape) and self.caps == other.caps
 
     def __hash__(self) -> int:
         return hash(self.caps)
-
-
-@lru_cache(maxsize=None)
-def _alpha_table(caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    shape = tuple(c + 1 for c in caps)
-    return tuple(tuple(a) for a in np.ndindex(shape))
 
 
 def make_shape(caps: Sequence[int], max_dim: int | None = None) -> WeilShape:
@@ -173,21 +168,11 @@ class WeilValue:
     def batch_shape(self) -> tuple[int, ...]:
         return self.coeffs.shape[1:]
 
-    def coeff(self, alpha: Sequence[int]):
-        return self.coeffs[self.shape.index(alpha)]
-
 
 def weil_const(shape: WeilShape, value) -> WeilValue:
     value = np.asarray(value, dtype=float)
     coeffs = np.zeros((shape.dim,) + value.shape)
     coeffs[0] = value
-    return WeilValue(shape, coeffs)
-
-
-def weil_generator(shape: WeilShape, j: int, batch_shape: tuple[int, ...] = ()) -> WeilValue:
-    """The j-th nilpotent generator e_j as a value."""
-    coeffs = np.zeros((shape.dim,) + batch_shape)
-    coeffs[shape.strides[j]] = 1.0
     return WeilValue(shape, coeffs)
 
 
@@ -349,7 +334,7 @@ def _box_levels(shape: WeilShape):
     """_levels past PAIR_LIMIT pairs, one target at a time: the pairs of
     alpha are the beta != 0 of the box beta <= alpha, built when reached."""
     deg = _degrees(shape)[:-1]
-    for k in np.argsort(deg, kind="stable")[1:]:
+    for k in shape.graded()[0][1:]:
         box = tuple(x + 1 for x in shape.alpha_of(int(k)))
         i = np.dot(shape.strides, np.indices(box).reshape(shape.p, -1)[:, 1:])
         yield deg[k], np.array([k]), _level_conv(
@@ -432,10 +417,6 @@ def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
 
 def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilValue:
     """Lift a smooth scalar primitive by its graded recurrence."""
-    if kind == "neg":
-        return weil_neg(w)
-    if kind == "recip":
-        return weil_recip(w)
     c0 = np.asarray(w.primal)
     if kind == "pow":
         if exponent is None:

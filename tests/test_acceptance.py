@@ -144,7 +144,7 @@ def test_criterion_8_cross_mode_agreement():
         dirs = [(1.0, 0.0), (0.0, 1.0)]
         table, _, _ = nested_jvp_schedule(prog, x, dirs, 2)
         exact = taylor_eval(prog, basis_seed(x, 2))
-        for alpha in table.entries:
+        for alpha in table.alphas:
             if sum(alpha) > 2:
                 continue
             ref = float(exact.entry(alpha)[0])

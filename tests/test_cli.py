@@ -218,6 +218,59 @@ def test_taylor_stdout_is_strict_json(capsys, tmp_path, x, want):
         assert "non-finite" in err and "node 0" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("options, want, word", [
+    (["--x", "1e200", "--dirs", "1", "--caps", "1", "--envelope", "1,1"],
+     1, None),
+    (["--x", "0", "--dirs", "1", "--caps", "15", "--tail", "1e300,1e10"],
+     3, "tail bound overflows"),
+    (["--x", "0", "--dirs", "1", "--caps", "15", "--tail", "1,1e30"],
+     3, "tail bound overflows"),
+], ids=["envelope-norm", "tail-inf", "tail-pow-overflow"])
+def test_taylor_derived_numbers_stay_finite(capsys, tmp_path, options, want,
+                                            word):
+    path = tmp_path / "twice.slp"
+    path.write_text("input a\noutput a a\n")
+    code, out, err = run_cli(capsys, "taylor", str(path), *options)
+    assert code == want
+    if word is None:
+        rows = _strict_json(out)["envelope"]["rows"]
+        assert rows[0]["coeff_norm"] == pytest.approx(2 ** 0.5 * 1e200)
+    else:
+        assert out == ""
+        assert word in err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["eval", "{ident}", "--x", "nan", "--json"], "non-finite"),
+    (["eval", "{ident}", "--x", "inf", "--json"], "non-finite"),
+    (["eval", "{ident}", "--x=-inf", "--json"], "non-finite"),
+    (["eval", "{prod}", "--x", "nan,1", "--json"], "non-finite"),
+    (["grad", "{prod}", "--x", "1,2", "--omega", "nan", "--json"],
+     "non-finite"),
+    (["taylor", "{ident}", "--x", "0", "--dirs", "inf", "--caps", "1"],
+     "non-finite"),
+    (["taylor", "{ident}", "--x", "0", "--dirs", "1", "--caps", "2",
+      "--envelope", "nan,1,1"], "non-finite"),
+    (["taylor", "{ident}", "--x", "0", "--dirs", "1", "--caps", "2",
+      "--tail", "1,nan"], "non-finite"),
+    (["check", "stability", "--count", "3", "--delta-const", "nan"],
+     "--delta-const"),
+    (["check", "stability", "--count", "3", "--delta-const", "-1"],
+     "--delta-const"),
+], ids=["eval-nan", "eval-inf", "eval-minus-inf", "eval-mul-nan",
+        "grad-omega-nan", "taylor-dirs-inf", "taylor-envelope-nan",
+        "taylor-tail-nan", "check-delta-nan", "check-delta-negative"])
+def test_non_finite_options_are_usage_errors(capsys, tmp_path, argv, word):
+    (tmp_path / "ident.slp").write_text("input a\noutput a\n")
+    (tmp_path / "prod.slp").write_text("input a b\nt = mul a b\noutput t\n")
+    argv = [a.format(ident=tmp_path / "ident.slp", prod=tmp_path / "prod.slp")
+            for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert word in err
+
+
 @pytest.mark.parametrize("command, options", [
     ("eval", [("--x", "-0.5,0.3")]),
     ("grad", [("--x", "-0.5,0.3"), ("--omega", "-1.5,2")]),

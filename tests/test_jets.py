@@ -6,10 +6,12 @@ import pytest
 
 from jetweil import instrument
 from jetweil.errors import DimensionMismatchError
-from jetweil.jets import (SeedSpec, basis_seed, coefficient_envelope,
-                          directional_taylor, seed, tail_bound, taylor_eval)
+from jetweil.jets import (SeedSpec, WeilSemantics, basis_seed,
+                          coefficient_envelope, directional_taylor, seed,
+                          tail_bound, taylor_eval)
 from jetweil.modes import jvp
-from jetweil.slp import parse_program, random_program
+from jetweil.slp import eval_generic, parse_program, random_program
+from jetweil.weil import multi_factorial
 
 X2Y = parse_program("input x y\nt = mul x x\nu = mul t y\noutput u")
 
@@ -58,7 +60,7 @@ def test_taylor_constant_program():
     prog = parse_program("input x\nc = const 3.5\noutput c")
     table = taylor_eval(prog, SeedSpec((0.2,), ((1.0,),), (3,)))
     assert table.entry((0,)) == pytest.approx([3.5])
-    for alpha in table.sorted_alphas()[1:]:
+    for alpha in table.alphas[1:]:
         assert table.entry(alpha) == pytest.approx([0.0])
 
 
@@ -91,10 +93,43 @@ def test_entry_is_factorial_times_coeff():
     spec = SeedSpec((0.3, 0.4), ((1.0, 0.0), (0.0, 1.0)), (2, 2))
     prog = parse_program("input x y\nt = mul x y\ns = sin t\noutput s")
     table = taylor_eval(prog, spec)
-    for alpha in table.sorted_alphas():
+    for alpha in table.alphas:
         fac = math.factorial(alpha[0]) * math.factorial(alpha[1])
         assert float(table.entry(alpha)[0]) == pytest.approx(
             fac * float(table.coeff(alpha)[0]), rel=1e-15)
+
+
+@pytest.mark.parametrize("caps", [(3,), (2, 1), (1, 3, 2), (1,) * 4])
+def test_table_rows_follow_graded_alphas(caps):
+    # row r of raw is every output's coefficient of e^alphas[r], alphas in
+    # (|alpha|, alpha) order, and values is raw times alpha!
+    text = "input x y\nt = mul x y\ns = sin t\nu = exp x\noutput s u x"
+    prog = parse_program(text)
+    dirs = tuple(tuple(0.1 * (i + 1) * (-1) ** j for i in range(2))
+                 for j in range(len(caps)))
+    spec = SeedSpec((0.3, -0.7), dirs, caps)
+    table = taylor_eval(prog, spec)
+    shape = table.shape
+    assert table.alphas == tuple(sorted(shape.multi_indices(),
+                                        key=lambda a: (sum(a), a)))
+    outputs = eval_generic(prog, seed(spec), WeilSemantics(shape))
+    flat = {a: i for i, a in enumerate(shape.multi_indices())}
+    assert table.raw.shape == (shape.dim, 3)
+    for alpha, row in zip(table.alphas, table.raw):
+        assert np.array_equal(row, [o.coeffs[flat[alpha]] for o in outputs])
+    facts = np.array([[multi_factorial(a)] for a in table.alphas], dtype=float)
+    assert np.array_equal(table.values, table.raw * facts)
+
+
+def test_entry_mappings_agree_with_rows():
+    table = taylor_eval(X2Y, SeedSpec((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)),
+                                      (2, 1)))
+    assert list(table.entries) == list(table.alphas) == list(table.coeffs)
+    for alpha in table.alphas:
+        assert np.array_equal(table.entries[alpha], table.entry(alpha))
+        assert np.array_equal(table.coeffs[alpha], table.coeff(alpha))
+    with pytest.raises(TypeError):
+        table.entries[(0, 0)] = np.zeros(1)
 
 
 def test_symmetry_under_direction_swap():
@@ -106,7 +141,7 @@ def test_symmetry_under_direction_swap():
         v2 = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         t1 = taylor_eval(prog, SeedSpec(x, (v1, v2), (2, 3)))
         t2 = taylor_eval(prog, SeedSpec(x, (v2, v1), (3, 2)))
-        for (a, b) in t1.entries:
+        for (a, b) in t1.alphas:
             lhs = float(t1.entry((a, b))[0])
             rhs = float(t2.entry((b, a))[0])
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -118,7 +153,7 @@ def test_cap_refinement_stability():
     spec_big = SeedSpec((0.4, 0.7), ((1.0, 0.2), (0.0, 1.0)), (4, 3))
     small = taylor_eval(prog, spec_small)
     big = taylor_eval(prog, spec_big)
-    for alpha in small.sorted_alphas():
+    for alpha in small.alphas:
         assert float(small.entry(alpha)[0]) == pytest.approx(
             float(big.entry(alpha)[0]), rel=1e-13, abs=1e-13)
 

@@ -22,7 +22,7 @@ def _table_gap(prog, x, dirs, k, step=None):
     exact = taylor_eval(prog, SeedSpec(tuple(x), tuple(tuple(d) for d in dirs),
                                       (k,) * len(dirs)))
     gap = 0.0
-    for alpha in table.entries:
+    for alpha in table.alphas:
         if sum(alpha) > k:
             continue
         ref = float(exact.entry(alpha)[0])
@@ -105,9 +105,13 @@ def test_pass_counts_exact():
             x = [rng.uniform(-0.5, 0.5) for _ in range(p)]
             dirs = [[1.0 if i == j else 0.0 for i in range(p)]
                     for j in range(p)]
-            _, count, _ = nested_jvp_schedule(prog, x, dirs, k)
+            table, count, _ = nested_jvp_schedule(prog, x, dirs, k)
             assert count.passes == math.comb(p + k, k)
             assert (count.p, count.k) == (p, k)
+            # one table row per pass: exactly the alphas with |alpha| <= k
+            assert len(table.alphas) == count.passes
+            assert all(sum(a) <= k for a in table.alphas)
+            assert table.raw.shape == (count.passes, 1)
 
 
 def test_p1_k1_is_value_plus_jvp():

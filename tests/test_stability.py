@@ -99,7 +99,7 @@ def test_bound_holds_on_fuzz():
 
 def test_zero_delta_gives_pure_lipschitz_chain():
     prog = parse_program("input x\ny = exp x\nz = sin y\noutput z")
-    report = stability_bound(prog, [0.5], [1.0], force_zero_delta=True)
+    report = stability_bound(prog, [0.5], [1.0], delta_const=0.0)
     expected = 1.0
     for row in report.rows:
         expected *= row.lipschitz

