@@ -19,8 +19,7 @@ import numpy as np
 from . import instrument
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import (WeilShape, WeilValue, make_shape, multi_factorial,
-                   weil_const)
+from .weil import WeilShape, WeilValue, make_shape, weil_const
 
 
 class WeilSemantics:
@@ -95,7 +94,18 @@ class DerivativeTable:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self.raw * self.shape.factorials()[:len(self.raw), None]
+        """alpha! times ``raw``; NumericOverflowError where that is past
+        float64."""
+        m, e = self.shape.factorials()
+        n = len(self.raw)
+        with np.errstate(over="ignore"):
+            values = np.ldexp(self.raw * m[:n, None], e[:n, None])
+        if not np.isfinite(values).all():
+            r, col = np.argwhere(~np.isfinite(values))[0]
+            raise NumericOverflowError(
+                f"derivative {self.alphas[r]} of output {col} overflows "
+                "float64")
+        return values
 
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], int]:
@@ -210,12 +220,13 @@ def coefficient_envelope(table: DerivativeTable,
             f"need bounds for degrees 0..{max_degree}, got {len(bounds)}")
     rows = []
     passed = True
-    for alpha, coeff in zip(table.alphas, table.raw):
+    for alpha, coeff, m, e in zip(table.alphas, table.raw,
+                                  *table.shape.factorials()):
         # hypot cannot overflow on the way, and is |c| for one output
         norm = math.hypot(*coeff)
         if not math.isfinite(norm):
             raise NumericOverflowError(f"norm of coefficient {alpha} overflows")
-        bound = float(bounds[sum(alpha)]) / multi_factorial(alpha)
+        bound = math.ldexp(float(bounds[sum(alpha)]) / m, -int(e))
         bad = norm > bound * (1.0 + 1e-12)
         passed = passed and not bad
         rows.append(EnvelopeRow(alpha=alpha, coeff_norm=norm,

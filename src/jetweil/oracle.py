@@ -486,6 +486,7 @@ def _schedule_table(x, dirs, k, entries) -> DerivativeTable:
     shape = make_shape((k,) * len(dirs))
     n = math.comb(len(dirs) + k, k)
     raw = np.array([entries[a] for a in shape.graded()[1][:n]])
+    m, e = shape.factorials()
     return DerivativeTable(shape=shape, base=tuple(x),
                            directions=tuple(tuple(d.tolist()) for d in dirs),
-                           raw=raw / shape.factorials()[:n, None])
+                           raw=np.ldexp(raw / m[:n, None], -e[:n, None]))

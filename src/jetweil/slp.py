@@ -417,16 +417,6 @@ def pretty_print(prog: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-class RealSemantics:
-    """Plain 64-bit evaluation with domain checks."""
-
-    def constant(self, c: float):
-        return c
-
-    def apply(self, node: Node, args):
-        return PRIMITIVES[node.op].value(args, node.const)
-
-
 def eval_generic(prog: Program, inputs: Sequence, semantics):
     """Evaluate nodes in topological order under the supplied semantics.
 

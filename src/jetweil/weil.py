@@ -11,13 +11,16 @@ Three kernels, picked from the operands' own shapes:
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
 * slice loop: products with a batched operand, one slice update per nonzero
-  row of the factor with fewer axes, so a constant factor costs one update.
+  row of one factor: the unbatched one if only one is, else the one with
+  fewer nonzero rows, so a constant factor costs one update and a seeded
+  input p + 1.  A second factor's rows are visited in descending index.
 * graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
 All three add each coefficient's terms in ascending order of the first
-factor's index, so batched and unbatched results agree bit for bit.  Past
+factor's index (the descending visit of a second factor's rows does exactly
+that), so batched and unbatched results agree bit for bit.  Past
 ``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
 and the recurrences build each coefficient's pairs when they reach it.
 
@@ -108,9 +111,12 @@ class WeilShape:
         return order, tuple(self.multi_indices()[k] for k in order)
 
     @lru_cache(maxsize=None)
-    def factorials(self) -> np.ndarray:
-        """alpha! as float64 in ``graded()`` order; OverflowError past 170!."""
-        return np.array([float(multi_factorial(a)) for a in self.graded()[1]])
+    def factorials(self) -> tuple[np.ndarray, np.ndarray]:
+        """alpha! = m * 2**e in ``graded()`` order, float64 m and int e, so
+        x * alpha! is ``np.ldexp(x * m, e)`` even past 170!.  e is 0 wherever
+        alpha! fits float64, and m is then float(alpha!): the same bits."""
+        m, e = zip(*map(_split, map(multi_factorial, self.graded()[1])))
+        return np.array(m), np.array(e)
 
     def __eq__(self, other) -> bool:  # structural: caps only
         return isinstance(other, WeilShape) and self.caps == other.caps
@@ -144,6 +150,15 @@ def multi_factorial(alpha: Sequence[int]) -> int:
     for a in alpha:
         out *= math.factorial(a)
     return out
+
+
+def _split(n: int) -> tuple[float, int]:
+    """(m, e) with n = m * 2**e, m correctly rounded and below 2**1023."""
+    try:
+        return float(n), 0
+    except OverflowError:
+        e = n.bit_length() - 1023
+        return n / (1 << e), e  # int division rounds correctly
 
 
 @dataclass(frozen=True)
@@ -229,11 +244,22 @@ def _slice_table(shape: WeilShape):
             for alpha in shape.multi_indices()]
 
 
+def _nonzero_rows(w: WeilValue) -> np.ndarray:
+    """Flat indices of the rows of w that are nonzero in some batch column."""
+    return np.flatnonzero(w.coeffs.reshape(w.shape.dim, -1).any(axis=1))
+
+
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
     Two unbatched operands use the pair table while it has at most
-    PAIR_LIMIT pairs; all other products run the slice loop.
+    PAIR_LIMIT pairs.  All other products run the slice loop, one update per
+    nonzero row of the factor with the smaller (axes, nonzero rows): an
+    unbatched factor broadcasts, so it goes first, and a tie keeps a.  The
+    loop visits a's rows in ascending index and b's in descending index, so
+    either way each coefficient adds its terms in ascending index of a, as
+    the pair table does, and every batch column equals its unbatched product
+    bit for bit.
     """
     shape = _check_shapes(a, b)
     if a.coeffs.ndim == 1 and b.coeffs.ndim == 1:
@@ -242,20 +268,21 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
             i, j, k = pairs
             return WeilValue(shape, np.bincount(
                 k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
-    if a.coeffs.ndim > b.coeffs.ndim:
-        a, b = b, a  # iterate over the unbatched factor
+    rows_a, rows_b = _nonzero_rows(a), _nonzero_rows(b)
+    if (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a)):
+        a, b, rows_a = b, a, rows_b[::-1]
     tshape = shape.tensor_shape
-    batch = b.coeffs.shape[1:]
     ta = a.coeffs
-    tb = b.coeffs.reshape(tshape + batch)
+    tb = b.coeffs.reshape(tshape + b.coeffs.shape[1:])
+    batch = np.broadcast_shapes(ta.shape[1:], b.coeffs.shape[1:])
     out = np.zeros(tshape + batch)
     scratch = _scratch_buffer(0, out.size)
     table = _slice_table(shape)
-    for ia in np.flatnonzero(ta.reshape(shape.dim, -1).any(axis=1)):
+    for ia in rows_a:
         dst, src = table[ia]
         part, acc = tb[src], out[dst]  # `out[dst] += t` re-assigns the view
-        np.add(acc, np.multiply(ta[ia], part, out=scratch[:part.size]
-                                .reshape(part.shape)), out=acc)
+        np.add(acc, np.multiply(ta[ia], part, out=scratch[:acc.size]
+                                .reshape(acc.shape)), out=acc)
     return WeilValue(shape, out.reshape((shape.dim,) + batch))
 
 

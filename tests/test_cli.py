@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -239,6 +240,48 @@ def test_taylor_derived_numbers_stay_finite(capsys, tmp_path, options, want,
     else:
         assert out == ""
         assert word in err
+
+
+def test_taylor_table_past_170_factorial(capsys, prod_file):
+    # alpha! of (100, 100) is past float64, yet every derivative is finite
+    code, out, err = run_cli(capsys, "taylor", prod_file, "--x=1,2",
+                             "--dirs=1,0;0,1", "--caps", "100,100", "--json")
+    assert (code, err) == (0, "")
+    entries = _strict_json(out)["entries"]
+    assert len(entries) == 101 ** 2
+    nonzero = {tuple(e["alpha"]): e["value"] for e in entries
+               if e["value"] != [0.0]}
+    assert nonzero == {(0, 0): [2.0], (1, 0): [2.0], (0, 1): [1.0],
+                       (1, 1): [1.0]}
+
+
+def test_taylor_envelope_past_170_factorial(capsys, tmp_path):
+    path = tmp_path / "ident.slp"
+    path.write_text("input a\noutput a\n")
+    code, out, _ = run_cli(capsys, "taylor", str(path), "--x=0", "--dirs=1",
+                           "--caps", "171", "--envelope", ",".join(["1"] * 172))
+    assert code == 0
+    rows = _strict_json(out)["envelope"]["rows"]
+    assert rows[171]["bound"] == pytest.approx(1 / math.factorial(171))
+    assert rows[1] == {"alpha": [1], "bound": 1.0, "coeff_norm": 1.0,
+                       "violated": False}
+
+
+@pytest.mark.parametrize("program, options, word", [
+    ("input x\ny = exp x\noutput y\n",
+     ["--x=0", "--dirs=100", "--caps", "171"], "(155,)"),
+    ("input x\ny = mul x x\noutput y\n",
+     ["--x=0", "--dirs=1.3e154", "--caps", "2"], "(2,)"),
+], ids=["exp-past-170-factorial", "square-times-2"])
+def test_taylor_overflowing_derivative_is_numeric_error(capsys, tmp_path,
+                                                        program, options,
+                                                        word):
+    # every raw coefficient is finite; alpha! times one of them is not
+    path = tmp_path / "f.slp"
+    path.write_text(program)
+    code, out, err = run_cli(capsys, "taylor", str(path), *options, "--json")
+    assert (code, out) == (3, "")
+    assert f"derivative {word} of output 0 overflows" in err
 
 
 @pytest.mark.parametrize("argv, word", [

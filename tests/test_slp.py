@@ -9,11 +9,21 @@ from hypothesis import strategies as st
 from jetweil.bench import bench_program, run_weil_bench
 from jetweil.errors import (DomainError, NumericOverflowError, ParseError)
 from jetweil.slp import (PRIMITIVES, Node, PrimitiveKind, Program,
-                         RealSemantics, eval_generic, eval_primal,
-                         parse_program, pretty_print, random_program)
+                         eval_generic, eval_primal, parse_program,
+                         pretty_print, random_program)
 
 SQUARE = "input x\ny = mul x x\noutput y\n"
 SIN_PROD = "input a b\nt = mul a b\ns = sin t\noutput s\n"
+
+
+class RealSemantics:
+    """Plain 64-bit evaluation with domain checks, for eval_generic."""
+
+    def constant(self, c: float):
+        return c
+
+    def apply(self, node: Node, args):
+        return PRIMITIVES[node.op].value(args, node.const)
 
 
 def test_parse_minimal():

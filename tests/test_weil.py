@@ -107,16 +107,99 @@ def test_mul_batched_against_loop():
             assert np.array_equal(batched.coeffs[:, i], single.coeffs), caps
 
 
+def _sparse_factors(shape, rng, batch):
+    """Batched factors named by their nonzero rows: dense, a constant, a
+    seeded input (rows 0 and the strides), rows zero in only some columns."""
+    dense = rng.normal(size=(shape.dim, batch))
+    const = np.zeros_like(dense)
+    const[0] = rng.normal(size=batch)
+    seeded = const.copy()
+    seeded[list(shape.strides)] = rng.normal(size=(shape.p, batch))
+    partial = dense * (rng.random(dense.shape) < 0.5)
+    partial[1::3] = 0.0
+    return {name: WeilValue(shape, c) for name, c in [
+        ("dense", dense), ("const", const), ("seeded", seeded),
+        ("partial", partial)]}
+
+
+@pytest.mark.parametrize("caps", [(2,), (15,), (2, 2), (4, 4, 4), (1,) * 6,
+                                  (1500,)])
+def test_mul_sparse_factors_batched_against_loop(caps):
+    # The slice loop runs over the sparser factor, over a second factor's
+    # rows in descending index; every column still matches its unbatched
+    # product, which (1500,), past PAIR_LIMIT, also takes by the slice loop.
+    rng = np.random.default_rng(7)
+    shape = make_shape(caps)
+    factors = _sparse_factors(shape, rng, 4)
+    pairs = [("dense", "const"), ("const", "dense"), ("dense", "seeded"),
+             ("seeded", "dense"), ("dense", "partial"), ("partial", "dense"),
+             ("seeded", "const"), ("const", "seeded"), ("seeded", "partial"),
+             ("partial", "seeded"), ("partial", "partial")]
+    for x, y in pairs:
+        a, b = factors[x], factors[y]
+        batched = weil_mul(a, b)
+        for i in range(4):
+            single = weil_mul(WeilValue(shape, a.coeffs[:, i]),
+                              WeilValue(shape, b.coeffs[:, i]))
+            assert np.array_equal(batched.coeffs[:, i], single.coeffs), \
+                (caps, x, y, i)
+
+
 def test_mul_mixed_batch():
+    # An unbatched factor is the one looped over, in either operand order,
+    # and each column still matches its unbatched product bit for bit.
     rng = np.random.default_rng(1)
-    shape = make_shape([1, 1])
-    a = WeilValue(shape, rng.normal(size=(4,)))
-    b = WeilValue(shape, rng.normal(size=(4, 3)))
-    out = weil_mul(a, b)
-    assert out.coeffs.shape == (4, 3)
-    for i in range(3):
-        single = weil_mul(a, WeilValue(shape, b.coeffs[:, i]))
-        assert np.allclose(out.coeffs[:, i], single.coeffs, atol=1e-14)
+    for caps in [(1, 1), (2,), (15,), (2, 2), (4, 4, 4), (15, 15)]:
+        shape = make_shape(caps)
+        a = WeilValue(shape, rng.normal(size=(shape.dim,)))
+        b = WeilValue(shape, rng.normal(size=(shape.dim, 4)))
+        for out, first in ((weil_mul(a, b), True), (weil_mul(b, a), False)):
+            assert out.coeffs.shape == (shape.dim, 4)
+            for i in range(4):
+                col = WeilValue(shape, b.coeffs[:, i])
+                single = weil_mul(a, col) if first else weil_mul(col, a)
+                assert np.array_equal(out.coeffs[:, i], single.coeffs), \
+                    (caps, first, i)
+
+
+def test_mul_broadcasts_a_single_column():
+    # the sparser factor may be the one with more columns; the batch shapes
+    # broadcast in either order
+    shape = make_shape((2, 2))
+    factors = _sparse_factors(shape, np.random.default_rng(9), 4)
+    dense = WeilValue(shape, factors["dense"].coeffs[:, :1])
+    for x, y in ((dense, factors["const"]), (factors["const"], dense)):
+        out = weil_mul(x, y)
+        for i in range(4):
+            a, b = (WeilValue(shape, w.coeffs[:, i % len(w.primal)])
+                    for w in (x, y))
+            assert np.array_equal(out.coeffs[:, i], weil_mul(a, b).coeffs)
+
+
+@pytest.mark.parametrize("caps", [(2, 2), (1,) * 6, (4, 4, 4)])
+def test_slice_loop_updates_per_sparse_row(monkeypatch, caps):
+    # A product costs one slice update per nonzero row of the sparser
+    # factor, whichever operand it is: 1 for a constant, p + 1 for a
+    # seeded input.
+    from jetweil import weil
+    lookups = []
+    table = weil._slice_table
+
+    class Counting(list):
+        def __getitem__(self, k):
+            lookups.append(k)
+            return list.__getitem__(self, k)
+
+    monkeypatch.setattr(weil, "_slice_table",
+                        lambda shape: Counting(table(shape)))
+    shape = make_shape(caps)
+    factors = _sparse_factors(shape, np.random.default_rng(8), 3)
+    dense = factors["dense"]
+    for sparse, want in (("const", 1), ("seeded", shape.p + 1)):
+        for a, b in ((dense, factors[sparse]), (factors[sparse], dense)):
+            lookups.clear()
+            weil_mul(a, b)
+            assert len(lookups) == want, (caps, sparse)
 
 
 def test_unary_exp_example():
