@@ -153,7 +153,8 @@ def multi_factorial(alpha: Sequence[int]) -> int:
 
 
 def _split(n: int) -> tuple[float, int]:
-    """(m, e) with n = m * 2**e, m correctly rounded and below 2**1023."""
+    """(m, e) with n = m * 2**e, m correctly rounded: (float(n), 0) while
+    that is finite, else m below 2**1023."""
     try:
         return float(n), 0
     except OverflowError:
