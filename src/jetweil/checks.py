@@ -223,7 +223,9 @@ def check_truncation(count: int = 50, seed: int = 0) -> CheckResult:
         else:
             prog, m_next = _exp_prog(), math.exp(x0 + rho)
         coeffs = directional_taylor(prog, [x0], [v], k)
-        partial = sum(c * rho ** l for l, c in enumerate(coeffs))
+        partial = 0.0  # a left fold: sum() of floats compensates from 3.12
+        for l, c in enumerate(coeffs):
+            partial += c * rho ** l
         actual = eval_primal(prog, [x0 + rho * v])[0]
         remainder = abs(actual - partial)
         bound = tail_bound(m_next, k, rho)

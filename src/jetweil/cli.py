@@ -130,6 +130,8 @@ def cmd_taylor(args) -> int:
 def cmd_check(args) -> int:
     if not (math.isfinite(args.delta_const) and args.delta_const >= 0.0):
         raise ValueError("--delta-const must be finite and >= 0")
+    if args.count is not None and args.count < 1:
+        raise ValueError("--count must be >= 1")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     results = []
@@ -160,6 +162,8 @@ def _bench_family(family: str, args) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise ValueError("--repetitions must be >= 1")
     families = ["linear", "mul"] if args.family == "both" else [args.family]
     reports = [_bench_family(f, args) for f in families]
 

@@ -6,7 +6,7 @@ convolution, so series truncation is structural: products past any cap are
 simply never formed.  Coefficients may carry a trailing batch axis, which
 every operation broadcasts over.
 
-Three kernels, picked from the operands' own shapes:
+Four kernels, picked from the operands' own shapes:
 
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
@@ -17,8 +17,14 @@ Three kernels, picked from the operands' own shapes:
 * graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+* batch-1 graded recurrences: the same rules for an unbatched operand, one
+  coefficient at a time on Python floats, where a shape has at most
+  ``FLOAT_PAIRS_PER_DEGREE`` * K pairs with beta != 0 (K the top total
+  degree).  numpy costs a few calls per degree, Python floats a few
+  bytecodes per pair.  Each coefficient is a plain ``+=`` fold from 0.0:
+  never ``sum()``, which adds floats with compensation from CPython 3.12.
 
-All three add each coefficient's terms in ascending order of the first
+All four add each coefficient's terms in ascending order of the first
 factor's index (the descending visit of a second factor's rows does exactly
 that), so batched and unbatched results agree bit for bit.  Past
 ``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
@@ -56,6 +62,11 @@ PAIR_LIMIT = 1 << 20
 # Summed over sin lifts at B = 2048, 2**19 ran (6,6,6) and (15,15) twice as
 # fast as 2**20 or no limit, and the benchmark's small caps as fast.
 GATHER_LIMIT = 1 << 19
+# Most pairs (beta != 0) per total degree at which an unbatched lift runs
+# on Python floats: the numpy recurrence costs a few calls per degree, the
+# float one a few bytecodes per pair.  exp broke even near 65 pairs per
+# degree, sin/tanh/log/pow near 85; (1,)*6 at 111 ran 1.3x slower on floats.
+FLOAT_PAIRS_PER_DEGREE = 64
 
 _scratch = threading.local()
 
@@ -296,12 +307,18 @@ def _degrees(shape: WeilShape) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _levels(shape: WeilShape):
-    """(d, targets, conv) for each total degree d = 1..K, in that order.
+    """(levels, steps); None past PAIR_LIMIT pairs.
 
-    ``targets`` holds the flat indices alpha with |alpha| == d.  For each of
-    them ``conv(a, b)`` sums a[beta] * b[alpha - beta] over beta != 0 in
-    ascending beta, where a and b carry a zero row after their dim rows.
-    None past PAIR_LIMIT pairs.
+    ``levels`` holds (d, targets, conv) for each total degree d = 1..K, in
+    that order.  ``targets`` holds the flat indices alpha with |alpha| == d.
+    For each of them ``conv(a, b)`` sums a[beta] * b[alpha - beta] over
+    beta != 0 in ascending beta, where a and b carry a zero row after their
+    dim rows.
+
+    ``steps`` holds (d, alpha, pairs) for every alpha != 0 in the same
+    order, with pairs the (beta, alpha - beta) of its conv as Python ints:
+    the table of the batch-1 float kernel, None past FLOAT_PAIRS_PER_DEGREE
+    pairs per degree.
     """
     pairs = _pair_table(shape)
     if pairs is None:
@@ -311,7 +328,8 @@ def _levels(shape: WeilShape):
     order = np.argsort(k[keep], kind="stable")  # by target, ascending beta
     i, j, k = i[keep][order], j[keep][order], k[keep][order]
     deg = _degrees(shape)[k]
-    levels = []
+    floats = len(i) <= FLOAT_PAIRS_PER_DEGREE * shape.max_total_degree
+    levels, steps = [], []
     for d in range(1, shape.max_total_degree + 1):
         sel = deg == d
         targets, start, count = np.unique(k[sel], return_index=True,
@@ -324,7 +342,11 @@ def _levels(shape: WeilShape):
         J[pos, np.arange(len(pos)) - start[pos]] = j[sel]
         levels.append((np.float64(d), targets,
                        _level_conv(I, J, i[sel], j[sel], pos, shape.dim)))
-    return tuple(levels)
+        if floats:
+            ij = list(zip(i[sel].tolist(), j[sel].tolist()))
+            steps += [(float(d), t, tuple(ij[s:s + n])) for t, s, n in
+                      zip(targets.tolist(), start.tolist(), count.tolist())]
+    return tuple(levels), tuple(steps) if floats else None
 
 
 def _level_conv(I, J, i, j, pos, dim: int):
@@ -376,6 +398,9 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     ``conv``.  Domain checks are the caller's."""
     shape = w.shape
     batch = w.batch_shape
+    tables = _levels(shape)
+    if not batch and tables and tables[1]:
+        return WeilValue(shape, _graded_floats(kind, w, r, tables[1]))
     # operands carry a zero row after the dim coefficients, for the padding
     rows = (shape.dim + 1,) + ((math.prod(batch),) if batch else ())
     coeffs = w.coeffs.reshape((shape.dim,) + rows[1:])
@@ -387,7 +412,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
         x = np.zeros(rows)
         x[:-1] = coeffs
     y = np.zeros(rows)
-    levels = _levels(shape) or _box_levels(shape)
+    levels = tables[0] if tables else _box_levels(shape)
     if kind == "exp":  # D y = y D x
         y[:1] = np.exp(x0)
         for d, t, conv in levels:
@@ -416,6 +441,70 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     else:
         raise ValueError(f"unsupported unary primitive {kind!r}")
     return WeilValue(shape, y[:-1].reshape((shape.dim,) + batch))
+
+
+def _graded_floats(kind: str, w: WeilValue, r: float, steps) -> np.ndarray:
+    """The recurrences of ``_graded`` for one unbatched operand, one target
+    at a time on Python floats.  Each conv is a left fold from 0.0 over the
+    step's pairs, as ``np.bincount`` adds them, so the result is the same
+    to the bit.  Primal values stay numpy calls on the one-row slice: a
+    ``math`` function may round differently, and ``x ** r`` of a negative
+    float is complex."""
+    coeffs = w.coeffs
+    row = coeffs[:1]
+    x0 = row.item()
+    dx = (_degrees(w.shape)[:-1] * coeffs).tolist()  # D x
+    y = [0.0] * len(coeffs)
+    if kind == "exp":
+        y[0] = np.exp(row).item()
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += dx[b] * y[c]
+            y[t] = acc / d
+    elif kind in ("sin", "cos"):
+        s, co = y, [0.0] * len(coeffs)
+        s[0], co[0] = np.sin(row).item(), np.cos(row).item()
+        for d, t, pairs in steps:
+            acc_s = acc_c = 0.0
+            for b, c in pairs:
+                acc_s += dx[b] * co[c]
+                acc_c += dx[b] * s[c]
+            s[t], co[t] = acc_s / d, acc_c / -d
+        y = s if kind == "sin" else co
+    elif kind == "tanh":
+        u = [0.0] * len(coeffs)
+        y0 = y[0] = np.tanh(row).item()
+        u[0] = 1.0 - y0 * y0
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += dx[b] * u[c]
+            yt = y[t] = acc / d
+            acc = 0.0
+            for b, c in pairs:
+                acc += y[b] * y[c]
+            u[t] = -(acc + y0 * yt)
+    elif kind == "log":
+        x = coeffs.tolist()
+        y[0] = np.log(row).item()
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += (d * x[b] - dx[b]) * y[c]
+            y[t] = (d * x[t] - acc) / (d * x0)
+    elif kind == "pow":
+        x = coeffs.tolist()
+        y[0] = (row ** r).item()
+        r1 = float(r) + 1.0
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += (r1 * dx[b] - d * x[b]) * y[c]
+            y[t] = acc / (d * x0)
+    else:
+        raise ValueError(f"unsupported unary primitive {kind!r}")
+    return np.array(y)
 
 
 def _require(cond, message: str, primal):

@@ -301,9 +301,15 @@ def test_taylor_overflowing_derivative_is_numeric_error(capsys, tmp_path,
      "--delta-const"),
     (["check", "stability", "--count", "3", "--delta-const", "-1"],
      "--delta-const"),
+    (["check", "envelope", "--count", "-5", "--json"], "--count"),
+    (["check", "all", "--count", "0"], "--count"),
+    (["bench", "--repetitions", "0"], "--repetitions"),
+    (["bench", "--family", "linear", "--repetitions", "-1"], "--repetitions"),
 ], ids=["eval-nan", "eval-inf", "eval-minus-inf", "eval-mul-nan",
         "grad-omega-nan", "taylor-dirs-inf", "taylor-envelope-nan",
-        "taylor-tail-nan", "check-delta-nan", "check-delta-negative"])
+        "taylor-tail-nan", "check-delta-nan", "check-delta-negative",
+        "check-count-negative", "check-count-zero", "bench-repetitions-zero",
+        "bench-repetitions-negative"])
 def test_non_finite_options_are_usage_errors(capsys, tmp_path, argv, word):
     (tmp_path / "ident.slp").write_text("input a\noutput a\n")
     (tmp_path / "prod.slp").write_text("input a b\nt = mul a b\noutput t\n")

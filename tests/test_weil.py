@@ -389,10 +389,12 @@ UNARY_CASES = [("exp", None), ("log", None), ("sin", None), ("cos", None),
 
 
 @pytest.mark.parametrize("caps", [(2,), (15,), (2, 2), (4, 4, 4), (1,) * 6,
-                                  (6, 6, 6)])
+                                  (6, 6, 6), (1,) * 5, (3, 3, 3)])
 def test_unary_batched_against_loop(caps):
     # One batched lift and one unbatched lift per column add every
-    # coefficient's terms in the same order, so they agree exactly.
+    # coefficient's terms in the same order, so they agree exactly.  The
+    # unbatched lifts run on floats up to (1,) * 5 and on numpy from
+    # (3, 3, 3), either side of FLOAT_PAIRS_PER_DEGREE.
     rng = np.random.default_rng(4)
     shape = make_shape(caps)
     w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=5), batch=(5,))
@@ -455,14 +457,86 @@ def test_unary_past_pair_limit_matches_table(monkeypatch):
         weil._levels.cache_clear()
 
 
-@pytest.mark.parametrize("kind, exponent, primal, message", [
+DOMAIN_CASES = [
     ("log", None, 0.0, "log requires a positive primal"),
     ("sqrt", None, -1.0, "sqrt lift requires a positive primal"),
     ("pow", 0.5, -4.0, "fractional power requires a positive primal"),
     ("pow", -1.0, 0.0, "negative power of a non-invertible element"),
     ("recip", None, 0.0, "reciprocal of a non-invertible element "
                          "(primal coefficient is zero)"),
-])
+]
+
+
+@pytest.fixture(params=[0, 10 ** 9], ids=["numpy", "floats"])
+def batch1_kernel(request):
+    """Every unbatched lift on one batch-1 kernel: no shape, or every one,
+    within FLOAT_PAIRS_PER_DEGREE."""
+    from jetweil import weil
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", request.param)
+        weil._levels.cache_clear()
+        yield request.param
+    weil._levels.cache_clear()
+
+
+BATCH1_CAPS = [(1,), (8,), (15,), (2, 2), (4, 4), (2, 2, 2), (1,) * 5,
+               (1,) * 6, (3, 3, 3), (4, 4, 4)]
+
+
+def _lift(kind, exponent, w):
+    return (weil_recip(w) if kind == "recip"
+            else weil_unary(kind, w, exponent=exponent))
+
+
+def _batch1_lifts(caps):
+    """Every unbatched lift of UNARY_CASES over three jets, then sqrt of
+    the constant jet at 0, as raw bytes."""
+    rng = np.random.default_rng(8)
+    shape = make_shape(caps)
+    jets = [_jet(shape, rng, primal) for primal in (0.3, 1.7, 40.0)]
+    out = [_lift(kind, exponent, w).coeffs.tobytes()
+           for w in jets for kind, exponent in UNARY_CASES]
+    return out + [weil_unary("sqrt", weil_const(shape, 0.0)).coeffs.tobytes()]
+
+
+@pytest.mark.parametrize("caps", BATCH1_CAPS)
+def test_batch1_float_kernel_matches_numpy(monkeypatch, caps):
+    # the float kernel adds each coefficient's terms in the order of
+    # np.bincount, so both give the same bits (signed zeros included)
+    from jetweil import weil
+    lifts = []
+    try:
+        for limit in (0, 10 ** 9):
+            monkeypatch.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", limit)
+            weil._levels.cache_clear()
+            lifts.append(_batch1_lifts(caps))
+    finally:
+        weil._levels.cache_clear()
+    assert lifts[0] == lifts[1]
+
+
+def test_batch1_float_kernel_selection():
+    # at most FLOAT_PAIRS_PER_DEGREE pairs with beta != 0 per total degree
+    # get the float table; its pairs are the level tables' pairs in order
+    from jetweil import weil
+    chosen = {caps: weil._levels(make_shape(caps))[1] is not None
+              for caps in BATCH1_CAPS}
+    assert chosen == {caps: caps not in ((1,) * 6, (3, 3, 3), (4, 4, 4))
+                      for caps in BATCH1_CAPS}
+    shape = make_shape((2, 3))
+    i, j, k = weil._pair_table(shape)
+    keep = i != 0
+    want = sorted(zip(k[keep].tolist(), i[keep].tolist(), j[keep].tolist()))
+    steps = weil._levels(shape)[1]
+    degrees = [d for d, _, _ in steps]
+    assert degrees == sorted(degrees) == [
+        sum(shape.alpha_of(t)) for _, t, _ in steps]
+    assert all(list(pairs) == sorted(pairs) for _, _, pairs in steps)
+    assert sorted((t, b, c) for _, t, pairs in steps
+                  for b, c in pairs) == want
+
+
+@pytest.mark.parametrize("kind, exponent, primal, message", DOMAIN_CASES)
 def test_unary_domain_errors(kind, exponent, primal, message):
     from jetweil.jets import SeedSpec, taylor_eval
     from jetweil.slp import parse_program
@@ -481,6 +555,17 @@ def test_unary_domain_errors(kind, exponent, primal, message):
         taylor_eval(prog, SeedSpec((primal,), ((1.0,),), (2,)))
     assert str(exc.value) == message
     assert exc.value.node == 1
+
+
+@pytest.mark.parametrize("kind, exponent, primal, message", DOMAIN_CASES)
+@pytest.mark.parametrize("caps", [(2,), (1,) * 6])
+def test_batch1_kernels_raise_alike(caps, kind, exponent, primal, message,
+                                    batch1_kernel):
+    w = _jet(make_shape(caps), np.random.default_rng(9), primal)
+    with pytest.raises(DomainError) as exc:
+        _lift(kind, exponent, w)
+    assert str(exc.value) == message
+    assert exc.value.value == primal
 
 
 def test_sqrt_of_constant_jet_at_zero():
