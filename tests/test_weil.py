@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -467,16 +468,18 @@ DOMAIN_CASES = [
 ]
 
 
-@pytest.fixture(params=[0, 10 ** 9], ids=["numpy", "floats"])
-def batch1_kernel(request):
-    """Every unbatched lift on one batch-1 kernel: no shape, or every one,
-    within FLOAT_PAIRS_PER_DEGREE."""
+@contextlib.contextmanager
+def _float_pairs_per_degree(limit):
+    """Every unbatched lift on one batch-1 kernel: with 0 no shape is within
+    FLOAT_PAIRS_PER_DEGREE, with 10 ** 9 every one is."""
     from jetweil import weil
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", request.param)
+        mp.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", limit)
         weil._levels.cache_clear()
-        yield request.param
-    weil._levels.cache_clear()
+        try:
+            yield
+        finally:
+            weil._levels.cache_clear()
 
 
 BATCH1_CAPS = [(1,), (8,), (15,), (2, 2), (4, 4), (2, 2, 2), (1,) * 5,
@@ -500,18 +503,13 @@ def _batch1_lifts(caps):
 
 
 @pytest.mark.parametrize("caps", BATCH1_CAPS)
-def test_batch1_float_kernel_matches_numpy(monkeypatch, caps):
+def test_batch1_float_kernel_matches_numpy(caps):
     # the float kernel adds each coefficient's terms in the order of
     # np.bincount, so both give the same bits (signed zeros included)
-    from jetweil import weil
     lifts = []
-    try:
-        for limit in (0, 10 ** 9):
-            monkeypatch.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", limit)
-            weil._levels.cache_clear()
+    for limit in (0, 10 ** 9):
+        with _float_pairs_per_degree(limit):
             lifts.append(_batch1_lifts(caps))
-    finally:
-        weil._levels.cache_clear()
     assert lifts[0] == lifts[1]
 
 
@@ -558,11 +556,10 @@ def test_unary_domain_errors(kind, exponent, primal, message):
 
 
 @pytest.mark.parametrize("kind, exponent, primal, message", DOMAIN_CASES)
-@pytest.mark.parametrize("caps", [(2,), (1,) * 6])
-def test_batch1_kernels_raise_alike(caps, kind, exponent, primal, message,
-                                    batch1_kernel):
-    w = _jet(make_shape(caps), np.random.default_rng(9), primal)
-    with pytest.raises(DomainError) as exc:
+@pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["numpy", "floats"])
+def test_batch1_kernels_raise_alike(limit, kind, exponent, primal, message):
+    w = _jet(make_shape((2, 2)), np.random.default_rng(9), primal)
+    with _float_pairs_per_degree(limit), pytest.raises(DomainError) as exc:
         _lift(kind, exponent, w)
     assert str(exc.value) == message
     assert exc.value.value == primal
