@@ -162,8 +162,9 @@ def _bench_family(family: str, args) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.repetitions < 1:
-        raise ValueError("--repetitions must be >= 1")
+    for flag in ("repetitions", "batch", "q"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1")
     families = ["linear", "mul"] if args.family == "both" else [args.family]
     reports = [_bench_family(f, args) for f in families]
 

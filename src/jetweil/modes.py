@@ -39,8 +39,11 @@ def eval_dual(prog: Program, x: Sequence[float],
             if not math.isfinite(value):
                 raise OverflowError
             vals.append(value)
-            dots.append(sum((p * dots[r] for p, r in zip(parts, node.operands)),
-                            0.0))
+            # at most two terms: a fold gives sum()'s bits, without a generator
+            dot = 0.0
+            for p, r in zip(parts, node.operands):
+                dot += p * dots[r]
+            dots.append(dot)
     except (DomainError, OverflowError) as err:
         raise node_error(err, node, k) from None
     return ([vals[r] for r in prog.outputs],

@@ -27,6 +27,10 @@ from .errors import (DomainError, DimensionMismatchError, NumericOverflowError,
 
 
 class PrimitiveKind(str, Enum):
+    # hash as the spelling, in C: Enum.__hash__ is a Python-level call, and
+    # every rule, arity and lift lookup hashes a kind
+    __hash__ = str.__hash__
+
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
@@ -224,7 +228,7 @@ PRIMITIVES: dict[PrimitiveKind, Rule] = {
         lift=lambda a, e: weil.weil_unary("pow", a[0], exponent=e)),
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     op: PrimitiveKind
     operands: tuple[int, ...]
@@ -247,20 +251,28 @@ class Program:
     names: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        # kinds held in locals: reading an Enum member off its class costs
+        # about as much as the rest of a node's checks
+        div = PrimitiveKind.DIV
+        with_payload = (PrimitiveKind.CONST, PrimitiveKind.POW_CONST)
+        limit = self.n_inputs
         for k, node in enumerate(self.nodes):
-            limit = self.n_inputs + k
             for ref in node.operands:
                 if not 0 <= ref < limit:
                     raise ValueError(
                         f"node {k} references slot {ref}, only {limit} defined")
-            if node.op is PrimitiveKind.DIV:
+            if node.op is div:
                 raise ValueError("div must be desugared before construction")
-            if node.op in (PrimitiveKind.CONST, PrimitiveKind.POW_CONST) \
-                    and node.const is None:
-                raise ValueError(f"{node.op.value} node needs a constant payload")
-        n_slots = self.n_inputs + len(self.nodes)
+            if node.op in with_payload:
+                if node.const is None:
+                    raise ValueError(
+                        f"{node.op.value} node needs a constant payload")
+                if not math.isfinite(node.const):
+                    raise ValueError(f"{node.op.value} node has a non-finite "
+                                     f"payload {node.const!r}")
+            limit += 1
         for ref in self.outputs:
-            if not 0 <= ref < n_slots:
+            if not 0 <= ref < limit:
                 raise ValueError(f"output references undefined slot {ref}")
         if not self.names:
             names = [f"x{i}" for i in range(self.n_inputs)]
@@ -301,104 +313,100 @@ class Program:
         return tuple(map(tuple, dead))
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+# every primitive's spelling in the program text, with its operand count
+_SYNTAX = {kind.value: (kind, ARITY[kind]) for kind in PrimitiveKind}
 _NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-
-
-def _desugar_div(op: PrimitiveKind, refs: list[int], const, n_inputs: int,
-                 nodes: list[Node]) -> Node:
-    if op is PrimitiveKind.DIV:
-        nodes.append(Node(PrimitiveKind.RECIP, (refs[1],)))
-        return Node(PrimitiveKind.MUL,
-                    (refs[0], n_inputs + len(nodes) - 1), None)
-    return Node(op, tuple(refs), const)
+# the primitives whose last token is a numeric literal, and their usage
+_LITERAL_USAGE = {
+    "const": "const takes one numeric literal",
+    "pow": "pow takes an operand and a numeric exponent",
+}
 
 
 def parse_program(text: str) -> Program:
-    """Parse the one-statement-per-line program format."""
-    lines = text.splitlines()
+    """Parse the one-statement-per-line program format.  Errors come from
+    the first statement, the last, those between in order, then the names
+    on the output line."""
     stmts: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            stmts.append((lineno, body.split()))
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.partition("#")[0].split()
+        if toks:
+            stmts.append((lineno, toks))
     if not stmts:
         raise ParseError("empty program", 1)
 
     lineno, first = stmts[0]
     if first[0] != "input":
         raise ParseError("program must start with an 'input' line", lineno)
+    names = first[1:]
     scope: dict[str, int] = {}
-    for name in first[1:]:
-        if not _IDENT.match(name):
+    for name in names:
+        # on a token, isidentifier() and isascii() is [A-Za-z_][A-Za-z0-9_]*
+        if not (name.isidentifier() and name.isascii()):
             raise ParseError(f"bad input name {name!r}", lineno)
         if name in scope:
             raise ParseError(f"duplicate name {name!r}", lineno)
         scope[name] = len(scope)
     n_inputs = len(scope)
-    names = list(first[1:])
 
     lineno_out, last = stmts[-1]
     if last[0] != "output":
         raise ParseError("program must end with an 'output' line", lineno_out)
 
+    div, recip, mul = PrimitiveKind.DIV, PrimitiveKind.RECIP, PrimitiveKind.MUL
     nodes: list[Node] = []
-
-    def slot_count() -> int:
-        return n_inputs + len(nodes)
-
     for lineno, toks in stmts[1:-1]:
-        if toks[0] in ("input", "output"):
-            raise ParseError(f"{toks[0]!r} line out of place", lineno)
+        name = toks[0]
+        if name == "input" or name == "output":
+            raise ParseError(f"{name!r} line out of place", lineno)
         if len(toks) < 3 or toks[1] != "=":
             raise ParseError("expected 'name = op args...'", lineno)
-        name = toks[0]
-        if not _IDENT.match(name):
+        if not (name.isidentifier() and name.isascii()):
             raise ParseError(f"bad name {name!r}", lineno)
         if name in scope:
             raise ParseError(f"duplicate name {name!r}", lineno)
         try:
-            op = PrimitiveKind(toks[2])
-        except ValueError:
+            op, arity = _SYNTAX[toks[2]]
+        except KeyError:
             raise ParseError(f"unknown primitive {toks[2]!r}", lineno) from None
-        args = toks[3:]
         const = None
-        if op is PrimitiveKind.CONST:
-            if len(args) != 1 or not _NUMBER.match(args[0]):
-                raise ParseError("const takes one numeric literal", lineno)
-            const = float(args[0])
-            args = []
-        elif op is PrimitiveKind.POW_CONST:
-            if len(args) != 2 or not _NUMBER.match(args[1]):
-                raise ParseError("pow takes an operand and a numeric exponent",
-                                 lineno)
-            const = float(args[1])
-            args = args[:1]
-        if len(args) != ARITY[op]:
+        usage = _LITERAL_USAGE.get(toks[2])
+        if usage is not None:
+            if len(toks) != 4 + arity or not _NUMBER.match(toks[-1]):
+                raise ParseError(usage, lineno)
+            const = float(toks[-1])
+            if not math.isfinite(const):
+                raise ParseError(
+                    f"literal {toks[-1]!r} is not a finite float64", lineno)
+        elif len(toks) != 3 + arity:
             raise ParseError(
-                f"{op.value} expects {ARITY[op]} operands, got {len(args)}",
+                f"{op.value} expects {arity} operands, got {len(toks) - 3}",
                 lineno)
-        refs = []
-        for arg in args:
-            if arg not in scope:
-                raise ParseError(f"undefined name {arg!r}", lineno)
-            refs.append(scope[arg])
-        node = _desugar_div(op, refs, const, n_inputs, nodes)
-        if op is PrimitiveKind.DIV:
+        try:
+            if arity == 2:
+                refs = (scope[toks[3]], scope[toks[4]])
+            else:
+                refs = (scope[toks[3]],) if arity else ()
+        except KeyError as err:
+            raise ParseError(f"undefined name {err.args[0]!r}",
+                             lineno) from None
+        if op is div:
+            nodes.append(Node(recip, refs[1:]))
             names.append(f"{name}__recip")
-        nodes.append(node)
+            op, refs = mul, (refs[0], n_inputs + len(nodes) - 1)
+        scope[name] = n_inputs + len(nodes)
+        nodes.append(Node(op, refs, const))
         names.append(name)
-        scope[name] = slot_count() - 1
 
-    outputs = []
-    for arg in last[1:]:
-        if arg not in scope:
-            raise ParseError(f"undefined name {arg!r}", lineno_out)
-        outputs.append(scope[arg])
+    try:
+        outputs = tuple(scope[arg] for arg in last[1:])
+    except KeyError as err:
+        raise ParseError(f"undefined name {err.args[0]!r}",
+                         lineno_out) from None
     if not outputs:
         raise ParseError("output line names no values", lineno_out)
-    return Program(n_inputs=n_inputs, nodes=tuple(nodes),
-                   outputs=tuple(outputs), names=tuple(names))
+    return Program(n_inputs=n_inputs, nodes=tuple(nodes), outputs=outputs,
+                   names=tuple(names))
 
 
 def pretty_print(prog: Program) -> str:
@@ -513,7 +521,11 @@ _UNSAFE_EXTRA = [
 
 
 def _weighted_choice(rng: random.Random, table):
-    total = sum(w for _, w in table)
+    # a left fold: from CPython 3.12 sum() of floats is compensated, which
+    # moves the unsafe table's total by one ulp
+    total = 0.0
+    for _, w in table:
+        total += w
     r = rng.random() * total
     for op, w in table:
         r -= w

@@ -305,11 +305,18 @@ def test_taylor_overflowing_derivative_is_numeric_error(capsys, tmp_path,
     (["check", "all", "--count", "0"], "--count"),
     (["bench", "--repetitions", "0"], "--repetitions"),
     (["bench", "--family", "linear", "--repetitions", "-1"], "--repetitions"),
+    (["bench", "--family", "linear", "--batch", "0", "--repetitions", "1"],
+     "error: --batch must be >= 1"),
+    (["bench", "--family", "mul", "--batch", "-4", "--repetitions", "1"],
+     "error: --batch must be >= 1"),
+    (["bench", "--family", "linear", "--q", "0", "--repetitions", "1"],
+     "error: --q must be >= 1"),
 ], ids=["eval-nan", "eval-inf", "eval-minus-inf", "eval-mul-nan",
         "grad-omega-nan", "taylor-dirs-inf", "taylor-envelope-nan",
         "taylor-tail-nan", "check-delta-nan", "check-delta-negative",
         "check-count-negative", "check-count-zero", "bench-repetitions-zero",
-        "bench-repetitions-negative"])
+        "bench-repetitions-negative", "bench-batch-zero",
+        "bench-mul-batch-negative", "bench-q-zero"])
 def test_non_finite_options_are_usage_errors(capsys, tmp_path, argv, word):
     (tmp_path / "ident.slp").write_text("input a\noutput a\n")
     (tmp_path / "prod.slp").write_text("input a b\nt = mul a b\noutput t\n")
@@ -318,6 +325,24 @@ def test_non_finite_options_are_usage_errors(capsys, tmp_path, argv, word):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert word in err
+
+
+@pytest.mark.parametrize("command, body, literal", [
+    ("eval", "c = const 1e400\ny = add x c", "1e400"),
+    ("taylor", "c = const 1e400\ny = add x c", "1e400"),
+    ("taylor", "y = pow x 1e400", "1e400"),
+    ("grad", "y = pow x -1e999", "-1e999"),
+])
+def test_overflowing_literal_is_parse_error(capsys, tmp_path, command, body,
+                                            literal):
+    path = tmp_path / "big.slp"
+    path.write_text(f"input x\n{body}\noutput y\n")
+    options = ["--dirs", "1", "--caps", "2"] if command == "taylor" else []
+    code, out, err = run_cli(capsys, command, str(path), "--x", "1", *options,
+                             "--json")
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: line 2: literal {literal!r} is not a "
+                   "finite float64\n")
 
 
 @pytest.mark.parametrize("command, options", [
