@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import instrument
 from .jets import WeilSemantics
 from .oracle import nested_jvp_schedule
 from .slp import Node, PrimitiveKind, Program, eval_generic
@@ -38,8 +37,6 @@ class BenchRun:
     t_median: float
     repetitions: int
     peak_coeff_bytes: int
-    lifted_primitives: int
-    tape_allocations: int
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,7 @@ class BenchReport:
             "runs": [{"dim": r.dim, "caps": list(r.caps),
                       "t_min": r.t_min, "t_median": r.t_median,
                       "repetitions": r.repetitions,
-                      "peak_coeff_bytes": r.peak_coeff_bytes,
-                      "lifted_primitives": r.lifted_primitives,
-                      "tape_allocations": r.tape_allocations}
+                      "peak_coeff_bytes": r.peak_coeff_bytes}
                      for r in self.runs],
             "slope": self.slope,
             "intercept": self.intercept,
@@ -173,22 +168,17 @@ def run_weil_bench(prog: Program, family: str,
         inputs = _batched_seed(prog, shape, batch, rng)
         sem = WeilSemantics(shape, batch_shape=(batch,))
         times = []
-        instrument.reset()
         for rep in range(warmup + repetitions):
             t0 = time.perf_counter()
             eval_generic(prog, inputs, sem)
             t1 = time.perf_counter()
             if rep >= warmup:
                 times.append(t1 - t0)
-        counters = instrument.snapshot()
         runs.append(BenchRun(
             dim=dim, caps=shape.caps,
             t_min=min(times), t_median=float(np.median(times)),
             repetitions=repetitions,
-            peak_coeff_bytes=_peak_live_slots(prog) * dim * batch * 8,
-            lifted_primitives=counters["lifted_primitives"]
-            // (warmup + repetitions),
-            tape_allocations=counters["tape_allocations"]))
+            peak_coeff_bytes=_peak_live_slots(prog) * dim * batch * 8))
     slope, intercept = fit_slope([r.dim for r in runs],
                                  [r.t_median for r in runs])
     return BenchReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .jets import (SeedSpec, basis_seed, coefficient_envelope,
                    directional_taylor, tail_bound, taylor_eval)
@@ -22,20 +22,21 @@ from .stability import stability_bound
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One suite's verdict.  For the bound suites (stability, envelope,
+    truncation) ``max_residual`` is the largest observed/bound ratio."""
+
     suite: str
     count: int
     tolerance: float
     max_residual: float
     violations: int
     passed: bool
-    notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite, "count": self.count,
             "tolerance": self.tolerance, "max_residual": self.max_residual,
             "violations": self.violations, "passed": self.passed,
-            "notes": self.notes,
         }
 
 
@@ -130,7 +131,6 @@ def check_exactness(count: int = 200, seed: int = 0) -> CheckResult:
     worst = 0.0
     tol = 1e-12
     bad = 0
-    checked = 0
     for i in range(count):
         n = rng.randint(1, 4)
         prog = random_polynomial_program(seed=seed * 30011 + i, n_inputs=n,
@@ -149,9 +149,7 @@ def check_exactness(count: int = 200, seed: int = 0) -> CheckResult:
             r = abs(got - exact) / max(1.0, abs(exact))
             worst = max(worst, r)
             bad += r > tol
-            checked += 1
-    return CheckResult("exactness", count, tol, worst, bad, bad == 0,
-                       notes={"partials_checked": checked})
+    return CheckResult("exactness", count, tol, worst, bad, bad == 0)
 
 
 def check_stability(count: int = 100, seed: int = 0,
@@ -172,8 +170,7 @@ def check_stability(count: int = 100, seed: int = 0,
         if rep.product_bound > 0:
             worst_margin = max(worst_margin,
                                rep.observed_norm / rep.product_bound)
-    return CheckResult("stability", count, 0.0, worst_margin, bad, bad == 0,
-                       notes={"metric": "max observed/bound ratio"})
+    return CheckResult("stability", count, 0.0, worst_margin, bad, bad == 0)
 
 
 def _sin_prog() -> Program:
@@ -204,8 +201,7 @@ def check_envelope(count: int = 50, seed: int = 0) -> CheckResult:
         for row in report.rows:
             if row.bound > 0:
                 worst = max(worst, row.coeff_norm / row.bound)
-    return CheckResult("envelope", count, 0.0, worst, bad, bad == 0,
-                       notes={"metric": "max coeff/bound ratio"})
+    return CheckResult("envelope", count, 0.0, worst, bad, bad == 0)
 
 
 def check_truncation(count: int = 50, seed: int = 0) -> CheckResult:
@@ -233,8 +229,7 @@ def check_truncation(count: int = 50, seed: int = 0) -> CheckResult:
             bad += 1
         if bound > 0:
             worst = max(worst, remainder / bound)
-    return CheckResult("truncation", count, 0.0, worst, bad, bad == 0,
-                       notes={"metric": "max remainder/bound ratio"})
+    return CheckResult("truncation", count, 0.0, worst, bad, bad == 0)
 
 
 SUITES = {

@@ -139,9 +139,7 @@ def cmd_check(args) -> int:
         kwargs = ({"delta_const": args.delta_const} if name == "stability"
                   else {})
         res = run_suite(name, count=args.count, seed=args.seed, **kwargs)
-        row = res.to_json_dict()
-        del row["notes"]
-        results.append(row)
+        results.append(res.to_json_dict())
         failed = failed or not res.passed
         print(f"{name}: count={res.count} "
               f"max_residual={res.max_residual:.3e} "

@@ -45,12 +45,11 @@ class NumericOverflowError(JetweilError):
 
 
 class ParseError(JetweilError):
-    """Program text failed to parse; carries line and column."""
+    """Program text failed to parse; carries the line number."""
 
-    def __init__(self, message: str, line: int, column: int = 0):
+    def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 class UnsupportedPrimitiveError(JetweilError):

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import instrument
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
 from .weil import WeilShape, WeilValue, make_shape, weil_const
@@ -30,11 +29,9 @@ class WeilSemantics:
         self.batch_shape = batch_shape
 
     def constant(self, c: float) -> WeilValue:
-        instrument.counters["lifted_primitives"] += 1
         return weil_const(self.shape, np.full(self.batch_shape, float(c)))
 
     def apply(self, node: Node, args: Sequence[WeilValue]) -> WeilValue:
-        instrument.counters["lifted_primitives"] += 1
         return PRIMITIVES[node.op].lift(args, node.const)
 
 

@@ -9,12 +9,11 @@ Values and partial derivatives come from the rule table ``slp.PRIMITIVES``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import instrument
 from .errors import DimensionMismatchError, DomainError
 from .slp import (PRIMITIVES, Node, Program, check_finite, eval_primal,
                   node_error, primal_slots)
@@ -61,16 +60,11 @@ def jvp(prog: Program, x: Sequence[float], v: Sequence[float]) -> list[float]:
 
 @dataclass
 class Tape:
-    """Recorded primal intermediates plus one adjoint accumulator per slot."""
+    """Recorded primal intermediates, one per slot: the point at which every
+    sweep pulls a covector back."""
 
     program: Program
     primals: list[float]
-    adjoints: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        instrument.counters["tape_allocations"] += 1
-        if not self.adjoints:
-            self.adjoints = [0.0] * len(self.primals)
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
@@ -78,12 +72,16 @@ def record_tape(prog: Program, x: Sequence[float]) -> Tape:
 
 
 def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
-    """Accumulate adjoints from a seed covector; returns input adjoints."""
+    """Pull one covector back along the tape; returns input adjoints.
+
+    The adjoints are accumulated in a fresh list, so a tape can be swept
+    with any number of covectors.
+    """
     prog = tape.program
     if len(omega) != prog.n_outputs:
         raise DimensionMismatchError(
             f"covector length {len(omega)} != {prog.n_outputs} outputs")
-    adj = tape.adjoints
+    adj = [0.0] * len(tape.primals)
     for w, r in zip(omega, prog.outputs):
         adj[r] += float(w)
     try:

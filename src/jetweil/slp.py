@@ -315,7 +315,7 @@ class Program:
 
 # every primitive's spelling in the program text, with its operand count
 _SYNTAX = {kind.value: (kind, ARITY[kind]) for kind in PrimitiveKind}
-_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 # the primitives whose last token is a numeric literal, and their usage
 _LITERAL_USAGE = {
     "const": "const takes one numeric literal",
@@ -391,9 +391,14 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"undefined name {err.args[0]!r}",
                              lineno) from None
         if op is div:
+            # the reciprocal's slot is an ordinary defined name
+            recip_name = f"{name}__recip"
+            if recip_name in scope:
+                raise ParseError(f"duplicate name {recip_name!r}", lineno)
+            scope[recip_name] = n_inputs + len(nodes)
             nodes.append(Node(recip, refs[1:]))
-            names.append(f"{name}__recip")
-            op, refs = mul, (refs[0], n_inputs + len(nodes) - 1)
+            names.append(recip_name)
+            op, refs = mul, (refs[0], scope[recip_name])
         scope[name] = n_inputs + len(nodes)
         nodes.append(Node(op, refs, const))
         names.append(name)

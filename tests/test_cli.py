@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from jetweil.checks import SUITES
 from jetweil.cli import main
 
 
@@ -156,12 +157,14 @@ def test_taylor_env_var(capsys, x2y_file, monkeypatch):
     assert "exceeds limit 4" in err
 
 
-def test_check_suite(capsys):
-    code, out, _ = run_cli(capsys, "check", "envelope", "--count", "10",
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_check_suite(capsys, suite):
+    code, out, _ = run_cli(capsys, "check", suite, "--count", "10",
                            "--json")
     assert code == 0
-    assert "PASS" in out
+    assert f"{suite}: count=10 " in out and "PASS" in out
     payload = json.loads(out[out.index("{"):])
+    assert [row["suite"] for row in payload["results"]] == [suite]
     assert payload["results"][0]["violations"] == 0
 
 

@@ -4,14 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from jetweil import instrument
+from counting import counting
 from jetweil.cli import main
 from jetweil.errors import (DimensionMismatchError, DomainError,
                             NumericOverflowError)
 from jetweil.jets import SeedSpec, taylor_eval
 from jetweil.modes import (Tape, compose_programs, compose_vjp_check,
                            eval_dual, jvp, pairing_residual, record_tape,
-                           vjp)
+                           reverse_sweep, vjp)
 from jetweil.slp import Program, eval_primal, parse_program, random_program
 from jetweil.stability import stability_bound
 
@@ -69,11 +69,21 @@ def test_pairing_linear_program():
 
 
 def test_tape_shape_and_counter():
-    instrument.reset()
-    tape = record_tape(PROD, [3.0, 5.0])
+    with counting() as snapshot:
+        tape = record_tape(PROD, [3.0, 5.0])
+        assert snapshot()["tape_allocations"] == 1
+    assert isinstance(tape, Tape)
     assert len(tape.primals) == PROD.n_slots
-    assert instrument.snapshot()["tape_allocations"] == 1
-    assert all(a == 0.0 for a in tape.adjoints)
+    assert not hasattr(tape, "adjoints")
+
+
+def test_tape_sweeps_any_number_of_covectors():
+    tape = record_tape(PROD, [3.0, 5.0])
+    primals = list(tape.primals)
+    assert reverse_sweep(tape, [1.0]) == [5.0, 3.0]
+    assert reverse_sweep(tape, [1.0]) == [5.0, 3.0]
+    assert reverse_sweep(tape, [2.0]) == [10.0, 6.0]
+    assert tape.primals == primals
 
 
 def test_eval_dual_returns_outputs_too():

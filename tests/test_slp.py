@@ -93,8 +93,14 @@ def test_parse_diagnostics(text, fragment):
     ("input x\ny = sin x x\noutput y", "sin expects 1 operands, got 2", 2),
     ("input x\ny = div x\noutput y", "div expects 2 operands, got 1", 2),
     ("input x\ny = add x z\noutput y", "undefined name 'z'", 2),
-    ("input x\nq = div x x\ny = neg q__recip\noutput y",
-     "undefined name 'q__recip'", 3),
+    ("input a b\nq__recip = sin a\nq = div a b\noutput q",
+     "duplicate name 'q__recip'", 3),
+    ("input a b\nq = div a b\nq__recip = sin a\noutput q",
+     "duplicate name 'q__recip'", 3),
+    ("input x\ny = const \u0661\u0662\noutput y",
+     "const takes one numeric literal", 2),
+    ("input x\ny = pow x \uff12\noutput y",
+     "pow takes an operand and a numeric exponent", 2),
     ("input x\ny = sin x\noutput y z", "undefined name 'z'", 3),
     ("input x\ny = sin x\noutput", "output line names no values", 3),
     # precedence: the first statement, the last, the ones between them in
@@ -138,11 +144,23 @@ def test_const_and_pow_payloads():
     assert eval_primal(prog, [2.0]) == [20.0]
 
 
+def test_div_recip_name_is_in_scope():
+    prog = parse_program("input x\nq = div x x\ny = neg q__recip\n"
+                         "output y q__recip")
+    assert prog.names == ("x", "q__recip", "q", "y")
+    assert prog.nodes[2].operands == (1,)
+    assert prog.outputs == (3, 1)
+
+
 def test_roundtrip_identity():
     for text in (SQUARE, SIN_PROD,
-                 "input a b\nq = div a b\nr = tanh q\noutput r q\n"):
+                 "input a b\nq = div a b\nr = tanh q\noutput r q\n",
+                 "input a b\nq = div a b\nr = div q__recip q\n"
+                 "output r q__recip r__recip\n"):
         prog = parse_program(text)
-        assert parse_program(pretty_print(prog)) == prog
+        back = parse_program(pretty_print(prog))
+        assert back == prog
+        assert back.names == prog.names
 
 
 @pytest.mark.parametrize("safe", [True, False])
