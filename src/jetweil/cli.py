@@ -1,8 +1,8 @@
 """Command-line surface: eval, grad, taylor, check, bench.
 
-Exit codes: 0 success, 1 check or bench violation, 2 usage/parse error,
-3 numeric/domain error.  All reports are JSON; given --seed the output is
-byte-stable apart from timing fields.
+Exit codes: 0 success, 1 check or bench violation, 2 usage/parse error or
+a closed stdout, 3 numeric/domain error.  All reports are JSON; given --seed
+the output is byte-stable apart from timing fields.
 """
 from __future__ import annotations
 
@@ -59,7 +59,43 @@ def _resolve_max_dim(flag_value) -> int:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    A taylor table's ``entries`` rows go through one ``%`` template each;
+    every other value goes through json.dumps, indented one level deeper.
+    With ``indent`` set, json runs its pure-Python encoder, which spent most
+    of its time on the per-entry dicts of a table.
+    """
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if key == "entries":
+            body = _entries(value)
+        else:
+            body = json.dumps(value, indent=2, sort_keys=True)
+        items.append(f"  {json.dumps(key)}: " + body.replace("\n", "\n  "))
+    print("{\n" + ",\n".join(items) + "\n}")
+
+
+def _entries(entries: list[dict]) -> str:
+    """The ``entries`` list of a taylor payload at indent 0."""
+    first = entries[0]
+    row = _entry_template(len(first["alpha"]), len(first["coeff"]))
+    return "[\n" + ",\n".join([row % (*e["alpha"], *e["coeff"], *e["value"])
+                               for e in entries]) + "\n]"
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_template(p: int, m: int) -> str:
+    """One entry of p alpha indices (%d) and m outputs (%r: float.__repr__,
+    which json uses for finite floats; a table holds no others), as
+    json.dumps(indent=2, sort_keys=True) lays it out in a list."""
+    def field(key: str, spec: str, n: int) -> str:
+        return (f'    "{key}": [\n' + ",\n".join([f"      {spec}"] * n)
+                + "\n    ]")
+    return ("  {\n" + ",\n".join([field("alpha", "%d", p),
+                                   field("coeff", "%r", m),
+                                   field("value", "%r", m)]) + "\n  }")
 
 
 def cmd_eval(args) -> int:
@@ -278,7 +314,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout raises here
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (``| head``): point it at devnull, so the
+        # flush at exit finds nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import WeilShape, WeilValue, make_shape, weil_const
+from .weil import WeilShape, WeilValue, cap_tuple, make_shape, weil_const
 
 
 class WeilSemantics:
@@ -47,7 +47,7 @@ class SeedSpec:
         object.__setattr__(self, "base", tuple(float(v) for v in self.base))
         object.__setattr__(self, "directions", tuple(
             tuple(float(c) for c in d) for d in self.directions))
-        object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
+        object.__setattr__(self, "caps", cap_tuple(self.caps))
         if len(self.directions) != len(self.caps):
             raise DimensionMismatchError(
                 f"{len(self.directions)} directions but {len(self.caps)} caps")

@@ -30,6 +30,13 @@ that), so batched and unbatched results agree bit for bit.  Past
 ``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
 and the recurrences build each coefficient's pairs when they reach it.
 
+Shapes are interned: ``make_shape`` returns one ``WeilShape`` per caps
+tuple, and copies and pickles come back as that object.  Shapes therefore
+compare by identity, operands are checked with one ``is`` test, and every
+per-shape ``lru_cache`` hashes in C.  ``WeilValue(shape, coeffs)`` checks its
+rows; the kernels build their results unchecked (``_result``), since every
+kernel makes a float array of ``shape.dim`` rows by construction.
+
 Scratch: the batched temporaries of the slice loop and of the recurrences'
 gathers go into two float64 buffers that each thread keeps for reuse
 (``threading.local``, since library callers may lift from threads).
@@ -46,10 +53,11 @@ each table once, when it is built.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,9 +91,10 @@ def _scratch_buffer(which: int, n: int) -> np.ndarray:
         return _scratch.bufs[which]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeilShape:
-    """Descriptor of the truncation lattice: per-direction caps and indexing."""
+    """Descriptor of the truncation lattice: per-direction caps and indexing.
+    Made by ``make_shape``, one object per caps tuple, compared by identity."""
 
     caps: tuple[int, ...]
     dim: int
@@ -129,25 +138,44 @@ class WeilShape:
         m, e = zip(*map(_split, map(multi_factorial, self.graded()[1])))
         return np.array(m), np.array(e)
 
-    def __eq__(self, other) -> bool:  # structural: caps only
-        return isinstance(other, WeilShape) and self.caps == other.caps
-
-    def __hash__(self) -> int:
-        return hash(self.caps)
+    def __reduce__(self):  # copies and pickles come back interned
+        return _intern, (self.caps,)
 
 
-def make_shape(caps: Sequence[int], max_dim: int | None = None) -> WeilShape:
-    caps = tuple(int(c) for c in caps)
+def cap_tuple(caps: Iterable[int]) -> tuple[int, ...]:
+    """caps as a tuple of ints.  A bool or a non-integral cap is a
+    ValueError, where ``int()`` would read True as 1 and 2.7 as 2; numpy
+    integers pass, through ``operator.index``."""
+    caps = tuple(caps)
+    if not any(isinstance(c, bool) for c in caps):
+        try:
+            return tuple(map(operator.index, caps))
+        except TypeError:
+            pass
+    raise ValueError(f"every cap must be an integer, got {caps!r}")
+
+
+def make_shape(caps: Iterable[int], max_dim: int | None = None) -> WeilShape:
+    """The shape of ``caps``, refused past ``max_dim`` coefficients
+    (``DEFAULT_MAX_DIM`` if None)."""
+    caps = cap_tuple(caps)
     if not caps:
         raise ValueError("caps must be non-empty")
     if any(c < 1 for c in caps):
         raise ValueError("every cap must be >= 1")
+    shape = _intern(caps)
+    limit = DEFAULT_MAX_DIM if max_dim is None else max_dim
+    if shape.dim > limit:
+        raise ShapeTooLargeError(shape.dim, limit)
+    return shape
+
+
+@lru_cache(maxsize=None)
+def _intern(caps: tuple[int, ...]) -> WeilShape:
+    """The one WeilShape of a caps tuple that ``cap_tuple`` has read."""
     dim = 1
     for c in caps:
         dim *= c + 1
-    limit = DEFAULT_MAX_DIM if max_dim is None else max_dim
-    if dim > limit:
-        raise ShapeTooLargeError(dim, limit)
     strides = []
     acc = 1
     for c in reversed(caps):
@@ -196,15 +224,25 @@ class WeilValue:
         return self.coeffs.shape[1:]
 
 
+def _result(shape: WeilShape, coeffs: np.ndarray) -> WeilValue:
+    """A kernel's result, without ``__post_init__``'s conversion and row
+    check: the fields go straight into the instance dict."""
+    value = object.__new__(WeilValue)
+    fields = value.__dict__
+    fields["shape"] = shape
+    fields["coeffs"] = coeffs
+    return value
+
+
 def weil_const(shape: WeilShape, value) -> WeilValue:
     value = np.asarray(value, dtype=float)
     coeffs = np.zeros((shape.dim,) + value.shape)
     coeffs[0] = value
-    return WeilValue(shape, coeffs)
+    return _result(shape, coeffs)
 
 
 def _check_shapes(a: WeilValue, b: WeilValue) -> WeilShape:
-    if a.shape != b.shape:
+    if a.shape is not b.shape:
         raise IncompatibleShapesError(
             f"caps {a.shape.caps} vs {b.shape.caps}")
     return a.shape
@@ -212,16 +250,16 @@ def _check_shapes(a: WeilValue, b: WeilValue) -> WeilShape:
 
 def weil_add(a: WeilValue, b: WeilValue) -> WeilValue:
     shape = _check_shapes(a, b)
-    return WeilValue(shape, a.coeffs + b.coeffs)
+    return _result(shape, a.coeffs + b.coeffs)
 
 
 def weil_sub(a: WeilValue, b: WeilValue) -> WeilValue:
     shape = _check_shapes(a, b)
-    return WeilValue(shape, a.coeffs - b.coeffs)
+    return _result(shape, a.coeffs - b.coeffs)
 
 
 def weil_neg(a: WeilValue) -> WeilValue:
-    return WeilValue(a.shape, -a.coeffs)
+    return _result(a.shape, -a.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +316,7 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         pairs = _pair_table(shape)
         if pairs is not None:
             i, j, k = pairs
-            return WeilValue(shape, np.bincount(
+            return _result(shape, np.bincount(
                 k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
     rows_a, rows_b = _nonzero_rows(a), _nonzero_rows(b)
     if (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a)):
@@ -295,7 +333,7 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         part, acc = tb[src], out[dst]  # `out[dst] += t` re-assigns the view
         np.add(acc, np.multiply(ta[ia], part, out=scratch[:acc.size]
                                 .reshape(acc.shape)), out=acc)
-    return WeilValue(shape, out.reshape((shape.dim,) + batch))
+    return _result(shape, out.reshape((shape.dim,) + batch))
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +438,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     batch = w.batch_shape
     tables = _levels(shape)
     if not batch and tables and tables[1]:
-        return WeilValue(shape, _graded_floats(kind, w, r, tables[1]))
+        return _result(shape, _graded_floats(kind, w, r, tables[1]))
     # operands carry a zero row after the dim coefficients, for the padding
     rows = (shape.dim + 1,) + ((math.prod(batch),) if batch else ())
     coeffs = w.coeffs.reshape((shape.dim,) + rows[1:])
@@ -440,7 +478,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
             y[t] = conv((r + 1.0) * dx - d * x, y) / (d * x0)
     else:
         raise ValueError(f"unsupported unary primitive {kind!r}")
-    return WeilValue(shape, y[:-1].reshape((shape.dim,) + batch))
+    return _result(shape, y[:-1].reshape((shape.dim,) + batch))
 
 
 def _graded_floats(kind: str, w: WeilValue, r: float, steps) -> np.ndarray:
@@ -570,6 +608,6 @@ def _sqrt_columns(w: WeilValue, const: np.ndarray) -> WeilValue:
     const = const.reshape(-1)
     out = np.zeros_like(cols)
     out[0, const] = np.sqrt(cols[0, const])
-    out[:, ~const] = _graded("pow", WeilValue(w.shape, cols[:, ~const]),
+    out[:, ~const] = _graded("pow", _result(w.shape, cols[:, ~const]),
                              0.5).coeffs
-    return WeilValue(w.shape, out.reshape(w.coeffs.shape))
+    return _result(w.shape, out.reshape(w.coeffs.shape))

@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
-from jetweil.checks import SUITES
+from jetweil.checks import SUITES, run_suite
 from jetweil.cli import main
+from jetweil.jets import (SeedSpec, coefficient_envelope, tail_bound,
+                          taylor_eval)
+from jetweil.slp import parse_program
 
 
 @pytest.fixture
@@ -385,3 +388,62 @@ def test_parser_built_once_and_usage_errors_repeat(tmp_path):
         assert main(["eval", str(path), "--x", "3"]) == 0
         assert main(["eval", str(path), "--x", "4"]) == 0
     assert out.getvalue().split() == ["9.0", "16.0"]
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("caps", [(1,), (2,), (15,), (4, 4), (3, 3, 3),
+                                  (1,) * 6])
+@pytest.mark.parametrize("outputs", ["f", "f c"])
+@pytest.mark.parametrize("extras", [False, True])
+def test_taylor_json_bytes_match_json_dumps(capsys, tmp_path, caps, outputs,
+                                            extras):
+    # the writer of cli._emit against json.dumps on the same payload
+    text = ("input a b\nc = mul a b\nd = sin c\ne = exp a\nf = add d e\n"
+            f"output {outputs}\n")
+    path = tmp_path / "prog.slp"
+    path.write_text(text)
+    dirs = [(0.3, 0.4), (-0.25, 0.5), (0.5, 0.125), (0.0, -0.75),
+            (0.6, -0.2), (0.1, 0.1)][:len(caps)]
+    bounds = [100.0] * (sum(caps) + 1)
+    argv = ["taylor", str(path), "--x=0.3,-0.7",
+            "--dirs=" + ";".join(f"{u!r},{v!r}" for u, v in dirs),
+            "--caps=" + ",".join(map(str, caps)), "--json"]
+    table = taylor_eval(parse_program(text),
+                        SeedSpec((0.3, -0.7), tuple(dirs), caps))
+    payload = table.to_json_dict()
+    if extras:
+        argv += ["--envelope=" + ",".join(map(repr, bounds)),
+                 "--tail=2.5,0.5"]
+        payload["envelope"] = coefficient_envelope(table, bounds).to_json_dict()
+        payload["tail_bound"] = {"m_next": 2.5, "rho": 0.5, "k": sum(caps),
+                                 "value": tail_bound(2.5, sum(caps), 0.5)}
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _dumps(payload)
+
+
+def test_check_json_bytes_match_json_dumps(capsys):
+    code, out, err = run_cli(capsys, "check", "all", "--count", "2",
+                             "--seed", "3", "--json")
+    assert (code, err) == (0, "")
+    results = [run_suite(name, count=2, seed=3).to_json_dict()
+               for name in sorted(SUITES)]
+    assert out.endswith("\n" + _dumps({"results": results}))
+
+
+def test_closed_stdout_exits_2_quietly(tmp_path):
+    # `jetweil taylor ... | head -n 1` on a table larger than a pipe holds
+    path = tmp_path / "big.slp"
+    path.write_text("input a b\nc = mul a b\nd = sin c\noutput d c\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetweil.cli", "taylor", str(path),
+         "--x=0.3,0.4", "--dirs=" + ";".join(["1,0", "0,1"] * 5),
+         "--caps=" + ",".join(["1"] * 10), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (2, b"")

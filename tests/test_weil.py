@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 from jetweil.errors import (DomainError, IncompatibleShapesError,
                             ShapeTooLargeError)
-from jetweil.weil import (PAIR_LIMIT, WeilShape, WeilValue, make_shape,
-                          multi_factorial, weil_add, weil_const, weil_mul,
-                          weil_neg, weil_pow_int, weil_recip, weil_sub,
-                          weil_unary)
+from jetweil.jets import SeedSpec
+from jetweil.weil import (DEFAULT_MAX_DIM, PAIR_LIMIT, WeilShape, WeilValue,
+                          make_shape, multi_factorial, weil_add, weil_const,
+                          weil_mul, weil_neg, weil_pow_int, weil_recip,
+                          weil_sub, weil_unary)
 
 
 def val(caps, coeffs):
@@ -56,6 +59,51 @@ def test_shape_equality_is_structural():
     assert make_shape([2, 1]) != make_shape([1, 2])
 
 
+def test_shapes_are_interned():
+    shape = make_shape((2, 1))
+    assert make_shape([2, 1]) is shape
+    assert make_shape(np.array([2, 1])) is shape
+    assert copy.copy(shape) is shape
+    assert copy.deepcopy(shape) is shape
+    assert pickle.loads(pickle.dumps(shape)) is shape
+
+
+def test_shape_past_default_max_dim_copies_interned():
+    # a copy goes back through the interning, not through the max_dim check
+    shape = make_shape((1,) * 21, max_dim=1 << 21)
+    assert shape.dim > DEFAULT_MAX_DIM
+    assert copy.deepcopy(shape) is shape
+    assert pickle.loads(pickle.dumps(shape)) is shape
+
+
+def test_copied_values_keep_their_interned_shape():
+    a = val([2, 1], [0.3, 1.5, -2, 0.25, 4, -1])
+    b = pickle.loads(pickle.dumps(a))
+    assert b.shape is a.shape and copy.deepcopy(a).shape is a.shape
+    assert np.array_equal(weil_mul(a, b).coeffs, weil_mul(a, a).coeffs)
+
+
+@pytest.mark.parametrize("caps", [(2.7,), (2.0,), (True,), (2, False),
+                                  (np.True_,), (np.float64(2.0),), ("2",)])
+def test_non_integer_caps_are_refused(caps):
+    with pytest.raises(ValueError, match="integer"):
+        make_shape(caps)
+    with pytest.raises(ValueError, match="integer"):
+        SeedSpec(base=(1.0,), directions=((1.0,),) * len(caps), caps=caps)
+
+
+def test_numpy_integer_caps_are_accepted():
+    caps = np.array([3, 1], dtype=np.int32)
+    assert make_shape(caps) is make_shape((3, 1))
+    spec = SeedSpec(base=(1.0,), directions=((1.0,), (0.5,)), caps=caps)
+    assert spec.caps == (3, 1) and type(spec.caps[0]) is int
+
+
+def test_value_with_wrong_rows_is_refused():
+    with pytest.raises(IncompatibleShapesError, match="3 rows, expected 6"):
+        WeilValue(make_shape((2, 1)), np.zeros(3))
+
+
 def test_add_example():
     a = val([1], [1, 1])
     b = val([1], [2, 3])
@@ -88,6 +136,9 @@ def test_mul_nilpotency_example():
 def test_mul_shape_mismatch():
     with pytest.raises(IncompatibleShapesError):
         weil_mul(val([1], [1, 2]), val([2], [1, 2, 3]))
+    # same dim, different caps
+    with pytest.raises(IncompatibleShapesError, match=r"\(1, 2\) vs \(2, 1\)"):
+        weil_mul(val([1, 2], [0.0] * 6), val([2, 1], [0.0] * 6))
 
 
 def test_mul_batched_against_loop():
