@@ -170,9 +170,17 @@ def make_shape(caps: Iterable[int], max_dim: int | None = None) -> WeilShape:
     return shape
 
 
-@lru_cache(maxsize=None)
+_shapes: dict[tuple[int, ...], WeilShape] = {}
+
+
 def _intern(caps: tuple[int, ...]) -> WeilShape:
-    """The one WeilShape of a caps tuple that ``cap_tuple`` has read."""
+    """The one WeilShape of a caps tuple that ``cap_tuple`` has read.  Two
+    threads may both build a new shape; ``setdefault`` keeps one for both,
+    which an ``lru_cache`` would not."""
+    try:
+        return _shapes[caps]
+    except KeyError:
+        pass
     dim = 1
     for c in caps:
         dim *= c + 1
@@ -181,7 +189,8 @@ def _intern(caps: tuple[int, ...]) -> WeilShape:
     for c in reversed(caps):
         strides.append(acc)
         acc *= c + 1
-    return WeilShape(caps=caps, dim=dim, strides=tuple(reversed(strides)))
+    return _shapes.setdefault(caps, WeilShape(
+        caps=caps, dim=dim, strides=tuple(reversed(strides))))
 
 
 def multi_factorial(alpha: Sequence[int]) -> int:

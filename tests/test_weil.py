@@ -2,6 +2,8 @@ import contextlib
 import copy
 import math
 import pickle
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from jetweil.errors import (DomainError, IncompatibleShapesError,
                             ShapeTooLargeError)
+from jetweil import weil
 from jetweil.jets import SeedSpec
 from jetweil.weil import (DEFAULT_MAX_DIM, PAIR_LIMIT, WeilShape, WeilValue,
                           make_shape, multi_factorial, weil_add, weil_const,
@@ -66,6 +69,18 @@ def test_shapes_are_interned():
     assert copy.copy(shape) is shape
     assert copy.deepcopy(shape) is shape
     assert pickle.loads(pickle.dumps(shape)) is shape
+
+
+def test_threads_intern_one_shape(monkeypatch):
+    # a slow constructor holds every thread inside the interning at once
+    def slow_shape(**fields):
+        time.sleep(0.01)
+        return WeilShape(**fields)
+    monkeypatch.setattr(weil, "WeilShape", slow_shape)
+    caps = (41, 2, 3)  # caps no other test makes
+    with ThreadPoolExecutor(8) as pool:
+        shapes = list(pool.map(lambda _: make_shape(caps), range(8)))
+    assert all(s is shapes[0] for s in shapes)
 
 
 def test_shape_past_default_max_dim_copies_interned():
