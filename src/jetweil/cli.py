@@ -61,41 +61,35 @@ def _resolve_max_dim(flag_value) -> int:
 def _emit(payload: dict) -> None:
     """Print ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
 
-    A taylor table's ``entries`` rows go through one ``%`` template each;
-    every other value goes through json.dumps, indented one level deeper.
-    With ``indent`` set, json runs its pure-Python encoder, which spent most
-    of its time on the per-entry dicts of a table.
+    A taylor table's ``entries`` go through one ``%`` template per row,
+    spliced in where json.dumps writes the rest of the payload with entries
+    None: with ``indent`` set, json runs its pure-Python encoder, which spent
+    most of its time on the per-entry dicts.  A line that starts with two
+    spaces and a quote holds a top-level key, so the splice is exact.
     """
-    items = []
-    for key in sorted(payload):
-        value = payload[key]
-        if key == "entries":
-            body = _entries(value)
-        else:
-            body = json.dumps(value, indent=2, sort_keys=True)
-        items.append(f"  {json.dumps(key)}: " + body.replace("\n", "\n  "))
-    print("{\n" + ",\n".join(items) + "\n}")
-
-
-def _entries(entries: list[dict]) -> str:
-    """The ``entries`` list of a taylor payload at indent 0."""
-    first = entries[0]
-    row = _entry_template(len(first["alpha"]), len(first["coeff"]))
-    return "[\n" + ",\n".join([row % (*e["alpha"], *e["coeff"], *e["value"])
-                               for e in entries]) + "\n]"
+    if "entries" not in payload:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    text = json.dumps(dict(payload, entries=None), indent=2, sort_keys=True)
+    entries = payload["entries"]
+    row = _entry_template(len(entries[0]["alpha"]), len(entries[0]["coeff"]))
+    rows = ",\n".join([row % (*e["alpha"], *e["coeff"], *e["value"])
+                       for e in entries])
+    print(text.replace('\n  "entries": null',
+                       '\n  "entries": [\n' + rows + "\n  ]", 1))
 
 
 @functools.lru_cache(maxsize=None)
 def _entry_template(p: int, m: int) -> str:
     """One entry of p alpha indices (%d) and m outputs (%r: float.__repr__,
-    which json uses for finite floats; a table holds no others), as
-    json.dumps(indent=2, sort_keys=True) lays it out in a list."""
+    which json uses for finite floats; a table holds no others), laid out
+    as json.dumps(indent=2, sort_keys=True) lays out a top-level list."""
     def field(key: str, spec: str, n: int) -> str:
-        return (f'    "{key}": [\n' + ",\n".join([f"      {spec}"] * n)
-                + "\n    ]")
-    return ("  {\n" + ",\n".join([field("alpha", "%d", p),
-                                   field("coeff", "%r", m),
-                                   field("value", "%r", m)]) + "\n  }")
+        return (f'      "{key}": [\n' + ",\n".join([f"        {spec}"] * n)
+                + "\n      ]")
+    return ("    {\n" + ",\n".join([field("alpha", "%d", p),
+                                     field("coeff", "%r", m),
+                                     field("value", "%r", m)]) + "\n    }")
 
 
 def cmd_eval(args) -> int:
