@@ -171,10 +171,12 @@ def cmd_check(args) -> int:
         res = run_suite(name, count=args.count, seed=args.seed, **kwargs)
         results.append(res.to_json_dict())
         failed = failed or not res.passed
+        # with --json, stdout holds only the JSON document
         print(f"{name}: count={res.count} "
               f"max_residual={res.max_residual:.3e} "
               f"violations={res.violations} "
-              f"{'PASS' if res.passed else 'FAIL'}")
+              f"{'PASS' if res.passed else 'FAIL'}",
+              file=sys.stderr if args.json else sys.stdout)
     if args.json:
         _emit({"results": results})
     return 1 if failed else 0

@@ -5,6 +5,14 @@ once under coefficient-array semantics.  The derivative table is the
 outputs' coefficient vectors, one row per multi-index alpha in (|alpha|,
 alpha) order; alpha! times row alpha is the mixed directional derivative.
 Each primitive's lift is its ``lift`` rule in ``slp.PRIMITIVES``.
+
+``taylor_eval`` runs a pass whose shape has ``weil.float_tables`` on Python
+lists of coefficients instead, through each primitive's ``float_lift`` rule:
+at the small shapes of batch-1 requests, numpy's per-call cost outweighs the
+arithmetic.  The pass builds numpy arrays at its boundary, for the table and
+its finiteness check, and inside it only for products past
+``weil.FLOAT_MUL_PAIRS`` pairs.  The float and numpy passes give the same
+bits.
 """
 from __future__ import annotations
 
@@ -18,21 +26,33 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import WeilShape, WeilValue, cap_tuple, make_shape, weil_const
+from .weil import (WeilShape, WeilValue, cap_tuple, float_const,
+                   float_tables, make_shape, weil_const)
 
 
 class WeilSemantics:
-    """Scalar semantics lifting every primitive to coefficient arrays."""
+    """Scalar semantics lifting every primitive to coefficient arrays.
+
+    ``floats`` is None, or the shape's ``weil.FloatTables`` in a pass that
+    ``taylor_eval`` runs on Python lists: values are then lists, and each
+    primitive lifts by its ``float_lift`` rule.
+    """
 
     def __init__(self, shape: WeilShape, batch_shape: tuple[int, ...] = ()):
         self.shape = shape
         self.batch_shape = batch_shape
+        self.floats = None
 
-    def constant(self, c: float) -> WeilValue:
+    def constant(self, c: float) -> WeilValue | list[float]:
+        if self.floats is not None:
+            return float_const(self.floats, c)
         return weil_const(self.shape, np.full(self.batch_shape, float(c)))
 
-    def apply(self, node: Node, args: Sequence[WeilValue]) -> WeilValue:
-        return PRIMITIVES[node.op].lift(args, node.const)
+    def apply(self, node: Node, args: Sequence) -> WeilValue | list[float]:
+        rule = PRIMITIVES[node.op]
+        if self.floats is not None:
+            return rule.float_lift(self.floats, args, node.const)
+        return rule.lift(args, node.const)
 
 
 @dataclass(frozen=True)
@@ -65,10 +85,15 @@ class SeedSpec:
 def seed(spec: SeedSpec, max_dim: int | None = None) -> list[WeilValue]:
     """Component-wise seeded values: degree 0 holds x, degree e_j holds v_j."""
     shape = make_shape(spec.caps, max_dim=max_dim)
+    return [WeilValue(shape, row) for row in _seed_rows(spec, shape)]
+
+
+def _seed_rows(spec: SeedSpec, shape: WeilShape) -> np.ndarray:
+    """The seeded inputs' coefficients, one row per input."""
     coeffs = np.zeros((spec.n, shape.dim))
     coeffs[:, 0] = spec.base
     coeffs[:, list(shape.strides)] = np.transpose(spec.directions)
-    return [WeilValue(shape, row) for row in coeffs]
+    return coeffs
 
 
 @dataclass
@@ -140,21 +165,29 @@ def taylor_eval(prog: Program, spec: SeedSpec,
                 max_dim: int | None = None) -> DerivativeTable:
     """One lifted pass; entries are alpha! times the output coefficients.
 
-    Raises NumericOverflowError, carrying the output's node index, when any
-    output coefficient is non-finite.
+    The pass runs on Python floats where the shape has float tables, else
+    on numpy.  Raises NumericOverflowError, carrying the output's node
+    index, when any output coefficient is non-finite.
     """
-    inputs = seed(spec, max_dim=max_dim)
-    shape = inputs[0].shape if inputs else make_shape(spec.caps, max_dim=max_dim)
+    shape = make_shape(spec.caps, max_dim=max_dim)
     sem = WeilSemantics(shape)
+    sem.floats = float_tables(shape)
+    if sem.floats is None:
+        inputs = seed(spec, max_dim=max_dim)
+    else:
+        inputs = _seed_rows(spec, shape).tolist()
     # non-finite outputs raise below, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = eval_generic(prog, inputs, sem)
+    if sem.floats is None:
+        outputs = [out.coeffs for out in outputs]
+    coeffs = np.array(outputs)  # one row per output
     # an output's largest |coefficient| is finite when all of them are
-    check_finite(prog, [np.abs(out.coeffs).max() for out in outputs],
-                 prog.outputs, "output coefficient")
-    raw = np.stack([out.coeffs for out in outputs], axis=1)[shape.graded()[0]]
+    check_finite(prog, np.abs(coeffs).max(axis=1).tolist(), prog.outputs,
+                 "output coefficient")
     return DerivativeTable(shape=shape, base=spec.base,
-                           directions=spec.directions, raw=raw)
+                           directions=spec.directions,
+                           raw=coeffs.T[shape.graded()[0]])
 
 
 def basis_seed(x: Sequence[float], cap: int) -> SeedSpec:

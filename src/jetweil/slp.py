@@ -64,14 +64,17 @@ class Rule:
     """One primitive's rules, each called as ``rule(operands, constant)``:
     the checked value, the partial derivatives (DomainError where they do
     not exist), the condition number with its capped flag, and the lift to
-    ``weil`` values.  A lift looks its kernel up in ``weil`` at each call,
-    so rebinding a kernel there reaches every node; ``const`` has no lift,
-    since each semantics builds constants itself."""
+    ``weil`` values.  ``float_lift(tables, operands, constant)`` is the same
+    lift on the coefficient lists of a float pass (``weil.float_tables``).
+    A lift looks its kernel up in ``weil`` at each call, so rebinding a
+    kernel there reaches every node; ``const`` has no lift, since each
+    semantics builds constants itself."""
 
     value: Callable
     partials: Callable
     kappa: Callable
     lift: Callable | None
+    float_lift: Callable | None
 
 
 def _capped(k: float) -> tuple[float, bool]:
@@ -176,6 +179,10 @@ def _unary_lift(kind: str) -> Callable:
     return lambda a, c: weil.weil_unary(kind, a[0])
 
 
+def _unary_float_lift(kind: str) -> Callable:
+    return lambda t, a, c: weil.float_unary(t, kind, a[0])
+
+
 def _kappa_one(a, c):
     return 1.0, False
 
@@ -183,49 +190,60 @@ def _kappa_one(a, c):
 PRIMITIVES: dict[PrimitiveKind, Rule] = {
     PrimitiveKind.CONST: Rule(
         value=lambda a, c: c, partials=lambda a, c: (),
-        kappa=lambda a, c: (0.0, False), lift=None),
+        kappa=lambda a, c: (0.0, False), lift=None, float_lift=None),
     PrimitiveKind.ADD: Rule(
         value=lambda a, c: a[0] + a[1], partials=lambda a, c: (1.0, 1.0),
         kappa=lambda a, c: _sum_kappa(a, a[0] + a[1]),
-        lift=lambda a, c: weil.weil_add(a[0], a[1])),
+        lift=lambda a, c: weil.weil_add(a[0], a[1]),
+        float_lift=lambda t, a, c: weil.float_add(a[0], a[1])),
     PrimitiveKind.SUB: Rule(
         value=lambda a, c: a[0] - a[1], partials=lambda a, c: (1.0, -1.0),
         kappa=lambda a, c: _sum_kappa(a, a[0] - a[1]),
-        lift=lambda a, c: weil.weil_sub(a[0], a[1])),
+        lift=lambda a, c: weil.weil_sub(a[0], a[1]),
+        float_lift=lambda t, a, c: weil.float_sub(a[0], a[1])),
     PrimitiveKind.MUL: Rule(
         value=lambda a, c: a[0] * a[1], partials=lambda a, c: (a[1], a[0]),
-        kappa=_kappa_one, lift=lambda a, c: weil.weil_mul(a[0], a[1])),
+        kappa=_kappa_one, lift=lambda a, c: weil.weil_mul(a[0], a[1]),
+        float_lift=lambda t, a, c: weil.float_mul(t, a[0], a[1])),
     PrimitiveKind.NEG: Rule(
         value=lambda a, c: -a[0], partials=lambda a, c: (-1.0,),
-        kappa=_kappa_one, lift=lambda a, c: weil.weil_neg(a[0])),
+        kappa=_kappa_one, lift=lambda a, c: weil.weil_neg(a[0]),
+        float_lift=lambda t, a, c: weil.float_neg(a[0])),
     PrimitiveKind.EXP: Rule(
         value=lambda a, c: math.exp(a[0]),
         partials=lambda a, c: (math.exp(a[0]),),
-        kappa=lambda a, c: (abs(a[0]), False), lift=_unary_lift("exp")),
+        kappa=lambda a, c: (abs(a[0]), False), lift=_unary_lift("exp"),
+        float_lift=_unary_float_lift("exp")),
     PrimitiveKind.LOG: Rule(
         value=_log_value, partials=_log_partials, kappa=_log_kappa,
-        lift=_unary_lift("log")),
+        lift=_unary_lift("log"), float_lift=_unary_float_lift("log")),
     PrimitiveKind.SIN: Rule(
         value=lambda a, c: math.sin(a[0]),
         partials=lambda a, c: (math.cos(a[0]),),
-        kappa=_sin_kappa, lift=_unary_lift("sin")),
+        kappa=_sin_kappa, lift=_unary_lift("sin"),
+        float_lift=_unary_float_lift("sin")),
     PrimitiveKind.COS: Rule(
         value=lambda a, c: math.cos(a[0]),
         partials=lambda a, c: (-math.sin(a[0]),),
-        kappa=_cos_kappa, lift=_unary_lift("cos")),
+        kappa=_cos_kappa, lift=_unary_lift("cos"),
+        float_lift=_unary_float_lift("cos")),
     PrimitiveKind.TANH: Rule(
         value=lambda a, c: math.tanh(a[0]), partials=_tanh_partials,
-        kappa=_tanh_kappa, lift=_unary_lift("tanh")),
+        kappa=_tanh_kappa, lift=_unary_lift("tanh"),
+        float_lift=_unary_float_lift("tanh")),
     PrimitiveKind.SQRT: Rule(
         value=_sqrt_value, partials=_sqrt_partials,
-        kappa=lambda a, c: (0.5, False), lift=_unary_lift("sqrt")),
+        kappa=lambda a, c: (0.5, False), lift=_unary_lift("sqrt"),
+        float_lift=_unary_float_lift("sqrt")),
     PrimitiveKind.RECIP: Rule(
         value=_recip_value, partials=_recip_partials, kappa=_kappa_one,
-        lift=lambda a, c: weil.weil_recip(a[0])),
+        lift=lambda a, c: weil.weil_recip(a[0]),
+        float_lift=lambda t, a, c: weil.float_recip(t, a[0])),
     PrimitiveKind.POW_CONST: Rule(
         value=_pow_value, partials=_pow_partials,
         kappa=lambda a, e: (abs(e), False),
-        lift=lambda a, e: weil.weil_unary("pow", a[0], exponent=e)),
+        lift=lambda a, e: weil.weil_unary("pow", a[0], exponent=e),
+        float_lift=lambda t, a, e: weil.float_unary(t, "pow", a[0], e)),
 }
 
 @dataclass(frozen=True, slots=True)
@@ -313,6 +331,32 @@ class Program:
         return tuple(map(tuple, dead))
 
 
+def _unchecked_node(op: PrimitiveKind, operands: tuple[int, ...],
+                    const: float | None = None) -> Node:
+    """A Node without ``__post_init__``'s arity check, for the parser, which
+    has made it: the fields go through the slots' own setters."""
+    node = object.__new__(Node)
+    _set_op(node, op)
+    _set_operands(node, operands)
+    _set_const(node, const)
+    return node
+
+
+_set_op, _set_operands, _set_const = (
+    Node.op.__set__, Node.operands.__set__, Node.const.__set__)
+
+
+def _unchecked_program(n_inputs: int, nodes: tuple[Node, ...],
+                       outputs: tuple[int, ...],
+                       names: tuple[str, ...]) -> Program:
+    """A Program without ``__post_init__``'s checks, for the parser, which
+    has made them all: the fields go straight into the instance dict."""
+    prog = object.__new__(Program)
+    prog.__dict__.update(n_inputs=n_inputs, nodes=nodes, outputs=outputs,
+                         names=names)
+    return prog
+
+
 # every primitive's spelling in the program text, with its operand count
 _SYNTAX = {kind.value: (kind, ARITY[kind]) for kind in PrimitiveKind}
 _NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
@@ -326,7 +370,8 @@ _LITERAL_USAGE = {
 def parse_program(text: str) -> Program:
     """Parse the one-statement-per-line program format.  Errors come from
     the first statement, the last, those between in order, then the names
-    on the output line."""
+    on the output line.  The parser checks what ``Node`` and ``Program``
+    would, so it builds both unchecked."""
     stmts: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.partition("#")[0].split()
@@ -396,11 +441,11 @@ def parse_program(text: str) -> Program:
             if recip_name in scope:
                 raise ParseError(f"duplicate name {recip_name!r}", lineno)
             scope[recip_name] = n_inputs + len(nodes)
-            nodes.append(Node(recip, refs[1:]))
+            nodes.append(_unchecked_node(recip, refs[1:]))
             names.append(recip_name)
             op, refs = mul, (refs[0], scope[recip_name])
         scope[name] = n_inputs + len(nodes)
-        nodes.append(Node(op, refs, const))
+        nodes.append(_unchecked_node(op, refs, const))
         names.append(name)
 
     try:
@@ -410,8 +455,7 @@ def parse_program(text: str) -> Program:
                          lineno_out) from None
     if not outputs:
         raise ParseError("output line names no values", lineno_out)
-    return Program(n_inputs=n_inputs, nodes=tuple(nodes), outputs=outputs,
-                   names=tuple(names))
+    return _unchecked_program(n_inputs, tuple(nodes), outputs, tuple(names))
 
 
 def pretty_print(prog: Program) -> str:

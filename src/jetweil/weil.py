@@ -6,7 +6,7 @@ convolution, so series truncation is structural: products past any cap are
 simply never formed.  Coefficients may carry a trailing batch axis, which
 every operation broadcasts over.
 
-Four kernels, picked from the operands' own shapes:
+Three numpy kernels, picked from the operands' own shapes:
 
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
@@ -17,16 +17,21 @@ Four kernels, picked from the operands' own shapes:
 * graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
-* batch-1 graded recurrences: the same rules for an unbatched operand, one
-  coefficient at a time on Python floats, where a shape has at most
-  ``FLOAT_PAIRS_PER_DEGREE`` * K pairs with beta != 0 (K the top total
-  degree).  numpy costs a few calls per degree, Python floats a few
-  bytecodes per pair.  Each coefficient is a plain ``+=`` fold from 0.0:
-  never ``sum()``, which adds floats with compensation from CPython 3.12.
 
-All four add each coefficient's terms in ascending order of the first
+Float passes: a whole unbatched pass may instead run on Python lists of
+coefficients (``float_tables``, ``float_mul``, ``float_unary``, ...), where
+its shape has at most ``FLOAT_PAIRS_PER_DEGREE`` * K pairs with beta != 0
+(K the top total degree).  numpy costs a few calls per node and degree,
+Python floats a few bytecodes per pair.  ``jets.taylor_eval`` picks it; the
+numpy kernels serve batched passes and larger shapes.  The float kernels run
+the same rules and domain checks as the numpy ones, each coefficient a plain
+``+=`` fold from 0.0: never ``sum()``, which adds floats with compensation
+from CPython 3.12.  Only a product past ``FLOAT_MUL_PAIRS`` pairs goes
+through numpy, as the pair table's one ``np.bincount``.
+
+All of them add each coefficient's terms in ascending order of the first
 factor's index (the descending visit of a second factor's rows does exactly
-that), so batched and unbatched results agree bit for bit.  Past
+that), so batched, unbatched and float results agree bit for bit.  Past
 ``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
 and the recurrences build each coefficient's pairs when they reach it.
 
@@ -56,8 +61,8 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, partial
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,11 +75,16 @@ PAIR_LIMIT = 1 << 20
 # Summed over sin lifts at B = 2048, 2**19 ran (6,6,6) and (15,15) twice as
 # fast as 2**20 or no limit, and the benchmark's small caps as fast.
 GATHER_LIMIT = 1 << 19
-# Most pairs (beta != 0) per total degree at which an unbatched lift runs
+# Most pairs (beta != 0) per total degree at which an unbatched pass runs
 # on Python floats: the numpy recurrence costs a few calls per degree, the
-# float one a few bytecodes per pair.  exp broke even near 65 pairs per
-# degree, sin/tanh/log/pow near 85; (1,)*6 at 111 ran 1.3x slower on floats.
+# float one a few bytecodes per pair.  Measured on single lifts, exp broke
+# even near 65 pairs per degree, sin/tanh/log/pow near 85; (1,)*6 at 111 ran
+# 1.3x slower on floats.
 FLOAT_PAIRS_PER_DEGREE = 64
+# Most pairs at which a float pass multiplies on Python floats, some 60 ns a
+# pair; past it one np.bincount over arrays of the two lists costs less,
+# about 5 us at any of the float passes' shapes.  (8,) has 45 pairs, (12,) 91.
+FLOAT_MUL_PAIRS = 64
 
 _scratch = threading.local()
 
@@ -352,31 +362,33 @@ def _degrees(shape: WeilShape) -> np.ndarray:
     return np.append(deg, 0).astype(float)
 
 
-@lru_cache(maxsize=None)
-def _levels(shape: WeilShape):
-    """(levels, steps); None past PAIR_LIMIT pairs.
-
-    ``levels`` holds (d, targets, conv) for each total degree d = 1..K, in
-    that order.  ``targets`` holds the flat indices alpha with |alpha| == d.
-    For each of them ``conv(a, b)`` sums a[beta] * b[alpha - beta] over
-    beta != 0 in ascending beta, where a and b carry a zero row after their
-    dim rows.
-
-    ``steps`` holds (d, alpha, pairs) for every alpha != 0 in the same
-    order, with pairs the (beta, alpha - beta) of its conv as Python ints:
-    the table of the batch-1 float kernel, None past FLOAT_PAIRS_PER_DEGREE
-    pairs per degree.
-    """
+def _target_pairs(shape: WeilShape):
+    """(beta, alpha - beta, alpha) of every pair with beta != 0, sorted by
+    target alpha, then ascending beta; None past PAIR_LIMIT pairs."""
     pairs = _pair_table(shape)
     if pairs is None:
         return None
     i, j, k = pairs
     keep = i != 0
-    order = np.argsort(k[keep], kind="stable")  # by target, ascending beta
-    i, j, k = i[keep][order], j[keep][order], k[keep][order]
+    order = np.argsort(k[keep], kind="stable")
+    return i[keep][order], j[keep][order], k[keep][order]
+
+
+@lru_cache(maxsize=None)
+def _levels(shape: WeilShape):
+    """(d, targets, conv) for each total degree d = 1..K, in that order;
+    None past PAIR_LIMIT pairs.
+
+    ``targets`` holds the flat indices alpha with |alpha| == d.  For each of
+    them ``conv(a, b)`` sums a[beta] * b[alpha - beta] over beta != 0 in
+    ascending beta, where a and b carry a zero row after their dim rows.
+    """
+    pairs = _target_pairs(shape)
+    if pairs is None:
+        return None
+    i, j, k = pairs
     deg = _degrees(shape)[k]
-    floats = len(i) <= FLOAT_PAIRS_PER_DEGREE * shape.max_total_degree
-    levels, steps = [], []
+    levels = []
     for d in range(1, shape.max_total_degree + 1):
         sel = deg == d
         targets, start, count = np.unique(k[sel], return_index=True,
@@ -389,11 +401,7 @@ def _levels(shape: WeilShape):
         J[pos, np.arange(len(pos)) - start[pos]] = j[sel]
         levels.append((np.float64(d), targets,
                        _level_conv(I, J, i[sel], j[sel], pos, shape.dim)))
-        if floats:
-            ij = list(zip(i[sel].tolist(), j[sel].tolist()))
-            steps += [(float(d), t, tuple(ij[s:s + n])) for t, s, n in
-                      zip(targets.tolist(), start.tolist(), count.tolist())]
-    return tuple(levels), tuple(steps) if floats else None
+    return tuple(levels)
 
 
 def _level_conv(I, J, i, j, pos, dim: int):
@@ -445,9 +453,6 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     ``conv``.  Domain checks are the caller's."""
     shape = w.shape
     batch = w.batch_shape
-    tables = _levels(shape)
-    if not batch and tables and tables[1]:
-        return _result(shape, _graded_floats(kind, w, r, tables[1]))
     # operands carry a zero row after the dim coefficients, for the padding
     rows = (shape.dim + 1,) + ((math.prod(batch),) if batch else ())
     coeffs = w.coeffs.reshape((shape.dim,) + rows[1:])
@@ -459,7 +464,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
         x = np.zeros(rows)
         x[:-1] = coeffs
     y = np.zeros(rows)
-    levels = tables[0] if tables else _box_levels(shape)
+    levels = _levels(shape) or _box_levels(shape)
     if kind == "exp":  # D y = y D x
         y[:1] = np.exp(x0)
         for d, t, conv in levels:
@@ -490,69 +495,8 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     return _result(shape, y[:-1].reshape((shape.dim,) + batch))
 
 
-def _graded_floats(kind: str, w: WeilValue, r: float, steps) -> np.ndarray:
-    """The recurrences of ``_graded`` for one unbatched operand, one target
-    at a time on Python floats.  Each conv is a left fold from 0.0 over the
-    step's pairs, as ``np.bincount`` adds them, so the result is the same
-    to the bit.  Primal values stay numpy calls on the one-row slice: a
-    ``math`` function may round differently, and ``x ** r`` of a negative
-    float is complex."""
-    coeffs = w.coeffs
-    row = coeffs[:1]
-    x0 = row.item()
-    dx = (_degrees(w.shape)[:-1] * coeffs).tolist()  # D x
-    y = [0.0] * len(coeffs)
-    if kind == "exp":
-        y[0] = np.exp(row).item()
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += dx[b] * y[c]
-            y[t] = acc / d
-    elif kind in ("sin", "cos"):
-        s, co = y, [0.0] * len(coeffs)
-        s[0], co[0] = np.sin(row).item(), np.cos(row).item()
-        for d, t, pairs in steps:
-            acc_s = acc_c = 0.0
-            for b, c in pairs:
-                acc_s += dx[b] * co[c]
-                acc_c += dx[b] * s[c]
-            s[t], co[t] = acc_s / d, acc_c / -d
-        y = s if kind == "sin" else co
-    elif kind == "tanh":
-        u = [0.0] * len(coeffs)
-        y0 = y[0] = np.tanh(row).item()
-        u[0] = 1.0 - y0 * y0
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += dx[b] * u[c]
-            yt = y[t] = acc / d
-            acc = 0.0
-            for b, c in pairs:
-                acc += y[b] * y[c]
-            u[t] = -(acc + y0 * yt)
-    elif kind == "log":
-        x = coeffs.tolist()
-        y[0] = np.log(row).item()
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += (d * x[b] - dx[b]) * y[c]
-            y[t] = (d * x[t] - acc) / (d * x0)
-    elif kind == "pow":
-        x = coeffs.tolist()
-        y[0] = (row ** r).item()
-        r1 = float(r) + 1.0
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += (r1 * dx[b] - d * x[b]) * y[c]
-            y[t] = acc / (d * x0)
-    else:
-        raise ValueError(f"unsupported unary primitive {kind!r}")
-    return np.array(y)
-
+# Domain checks, one per rule, shared by the numpy kernels and the float
+# pass.  primal is a float, a numpy scalar or a batch row.
 
 def _require(cond, message: str, primal):
     if not np.all(cond):
@@ -560,48 +504,73 @@ def _require(cond, message: str, primal):
         raise DomainError(message, value=bad)
 
 
+def _log_domain(primal) -> None:
+    _require(primal > 0, "log requires a positive primal", primal)
+
+
+def _sqrt_domain(primal, const) -> None:
+    """const marks the constant jets, which may sit on the boundary 0."""
+    varying = const ^ True  # elementwise not; ~ is bitwise on a Python bool
+    _require(varying | (primal >= 0), "sqrt of a negative primal", primal)
+    _require(const | (primal > 0), "sqrt lift requires a positive primal",
+             primal)
+
+
+def _recip_domain(primal) -> None:
+    _require(primal != 0, "reciprocal of a non-invertible element "
+             "(primal coefficient is zero)", primal)
+
+
+def _pow_domain(primal, exponent: float) -> None:
+    """For an exponent other than a non-negative integer."""
+    if exponent != round(exponent):
+        _require(primal > 0, "fractional power requires a positive primal",
+                 primal)
+    else:
+        _require(primal != 0, "negative power of a non-invertible element",
+                 primal)
+
+
+def _binary_power(mul, one, base, n: int):
+    """base ** n in popcount(n) + n.bit_length() - 1 products: one per set
+    bit, the first of them with one, and a squaring below each bit but the
+    top one."""
+    result = one
+    while n > 0:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
 def weil_recip(w: WeilValue) -> WeilValue:
     """Multiplicative inverse, the power -1."""
-    _require(np.asarray(w.primal) != 0, "reciprocal of a non-invertible "
-             "element (primal coefficient is zero)", w.primal)
+    _recip_domain(w.primal)
     return _graded("pow", w, -1.0)
 
 
 def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
     """Exact non-negative integer power by binary exponentiation."""
-    result = weil_const(w.shape, np.ones_like(np.asarray(w.primal, dtype=float)))
-    base = w
-    while n > 0:
-        if n & 1:
-            result = weil_mul(result, base)
-        base = weil_mul(base, base)
-        n >>= 1
-    return result
+    one = weil_const(w.shape, np.ones_like(np.asarray(w.primal, dtype=float)))
+    return _binary_power(weil_mul, one, w, n)
 
 
 def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilValue:
     """Lift a smooth scalar primitive by its graded recurrence."""
-    c0 = np.asarray(w.primal)
     if kind == "pow":
         if exponent is None:
             raise ValueError("pow lift needs an exponent")
         if exponent == round(exponent) and exponent >= 0:
             return weil_pow_int(w, int(round(exponent)))
-        if exponent != round(exponent):
-            _require(c0 > 0, "fractional power requires a positive primal",
-                     w.primal)
-        else:
-            _require(c0 != 0, "negative power of a non-invertible element",
-                     w.primal)
+        _pow_domain(w.primal, exponent)
         return _graded("pow", w, exponent)
     if kind == "log":
-        _require(c0 > 0, "log requires a positive primal", w.primal)
+        _log_domain(w.primal)
     elif kind == "sqrt":
-        # a constant jet may sit on the domain boundary; decided per column
         const = ~np.any(w.coeffs[1:], axis=0)
-        _require(~const | (c0 >= 0), "sqrt of a negative primal", w.primal)
-        _require(const | (c0 > 0), "sqrt lift requires a positive primal",
-                 w.primal)
+        _sqrt_domain(w.primal, const)
         if np.all(const):
             return weil_const(w.shape, np.sqrt(w.primal))
         if np.any(const):
@@ -620,3 +589,165 @@ def _sqrt_columns(w: WeilValue, const: np.ndarray) -> WeilValue:
     out[:, ~const] = _graded("pow", _result(w.shape, cols[:, ~const]),
                              0.5).coeffs
     return _result(w.shape, out.reshape(w.coeffs.shape))
+
+
+class FloatTables(NamedTuple):
+    """What a pass on Python floats needs of its shape: |alpha| of every
+    flat index, and (|alpha|, alpha, pairs) for every alpha != 0 in graded
+    order, pairs being the (beta, alpha - beta) with beta != 0 in ascending
+    beta.  ``products`` is the pair table where products run on numpy,
+    past FLOAT_MUL_PAIRS pairs, else None."""
+
+    degrees: tuple[float, ...]
+    steps: tuple[tuple[float, int, tuple[tuple[int, int], ...]], ...]
+    products: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+@lru_cache(maxsize=None)
+def float_tables(shape: WeilShape) -> FloatTables | None:
+    """The float tables of shape; None where an unbatched pass runs on
+    numpy, past FLOAT_PAIRS_PER_DEGREE * K pairs with beta != 0 (K the top
+    total degree) or past PAIR_LIMIT pairs."""
+    pairs = _target_pairs(shape)
+    if (pairs is None or len(pairs[0])
+            > FLOAT_PAIRS_PER_DEGREE * shape.max_total_degree):
+        return None
+    by_target: dict[int, list[tuple[int, int]]] = {}
+    for b, c, t in zip(*(a.tolist() for a in pairs)):
+        by_target.setdefault(t, []).append((b, c))
+    degrees = tuple(_degrees(shape)[:-1].tolist())
+    products = _pair_table(shape)
+    return FloatTables(degrees, tuple(
+        (degrees[t], t, tuple(by_target[t]))
+        for t in shape.graded()[0][1:].tolist()),
+        products if len(products[0]) > FLOAT_MUL_PAIRS else None)
+
+
+def float_const(tables: FloatTables, c: float) -> list[float]:
+    x = [0.0] * len(tables.degrees)
+    x[0] = float(c)
+    return x
+
+
+def float_add(a: list[float], b: list[float]) -> list[float]:
+    return list(map(operator.add, a, b))
+
+
+def float_sub(a: list[float], b: list[float]) -> list[float]:
+    return list(map(operator.sub, a, b))
+
+
+def float_neg(a: list[float]) -> list[float]:
+    return list(map(operator.neg, a))
+
+
+def float_mul(tables: FloatTables, a: list[float],
+              b: list[float]) -> list[float]:
+    """``weil_mul`` on lists: each coefficient is a ``+=`` fold from 0.0 in
+    ascending index of a, the order in which ``np.bincount`` adds the pair
+    table, so the bits (signed zeros too) are the same.  Past
+    FLOAT_MUL_PAIRS pairs it is that ``np.bincount``."""
+    if tables.products is not None:
+        i, j, k = tables.products
+        return np.bincount(k, np.array(a)[i] * np.array(b)[j],
+                           len(a)).tolist()
+    a0 = a[0]
+    out = [0.0] * len(a)
+    out[0] = 0.0 + a0 * b[0]
+    for _, t, pairs in tables.steps:
+        acc = 0.0 + a0 * b[t]
+        for i, j in pairs:
+            acc += a[i] * b[j]
+        out[t] = acc
+    return out
+
+
+def float_recip(tables: FloatTables, x: list[float]) -> list[float]:
+    _recip_domain(x[0])
+    return _graded_floats(tables, "pow", x, -1.0)
+
+
+def float_pow_int(tables: FloatTables, x: list[float], n: int) -> list[float]:
+    return _binary_power(partial(float_mul, tables), float_const(tables, 1.0),
+                         x, n)
+
+
+def float_unary(tables: FloatTables, kind: str, x: list[float],
+                exponent: float | None = None) -> list[float]:
+    """``weil_unary`` on lists, with the same domain checks."""
+    if kind == "pow":
+        if exponent == round(exponent) and exponent >= 0:
+            return float_pow_int(tables, x, int(round(exponent)))
+        _pow_domain(x[0], exponent)
+        return _graded_floats(tables, "pow", x, exponent)
+    if kind == "log":
+        _log_domain(x[0])
+    elif kind == "sqrt":
+        const = not any(x[1:])
+        _sqrt_domain(x[0], const)
+        if const:
+            return float_const(tables, np.sqrt(x[0]))
+        return _graded_floats(tables, "pow", x, 0.5)
+    return _graded_floats(tables, kind, x)
+
+
+def _graded_floats(tables: FloatTables, kind: str, x: list[float],
+                   r: float = 0.0) -> list[float]:
+    """The recurrences of ``_graded`` on a list, one target at a time.  Each
+    conv is a ``+=`` fold from 0.0 over the step's pairs, as ``np.bincount``
+    adds them, so the result is the same to the bit.  Primal values are
+    numpy calls, as in ``_graded``: a ``math`` function may round
+    differently, and ``**`` on a float may raise OverflowError."""
+    steps = tables.steps
+    x0 = x[0]
+    dx = list(map(operator.mul, tables.degrees, x))  # D x
+    y = [0.0] * len(x)
+    if kind == "exp":
+        y[0] = float(np.exp(x0))
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += dx[b] * y[c]
+            y[t] = acc / d
+    elif kind in ("sin", "cos"):
+        s, co = y, [0.0] * len(x)
+        s[0], co[0] = float(np.sin(x0)), float(np.cos(x0))
+        for d, t, pairs in steps:
+            acc_s = acc_c = 0.0
+            for b, c in pairs:
+                acc_s += dx[b] * co[c]
+                acc_c += dx[b] * s[c]
+            s[t], co[t] = acc_s / d, acc_c / -d
+        y = s if kind == "sin" else co
+    elif kind == "tanh":
+        u = [0.0] * len(x)
+        y0 = y[0] = float(np.tanh(x0))
+        u[0] = 1.0 - y0 * y0
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += dx[b] * u[c]
+            yt = y[t] = acc / d
+            acc = 0.0
+            for b, c in pairs:
+                acc += y[b] * y[c]
+            u[t] = -(acc + y0 * yt)
+    elif kind == "log":
+        y[0] = float(np.log(x0))
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += (d * x[b] - dx[b]) * y[c]
+            y[t] = (d * x[t] - acc) / (d * x0)
+    elif kind == "pow":
+        # an array, as _graded's row: np.float64 ** r rounds differently
+        y[0] = float(np.asarray(x0) ** r)
+        r1 = r + 1.0
+        for d, t, pairs in steps:
+            acc = 0.0
+            for b, c in pairs:
+                acc += (r1 * dx[b] - d * x[b]) * y[c]
+            y[t] = acc / (d * x0)
+    else:
+        raise ValueError(f"unsupported unary primitive {kind!r}")
+    return y

@@ -162,11 +162,12 @@ def test_taylor_env_var(capsys, x2y_file, monkeypatch):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_check_suite(capsys, suite):
-    code, out, _ = run_cli(capsys, "check", suite, "--count", "10",
-                           "--json")
+    code, out, err = run_cli(capsys, "check", suite, "--count", "10",
+                             "--json")
     assert code == 0
-    assert f"{suite}: count=10 " in out and "PASS" in out
-    payload = json.loads(out[out.index("{"):])
+    # the summary line goes to stderr, so stdout is one JSON document
+    assert err.startswith(f"{suite}: count=10 ") and err.endswith(" PASS\n")
+    payload = json.loads(out)
     assert [row["suite"] for row in payload["results"]] == [suite]
     assert payload["results"][0]["violations"] == 0
 
@@ -428,10 +429,11 @@ def test_taylor_json_bytes_match_json_dumps(capsys, tmp_path, caps, outputs,
 def test_check_json_bytes_match_json_dumps(capsys):
     code, out, err = run_cli(capsys, "check", "all", "--count", "2",
                              "--seed", "3", "--json")
-    assert (code, err) == (0, "")
+    assert code == 0
     results = [run_suite(name, count=2, seed=3).to_json_dict()
                for name in sorted(SUITES)]
-    assert out.endswith("\n" + _dumps({"results": results}))
+    assert out == _dumps({"results": results})
+    assert [line.split(":")[0] for line in err.splitlines()] == sorted(SUITES)
 
 
 def test_closed_stdout_exits_2_quietly(tmp_path):

@@ -172,6 +172,27 @@ def test_roundtrip_random_programs(safe):
         assert back.names == prog.names
 
 
+def test_parser_builds_what_checked_constructors_build():
+    # the parser builds Node and Program unchecked; the checked
+    # constructors accept the same fields and give equal objects
+    texts = [pretty_print(random_program(seed, depth=40, n_inputs=3,
+                                         safe=seed % 2 == 0))
+             for seed in range(60)]
+    texts.append("input a b\nq = div a b\nr = div q q__recip\n"
+                 "c = const -2.5\np = pow r -1.5\noutput p q a\n")
+    for text in texts:
+        parsed = parse_program(text)
+        nodes = tuple(Node(n.op, n.operands, n.const) for n in parsed.nodes)
+        checked = Program(n_inputs=parsed.n_inputs, nodes=nodes,
+                          outputs=parsed.outputs, names=parsed.names)
+        assert parsed == checked
+        assert parsed.nodes == nodes
+        assert list(map(hash, parsed.nodes)) == list(map(hash, nodes))
+        assert all(type(n) is Node for n in parsed.nodes)
+        assert parsed.names == checked.names
+        assert parsed.dead_after == checked.dead_after
+
+
 def test_eval_primal_examples():
     assert eval_primal(parse_program(SQUARE), [3.0]) == [9.0]
     out = eval_primal(parse_program(SIN_PROD), [1.0, math.pi])

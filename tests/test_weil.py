@@ -4,6 +4,7 @@ import math
 import pickle
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,9 +460,7 @@ UNARY_CASES = [("exp", None), ("log", None), ("sin", None), ("cos", None),
                                   (6, 6, 6), (1,) * 5, (3, 3, 3)])
 def test_unary_batched_against_loop(caps):
     # One batched lift and one unbatched lift per column add every
-    # coefficient's terms in the same order, so they agree exactly.  The
-    # unbatched lifts run on floats up to (1,) * 5 and on numpy from
-    # (3, 3, 3), either side of FLOAT_PAIRS_PER_DEGREE.
+    # coefficient's terms in the same order, so they agree exactly.
     rng = np.random.default_rng(4)
     shape = make_shape(caps)
     w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=5), batch=(5,))
@@ -536,16 +535,16 @@ DOMAIN_CASES = [
 
 @contextlib.contextmanager
 def _float_pairs_per_degree(limit):
-    """Every unbatched lift on one batch-1 kernel: with 0 no shape is within
-    FLOAT_PAIRS_PER_DEGREE, with 10 ** 9 every one is."""
-    from jetweil import weil
+    """float_tables under another FLOAT_PAIRS_PER_DEGREE: with 0 no shape
+    has them, so every batch-1 pass runs on numpy; with 10 ** 9 every shape
+    within PAIR_LIMIT has them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", limit)
-        weil._levels.cache_clear()
+        weil.float_tables.cache_clear()
         try:
             yield
         finally:
-            weil._levels.cache_clear()
+            weil.float_tables.cache_clear()
 
 
 BATCH1_CAPS = [(1,), (8,), (15,), (2, 2), (4, 4), (2, 2, 2), (1,) * 5,
@@ -557,47 +556,89 @@ def _lift(kind, exponent, w):
             else weil_unary(kind, w, exponent=exponent))
 
 
-def _batch1_lifts(caps):
-    """Every unbatched lift of UNARY_CASES over three jets, then sqrt of
-    the constant jet at 0, as raw bytes."""
-    rng = np.random.default_rng(8)
-    shape = make_shape(caps)
-    jets = [_jet(shape, rng, primal) for primal in (0.3, 1.7, 40.0)]
-    out = [_lift(kind, exponent, w).coeffs.tobytes()
-           for w in jets for kind, exponent in UNARY_CASES]
-    return out + [weil_unary("sqrt", weil_const(shape, 0.0)).coeffs.tobytes()]
+def _float_lift(tables, kind, exponent, x):
+    return (weil.float_recip(tables, x) if kind == "recip"
+            else weil.float_unary(tables, kind, x, exponent))
 
 
 @pytest.mark.parametrize("caps", BATCH1_CAPS)
 def test_batch1_float_kernel_matches_numpy(caps):
-    # the float kernel adds each coefficient's terms in the order of
-    # np.bincount, so both give the same bits (signed zeros included)
-    lifts = []
-    for limit in (0, 10 ** 9):
-        with _float_pairs_per_degree(limit):
-            lifts.append(_batch1_lifts(caps))
-    assert lifts[0] == lifts[1]
+    # the float kernels add each coefficient's terms in the order of
+    # np.bincount, so they give the numpy kernels' bits (signed zeros
+    # included): every lift of UNARY_CASES over three jets, sqrt of the
+    # constant jet at 0, and every product, sum and difference of the jets,
+    # a jet with zero coefficients and the all -0.0 jet
+    rng = np.random.default_rng(8)
+    shape = make_shape(caps)
+    with _float_pairs_per_degree(10 ** 9):
+        tables = weil.float_tables(shape)
+    jets = [_jet(shape, rng, primal) for primal in (0.3, 1.7, 40.0)]
+    zero = weil_const(shape, 0.0)
+    numpy_out = [_lift(kind, exponent, w) for w in jets
+                 for kind, exponent in UNARY_CASES]
+    numpy_out.append(weil_unary("sqrt", zero))
+    float_out = [_float_lift(tables, kind, exponent, w.coeffs.tolist())
+                 for w in jets for kind, exponent in UNARY_CASES]
+    float_out.append(weil.float_unary(tables, "sqrt", zero.coeffs.tolist()))
+    sparse = WeilValue(shape, np.where(rng.random(shape.dim) < 0.5, 0.0,
+                                       jets[0].coeffs))
+    factors = jets + [sparse, weil_neg(zero)]
+    loop = tables._replace(products=None)  # products on floats at any size
+    for a in factors:
+        for b in factors:
+            numpy_out += [weil_mul(a, b), weil_mul(a, b), weil_add(a, b),
+                          weil_sub(a, b)]
+            x, y = a.coeffs.tolist(), b.coeffs.tolist()
+            float_out += [weil.float_mul(tables, x, y),
+                          weil.float_mul(loop, x, y), weil.float_add(x, y),
+                          weil.float_sub(x, y)]
+        numpy_out.append(weil_neg(a))
+        float_out.append(weil.float_neg(a.coeffs.tolist()))
+    assert ([np.array(x).tobytes() for x in float_out]
+            == [w.coeffs.tobytes() for w in numpy_out])
 
 
 def test_batch1_float_kernel_selection():
     # at most FLOAT_PAIRS_PER_DEGREE pairs with beta != 0 per total degree
-    # get the float table; its pairs are the level tables' pairs in order
-    from jetweil import weil
-    chosen = {caps: weil._levels(make_shape(caps))[1] is not None
+    # get float tables; their pairs are the level tables' pairs in order,
+    # and past FLOAT_MUL_PAIRS pairs their products run on the pair table
+    chosen = {caps: weil.float_tables(make_shape(caps)) is not None
               for caps in BATCH1_CAPS}
     assert chosen == {caps: caps not in ((1,) * 6, (3, 3, 3), (4, 4, 4))
                       for caps in BATCH1_CAPS}
+    for caps in BATCH1_CAPS[:7]:
+        products = weil.float_tables(make_shape(caps)).products
+        assert (products is None) == (caps in ((1,), (8,), (2, 2))), caps
+        assert products is None or products is weil._pair_table(
+            make_shape(caps))
     shape = make_shape((2, 3))
     i, j, k = weil._pair_table(shape)
     keep = i != 0
     want = sorted(zip(k[keep].tolist(), i[keep].tolist(), j[keep].tolist()))
-    steps = weil._levels(shape)[1]
-    degrees = [d for d, _, _ in steps]
-    assert degrees == sorted(degrees) == [
-        sum(shape.alpha_of(t)) for _, t, _ in steps]
+    degrees, steps, _ = weil.float_tables(shape)
+    assert list(degrees) == [sum(shape.alpha_of(t)) for t in range(shape.dim)]
+    assert [t for _, t, _ in steps] == shape.graded()[0][1:].tolist()
+    assert all(d == degrees[t] for d, t, _ in steps)
     assert all(list(pairs) == sorted(pairs) for _, _, pairs in steps)
     assert sorted((t, b, c) for _, t, pairs in steps
                   for b, c in pairs) == want
+
+
+def test_pow_int_product_count():
+    # one product per set bit, the first with one, and one squaring per bit
+    # below the top: no squaring after the top bit
+    w = val([3], [1.2, 0.7, -0.3, 0.1])
+    tables = weil.float_tables(w.shape)
+    for n in range(1, 10):
+        want = bin(n).count("1") + n.bit_length() - 1
+        with mock.patch.object(weil, "weil_mul", wraps=weil.weil_mul) as mul:
+            out = weil_pow_int(w, n)
+        assert mul.call_count == want, n
+        with mock.patch.object(weil, "float_mul",
+                               wraps=weil.float_mul) as mul:
+            floats = weil.float_pow_int(tables, w.coeffs.tolist(), n)
+        assert mul.call_count == want, n
+        assert np.array(floats).tobytes() == out.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("kind, exponent, primal, message", DOMAIN_CASES)
@@ -622,13 +663,118 @@ def test_unary_domain_errors(kind, exponent, primal, message):
 
 
 @pytest.mark.parametrize("kind, exponent, primal, message", DOMAIN_CASES)
-@pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["numpy", "floats"])
-def test_batch1_kernels_raise_alike(limit, kind, exponent, primal, message):
+@pytest.mark.parametrize("floats", [False, True], ids=["numpy", "floats"])
+def test_batch1_kernels_raise_alike(floats, kind, exponent, primal, message):
     w = _jet(make_shape((2, 2)), np.random.default_rng(9), primal)
-    with _float_pairs_per_degree(limit), pytest.raises(DomainError) as exc:
-        _lift(kind, exponent, w)
+    with pytest.raises(DomainError) as exc:
+        if floats:
+            _float_lift(weil.float_tables(w.shape), kind, exponent,
+                        w.coeffs.tolist())
+        else:
+            _lift(kind, exponent, w)
     assert str(exc.value) == message
     assert exc.value.value == primal
+
+
+PASS_CAPS = [(1,), (2,), (4,), (8,), (15,), (2, 2), (1, 1, 1), (3, 3),
+             (1,) * 4]
+
+
+def _taylor_outcome(prog, spec):
+    """taylor_eval's raw table as bytes, or its error's class, message,
+    node and value."""
+    from jetweil.errors import NumericOverflowError
+    from jetweil.jets import taylor_eval
+    try:
+        return taylor_eval(prog, spec).raw.tobytes()
+    except DomainError as err:
+        return type(err), str(err), err.node, float(err.value)
+    except NumericOverflowError as err:
+        return type(err), str(err), err.node
+
+
+def _float_pass_cases(caps):
+    from jetweil.slp import random_program
+    rng = np.random.default_rng(len(caps) * 100 + sum(caps))
+    cases = []
+    for seed in range(60):
+        prog = random_program(seed, depth=30, n_inputs=2, safe=seed < 30)
+        dirs = rng.uniform(-1, 1, size=(len(caps), 2))
+        cases.append((prog, SeedSpec(tuple(rng.uniform(-1.5, 1.5, size=2)),
+                                     tuple(map(tuple, dirs)), caps)))
+    return cases
+
+
+@pytest.mark.parametrize("caps", PASS_CAPS)
+def test_float_pass_matches_numpy_pass(caps):
+    # the whole pass on floats gives the numpy pass's table to the bit, and
+    # the same error class, message, node and value where it fails
+    assert weil.float_tables(make_shape(caps)) is not None
+    cases = _float_pass_cases(caps)
+    floats = [_taylor_outcome(*case) for case in cases]
+    with _float_pairs_per_degree(0):
+        assert weil.float_tables(make_shape(caps)) is None
+        numpy = [_taylor_outcome(*case) for case in cases]
+    assert floats == numpy
+    # the unsafe programs reach domain errors, and most passes succeed
+    failed = [out[0] for out in floats if not isinstance(out, bytes)]
+    assert DomainError in failed and len(failed) < len(floats) // 2
+
+
+# (statements, x, direction, what taylor_eval raises: None, a DomainError
+# "domain" or a NumericOverflowError "overflow")
+EDGE_PROGRAMS = [
+    ("y = log x", 0.0, 1.0, "domain"), ("y = log x", -2.0, 1.0, "domain"),
+    ("y = log x", 1e-300, 1.0, "overflow"),
+    ("y = sqrt x", 0.0, 1.0, "domain"), ("y = sqrt x", 0.0, 0.0, None),
+    ("y = sqrt x", -1.0, 0.0, "domain"), ("y = sqrt x", -0.0, 0.0, None),
+    ("y = sqrt x", 1e-300, 1.0, "overflow"),
+    ("y = recip x", 0.0, 1.0, "domain"), ("y = recip x", -0.0, 0.0, "domain"),
+    ("y = recip x", 5e-324, 1.0, "overflow"),
+    ("c = const 0\ny = recip c", 1.0, 1.0, "domain"),
+    ("y = pow x 0.5", -4.0, 1.0, "domain"),
+    ("y = pow x -1", 0.0, 1.0, "domain"), ("y = pow x -2", 0.0, 0.0, "domain"),
+    ("y = pow x -1.5", 1e-200, 1.0, "overflow"),
+    ("y = pow x 3", 1e103, 1.0, "overflow"), ("y = pow x 0", 0.0, 1.0, None),
+    ("y = pow x 2.5", 2.0, 1.0, None), ("y = exp x", 1000.0, 1.0, "overflow"),
+    ("y = exp x", 700.0, 1.0, None),
+    ("y = mul x x\nz = mul y y", 1e100, 1.0, "overflow"),
+]
+
+
+@pytest.mark.parametrize("caps", [(2,), (8,), (2, 2)])
+def test_float_pass_domain_edges(caps):
+    from jetweil.errors import NumericOverflowError
+    from jetweil.slp import parse_program
+    outcomes = {}
+    for limit in (10 ** 9, 0):
+        with _float_pairs_per_degree(limit):
+            outcomes[limit] = []
+            for body, x, v, _ in EDGE_PROGRAMS:
+                name = body.splitlines()[-1].split()[0]
+                prog = parse_program(f"input x\n{body}\noutput {name}\n")
+                spec = SeedSpec((x,), ((v,),) * len(caps), caps)
+                outcomes[limit].append(_taylor_outcome(prog, spec))
+    assert outcomes[10 ** 9] == outcomes[0]
+    raised = {None: bytes, "domain": DomainError,
+              "overflow": NumericOverflowError}
+    assert [bytes if isinstance(out, bytes) else out[0]
+            for out in outcomes[0]] == [raised[want] for *_, want in
+                                        EDGE_PROGRAMS]
+
+
+@pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["numpy", "floats"])
+def test_exp_overflow_raises_without_warning(limit):
+    import warnings
+    from jetweil.errors import NumericOverflowError
+    from jetweil.jets import taylor_eval
+    from jetweil.slp import parse_program
+    prog = parse_program("input x\nc = const 1\ny = exp x\noutput y\n")
+    with _float_pairs_per_degree(limit), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError) as exc:
+            taylor_eval(prog, SeedSpec((1000.0,), ((1.0,),), (3,)))
+    assert exc.value.node == 1
 
 
 def test_sqrt_of_constant_jet_at_zero():
