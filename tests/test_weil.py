@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetweil.errors import (DomainError, IncompatibleShapesError,
-                            ShapeTooLargeError)
+                            NumericOverflowError, ShapeTooLargeError)
 from jetweil import weil
-from jetweil.jets import SeedSpec
+from jetweil.jets import SeedSpec, taylor_eval
+from jetweil.slp import parse_program, random_program
 from jetweil.weil import (DEFAULT_MAX_DIM, PAIR_LIMIT, WeilShape, WeilValue,
                           make_shape, multi_factorial, weil_add, weil_const,
                           weil_mul, weil_neg, weil_pow_int, weil_recip,
@@ -683,8 +685,6 @@ PASS_CAPS = [(1,), (2,), (4,), (8,), (15,), (2, 2), (1, 1, 1), (3, 3),
 def _taylor_outcome(prog, spec):
     """taylor_eval's raw table as bytes, or its error's class, message,
     node and value."""
-    from jetweil.errors import NumericOverflowError
-    from jetweil.jets import taylor_eval
     try:
         return taylor_eval(prog, spec).raw.tobytes()
     except DomainError as err:
@@ -694,7 +694,6 @@ def _taylor_outcome(prog, spec):
 
 
 def _float_pass_cases(caps):
-    from jetweil.slp import random_program
     rng = np.random.default_rng(len(caps) * 100 + sum(caps))
     cases = []
     for seed in range(60):
@@ -711,14 +710,18 @@ def test_float_pass_matches_numpy_pass(caps):
     # the same error class, message, node and value where it fails
     assert weil.float_tables(make_shape(caps)) is not None
     cases = _float_pass_cases(caps)
-    floats = [_taylor_outcome(*case) for case in cases]
-    with _float_pairs_per_degree(0):
-        assert weil.float_tables(make_shape(caps)) is None
-        numpy = [_taylor_outcome(*case) for case in cases]
-    assert floats == numpy
+    outcomes, lifts = {}, {}
+    for limit in (10 ** 9, 0):
+        with _float_pairs_per_degree(limit), mock.patch.object(
+                weil, "weil_unary", wraps=weil.weil_unary) as numpy_lifts:
+            outcomes[limit] = [_taylor_outcome(*case) for case in cases]
+        lifts[limit] = numpy_lifts.call_count
+    assert outcomes[10 ** 9] == outcomes[0]
+    # the float pass lifts no node through a numpy kernel
+    assert lifts[10 ** 9] == 0 < lifts[0]
     # the unsafe programs reach domain errors, and most passes succeed
-    failed = [out[0] for out in floats if not isinstance(out, bytes)]
-    assert DomainError in failed and len(failed) < len(floats) // 2
+    failed = [out[0] for out in outcomes[0] if not isinstance(out, bytes)]
+    assert DomainError in failed and len(failed) < len(cases) // 2
 
 
 # (statements, x, direction, what taylor_eval raises: None, a DomainError
@@ -744,8 +747,6 @@ EDGE_PROGRAMS = [
 
 @pytest.mark.parametrize("caps", [(2,), (8,), (2, 2)])
 def test_float_pass_domain_edges(caps):
-    from jetweil.errors import NumericOverflowError
-    from jetweil.slp import parse_program
     outcomes = {}
     for limit in (10 ** 9, 0):
         with _float_pairs_per_degree(limit):
@@ -765,10 +766,6 @@ def test_float_pass_domain_edges(caps):
 
 @pytest.mark.parametrize("limit", [0, 10 ** 9], ids=["numpy", "floats"])
 def test_exp_overflow_raises_without_warning(limit):
-    import warnings
-    from jetweil.errors import NumericOverflowError
-    from jetweil.jets import taylor_eval
-    from jetweil.slp import parse_program
     prog = parse_program("input x\nc = const 1\ny = exp x\noutput y\n")
     with _float_pairs_per_degree(limit), warnings.catch_warnings():
         warnings.simplefilter("error")
