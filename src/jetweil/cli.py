@@ -141,13 +141,16 @@ def cmd_taylor(args) -> int:
     spec = SeedSpec(base=tuple(_floats(args.x)),
                     directions=tuple(tuple(d) for d in _dirs(args.dirs)),
                     caps=tuple(_ints(args.caps)))
+    tail = _floats(args.tail) if args.tail else None
+    if tail is not None and len(tail) != 2:
+        raise ValueError("--tail takes M,rho")
     table = taylor_eval(prog, spec, max_dim=_resolve_max_dim(args.max_dim))
     payload = table.to_json_dict()
     if args.envelope:
         report = coefficient_envelope(table, _floats(args.envelope))
         payload["envelope"] = report.to_json_dict()
-    if args.tail:
-        m_next, rho = _floats(args.tail)
+    if tail is not None:
+        m_next, rho = tail
         k = sum(spec.caps)
         payload["tail_bound"] = {"m_next": m_next, "rho": rho, "k": k,
                                  "value": tail_bound(m_next, k, rho)}

@@ -4,15 +4,15 @@ Inputs are seeded as base + sum_j e_j * v_j and the program is evaluated
 once under coefficient-array semantics.  The derivative table is the
 outputs' coefficient vectors, one row per multi-index alpha in (|alpha|,
 alpha) order; alpha! times row alpha is the mixed directional derivative.
-Each primitive's lift is its ``lift`` rule in ``slp.PRIMITIVES``.
+Each primitive's lift is its one ``lift`` rule in ``slp.PRIMITIVES``, run
+over a ``weil`` kernel set.
 
-``taylor_eval`` runs a pass whose shape has ``weil.float_tables`` on Python
-lists of coefficients instead, through each primitive's ``float_lift`` rule:
-at the small shapes of batch-1 requests, numpy's per-call cost outweighs the
-arithmetic.  The pass builds numpy arrays at its boundary, for the table and
-its finiteness check, and inside it only for products past
-``weil.FLOAT_MUL_PAIRS`` pairs.  The float and numpy passes give the same
-bits.
+``taylor_eval`` runs a pass whose shape has ``weil.float_kernels`` on Python
+lists of coefficients: at the small shapes of batch-1 requests, numpy's
+per-call cost outweighs the arithmetic.  The pass builds numpy arrays at its
+boundary, for the table and its finiteness check, and inside it only for
+products past ``weil.FLOAT_MUL_PAIRS`` pairs.  The float and numpy passes
+give the same bits.
 """
 from __future__ import annotations
 
@@ -26,33 +26,27 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import (WeilShape, WeilValue, cap_tuple, float_const,
-                   float_tables, make_shape, weil_const)
+from .weil import (NumpyKernels, WeilShape, WeilValue, cap_tuple,
+                   float_kernels, make_shape)
 
 
 class WeilSemantics:
     """Scalar semantics lifting every primitive to coefficient arrays.
 
-    ``floats`` is None, or the shape's ``weil.FloatTables`` in a pass that
-    ``taylor_eval`` runs on Python lists: values are then lists, and each
-    primitive lifts by its ``float_lift`` rule.
+    ``kernels`` is the kernel set each primitive's ``lift`` rule runs on:
+    ``weil.NumpyKernels`` of the shape and batch shape, unless
+    ``taylor_eval`` has put the shape's ``weil.FloatKernels`` there for a
+    pass on Python lists.
     """
 
     def __init__(self, shape: WeilShape, batch_shape: tuple[int, ...] = ()):
-        self.shape = shape
-        self.batch_shape = batch_shape
-        self.floats = None
+        self.kernels = NumpyKernels(shape, batch_shape)
 
     def constant(self, c: float) -> WeilValue | list[float]:
-        if self.floats is not None:
-            return float_const(self.floats, c)
-        return weil_const(self.shape, np.full(self.batch_shape, float(c)))
+        return self.kernels.const(c)
 
     def apply(self, node: Node, args: Sequence) -> WeilValue | list[float]:
-        rule = PRIMITIVES[node.op]
-        if self.floats is not None:
-            return rule.float_lift(self.floats, args, node.const)
-        return rule.lift(args, node.const)
+        return PRIMITIVES[node.op].lift(self.kernels, args, node.const)
 
 
 @dataclass(frozen=True)
@@ -165,21 +159,22 @@ def taylor_eval(prog: Program, spec: SeedSpec,
                 max_dim: int | None = None) -> DerivativeTable:
     """One lifted pass; entries are alpha! times the output coefficients.
 
-    The pass runs on Python floats where the shape has float tables, else
+    The pass runs on Python floats where the shape has float kernels, else
     on numpy.  Raises NumericOverflowError, carrying the output's node
     index, when any output coefficient is non-finite.
     """
     shape = make_shape(spec.caps, max_dim=max_dim)
     sem = WeilSemantics(shape)
-    sem.floats = float_tables(shape)
-    if sem.floats is None:
+    floats = float_kernels(shape)
+    if floats is None:
         inputs = seed(spec, max_dim=max_dim)
     else:
+        sem.kernels = floats
         inputs = _seed_rows(spec, shape).tolist()
     # non-finite outputs raise below, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = eval_generic(prog, inputs, sem)
-    if sem.floats is None:
+    if floats is None:
         outputs = [out.coeffs for out in outputs]
     coeffs = np.array(outputs)  # one row per output
     # an output's largest |coefficient| is finite when all of them are

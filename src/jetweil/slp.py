@@ -21,7 +21,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
-from . import weil
 from .errors import (DomainError, DimensionMismatchError, NumericOverflowError,
                      ParseError)
 
@@ -61,20 +60,20 @@ KAPPA_CAP = 1.0 / UNIT_ROUNDOFF
 
 @dataclass(frozen=True)
 class Rule:
-    """One primitive's rules, each called as ``rule(operands, constant)``:
-    the checked value, the partial derivatives (DomainError where they do
-    not exist), the condition number with its capped flag, and the lift to
-    ``weil`` values.  ``float_lift(tables, operands, constant)`` is the same
-    lift on the coefficient lists of a float pass (``weil.float_tables``).
-    A lift looks its kernel up in ``weil`` at each call, so rebinding a
-    kernel there reaches every node; ``const`` has no lift, since each
-    semantics builds constants itself."""
+    """One primitive's rules: the checked value, the partial derivatives
+    (DomainError where they do not exist) and the condition number with its
+    capped flag, each called as ``rule(operands, constant)``, and the lift
+    to the truncated coefficient algebra, called as ``lift(kernels,
+    operands, constant)``.  A lift is written once against the kernel
+    interface (``const``, ``add``, ``sub``, ``neg``, ``mul``, ``unary``,
+    ``recip``) of ``weil.NumpyKernels`` and ``weil.FloatKernels``, so the
+    same rule lifts coefficient arrays and coefficient lists; ``const`` has
+    no lift, since each semantics builds constants itself."""
 
     value: Callable
     partials: Callable
     kappa: Callable
     lift: Callable | None
-    float_lift: Callable | None
 
 
 def _capped(k: float) -> tuple[float, bool]:
@@ -176,11 +175,7 @@ def _pow_partials(a, e):
 
 
 def _unary_lift(kind: str) -> Callable:
-    return lambda a, c: weil.weil_unary(kind, a[0])
-
-
-def _unary_float_lift(kind: str) -> Callable:
-    return lambda t, a, c: weil.float_unary(t, kind, a[0])
+    return lambda k, a, c: k.unary(kind, a[0])
 
 
 def _kappa_one(a, c):
@@ -190,60 +185,49 @@ def _kappa_one(a, c):
 PRIMITIVES: dict[PrimitiveKind, Rule] = {
     PrimitiveKind.CONST: Rule(
         value=lambda a, c: c, partials=lambda a, c: (),
-        kappa=lambda a, c: (0.0, False), lift=None, float_lift=None),
+        kappa=lambda a, c: (0.0, False), lift=None),
     PrimitiveKind.ADD: Rule(
         value=lambda a, c: a[0] + a[1], partials=lambda a, c: (1.0, 1.0),
         kappa=lambda a, c: _sum_kappa(a, a[0] + a[1]),
-        lift=lambda a, c: weil.weil_add(a[0], a[1]),
-        float_lift=lambda t, a, c: weil.float_add(a[0], a[1])),
+        lift=lambda k, a, c: k.add(a[0], a[1])),
     PrimitiveKind.SUB: Rule(
         value=lambda a, c: a[0] - a[1], partials=lambda a, c: (1.0, -1.0),
         kappa=lambda a, c: _sum_kappa(a, a[0] - a[1]),
-        lift=lambda a, c: weil.weil_sub(a[0], a[1]),
-        float_lift=lambda t, a, c: weil.float_sub(a[0], a[1])),
+        lift=lambda k, a, c: k.sub(a[0], a[1])),
     PrimitiveKind.MUL: Rule(
         value=lambda a, c: a[0] * a[1], partials=lambda a, c: (a[1], a[0]),
-        kappa=_kappa_one, lift=lambda a, c: weil.weil_mul(a[0], a[1]),
-        float_lift=lambda t, a, c: weil.float_mul(t, a[0], a[1])),
+        kappa=_kappa_one, lift=lambda k, a, c: k.mul(a[0], a[1])),
     PrimitiveKind.NEG: Rule(
         value=lambda a, c: -a[0], partials=lambda a, c: (-1.0,),
-        kappa=_kappa_one, lift=lambda a, c: weil.weil_neg(a[0]),
-        float_lift=lambda t, a, c: weil.float_neg(a[0])),
+        kappa=_kappa_one, lift=lambda k, a, c: k.neg(a[0])),
     PrimitiveKind.EXP: Rule(
         value=lambda a, c: math.exp(a[0]),
         partials=lambda a, c: (math.exp(a[0]),),
-        kappa=lambda a, c: (abs(a[0]), False), lift=_unary_lift("exp"),
-        float_lift=_unary_float_lift("exp")),
+        kappa=lambda a, c: (abs(a[0]), False), lift=_unary_lift("exp")),
     PrimitiveKind.LOG: Rule(
         value=_log_value, partials=_log_partials, kappa=_log_kappa,
-        lift=_unary_lift("log"), float_lift=_unary_float_lift("log")),
+        lift=_unary_lift("log")),
     PrimitiveKind.SIN: Rule(
         value=lambda a, c: math.sin(a[0]),
         partials=lambda a, c: (math.cos(a[0]),),
-        kappa=_sin_kappa, lift=_unary_lift("sin"),
-        float_lift=_unary_float_lift("sin")),
+        kappa=_sin_kappa, lift=_unary_lift("sin")),
     PrimitiveKind.COS: Rule(
         value=lambda a, c: math.cos(a[0]),
         partials=lambda a, c: (-math.sin(a[0]),),
-        kappa=_cos_kappa, lift=_unary_lift("cos"),
-        float_lift=_unary_float_lift("cos")),
+        kappa=_cos_kappa, lift=_unary_lift("cos")),
     PrimitiveKind.TANH: Rule(
         value=lambda a, c: math.tanh(a[0]), partials=_tanh_partials,
-        kappa=_tanh_kappa, lift=_unary_lift("tanh"),
-        float_lift=_unary_float_lift("tanh")),
+        kappa=_tanh_kappa, lift=_unary_lift("tanh")),
     PrimitiveKind.SQRT: Rule(
         value=_sqrt_value, partials=_sqrt_partials,
-        kappa=lambda a, c: (0.5, False), lift=_unary_lift("sqrt"),
-        float_lift=_unary_float_lift("sqrt")),
+        kappa=lambda a, c: (0.5, False), lift=_unary_lift("sqrt")),
     PrimitiveKind.RECIP: Rule(
         value=_recip_value, partials=_recip_partials, kappa=_kappa_one,
-        lift=lambda a, c: weil.weil_recip(a[0]),
-        float_lift=lambda t, a, c: weil.float_recip(t, a[0])),
+        lift=lambda k, a, c: k.recip(a[0])),
     PrimitiveKind.POW_CONST: Rule(
         value=_pow_value, partials=_pow_partials,
         kappa=lambda a, e: (abs(e), False),
-        lift=lambda a, e: weil.weil_unary("pow", a[0], exponent=e),
-        float_lift=lambda t, a, e: weil.float_unary(t, "pow", a[0], e)),
+        lift=lambda k, a, e: k.unary("pow", a[0], e)),
 }
 
 @dataclass(frozen=True, slots=True)
@@ -289,6 +273,8 @@ class Program:
                     raise ValueError(f"{node.op.value} node has a non-finite "
                                      f"payload {node.const!r}")
             limit += 1
+        if not self.outputs:
+            raise ValueError("program has no outputs")
         for ref in self.outputs:
             if not 0 <= ref < limit:
                 raise ValueError(f"output references undefined slot {ref}")

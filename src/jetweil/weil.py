@@ -18,14 +18,16 @@ Three numpy kernels, picked from the operands' own shapes:
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
-Float passes: a whole unbatched pass may instead run on Python lists of
-coefficients (``float_tables``, ``float_mul``, ``float_unary``, ...), where
-its shape has at most ``FLOAT_PAIRS_PER_DEGREE`` * K pairs with beta != 0
-(K the top total degree).  numpy costs a few calls per node and degree,
-Python floats a few bytecodes per pair.  ``jets.taylor_eval`` picks it; the
-numpy kernels serve batched passes and larger shapes.  The float kernels run
-the same rules and domain checks as the numpy ones, each coefficient a plain
-``+=`` fold from 0.0: never ``sum()``, which adds floats with compensation
+Each primitive's ``lift`` rule runs on one of two kernel sets with one
+interface (``const``, ``add``, ``sub``, ``neg``, ``mul``, ``unary``,
+``recip``): ``NumpyKernels`` on ``WeilValue``s, or ``FloatKernels`` on Python
+lists, for an unbatched pass whose shape has at most
+``FLOAT_PAIRS_PER_DEGREE`` * K pairs with beta != 0 (K the top total degree):
+numpy costs a few calls per node and degree, Python floats a few bytecodes
+per pair.  ``jets.taylor_eval`` picks the set once per pass.  The unary,
+recip and integer-power lifts and their domain checks (``_lift_unary``, ...)
+are stated once for both.  The float kernels fold each coefficient with a
+plain ``+=`` from 0.0: never ``sum()``, which adds floats with compensation
 from CPython 3.12.  Only a product past ``FLOAT_MUL_PAIRS`` pairs goes
 through numpy, as the pair table's one ``np.bincount``.
 
@@ -61,8 +63,8 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -495,88 +497,72 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     return _result(shape, y[:-1].reshape((shape.dim,) + batch))
 
 
-# Domain checks, one per rule, shared by the numpy kernels and the float
-# pass.  primal is a float, a numpy scalar or a batch row.
-
 def _require(cond, message: str, primal):
+    """A lift's domain check: DomainError with the primal values that fail
+    cond, where primal is a float, a numpy scalar or a batch row."""
     if not np.all(cond):
         bad = np.asarray(primal)[~np.asarray(cond)] if np.ndim(primal) else primal
         raise DomainError(message, value=bad)
 
 
-def _log_domain(primal) -> None:
-    _require(primal > 0, "log requires a positive primal", primal)
+# The lifts both kernel sets share: k is ``NumpyKernels`` or a
+# ``FloatKernels``, x a value of its representation.
 
-
-def _sqrt_domain(primal, const) -> None:
-    """const marks the constant jets, which may sit on the boundary 0."""
-    varying = const ^ True  # elementwise not; ~ is bitwise on a Python bool
-    _require(varying | (primal >= 0), "sqrt of a negative primal", primal)
-    _require(const | (primal > 0), "sqrt lift requires a positive primal",
-             primal)
-
-
-def _recip_domain(primal) -> None:
-    _require(primal != 0, "reciprocal of a non-invertible element "
-             "(primal coefficient is zero)", primal)
-
-
-def _pow_domain(primal, exponent: float) -> None:
-    """For an exponent other than a non-negative integer."""
-    if exponent != round(exponent):
-        _require(primal > 0, "fractional power requires a positive primal",
-                 primal)
-    else:
-        _require(primal != 0, "negative power of a non-invertible element",
-                 primal)
-
-
-def _binary_power(mul, one, base, n: int):
-    """base ** n in popcount(n) + n.bit_length() - 1 products: one per set
-    bit, the first of them with one, and a squaring below each bit but the
-    top one."""
-    result = one
-    while n > 0:
-        if n & 1:
-            result = mul(result, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return result
-
-
-def weil_recip(w: WeilValue) -> WeilValue:
-    """Multiplicative inverse, the power -1."""
-    _recip_domain(w.primal)
-    return _graded("pow", w, -1.0)
-
-
-def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
-    """Exact non-negative integer power by binary exponentiation."""
-    one = weil_const(w.shape, np.ones_like(np.asarray(w.primal, dtype=float)))
-    return _binary_power(weil_mul, one, w, n)
-
-
-def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilValue:
-    """Lift a smooth scalar primitive by its graded recurrence."""
+def _lift_unary(k, kind: str, x, exponent: float | None = None):
+    """Lift a smooth scalar primitive by its graded recurrence, after its
+    domain check.  pow by a non-negative integer goes to ``pow_int``, and
+    sqrt of a constant jet (which may sit on the boundary 0) is a constant."""
     if kind == "pow":
         if exponent is None:
             raise ValueError("pow lift needs an exponent")
         if exponent == round(exponent) and exponent >= 0:
-            return weil_pow_int(w, int(round(exponent)))
-        _pow_domain(w.primal, exponent)
-        return _graded("pow", w, exponent)
+            return k.pow_int(x, int(round(exponent)))
+        primal = k.primal(x)
+        if exponent != round(exponent):
+            _require(primal > 0, "fractional power requires a positive primal",
+                     primal)
+        else:
+            _require(primal != 0, "negative power of a non-invertible element",
+                     primal)
+        return k.graded("pow", x, exponent)
     if kind == "log":
-        _log_domain(w.primal)
+        primal = k.primal(x)
+        _require(primal > 0, "log requires a positive primal", primal)
     elif kind == "sqrt":
-        const = ~np.any(w.coeffs[1:], axis=0)
-        _sqrt_domain(w.primal, const)
+        primal, const = k.primal(x), k.const_jets(x)
+        varying = const ^ True  # elementwise not; ~ is bitwise on a Python bool
+        _require(varying | (primal >= 0), "sqrt of a negative primal", primal)
+        _require(const | (primal > 0), "sqrt lift requires a positive primal",
+                 primal)
         if np.all(const):
-            return weil_const(w.shape, np.sqrt(w.primal))
-        if np.any(const):
-            return _sqrt_columns(w, const)
-        return _graded("pow", w, 0.5)
-    return _graded(kind, w)
+            return k.like(x, np.sqrt(primal))
+        if np.any(const):  # only a batch mixes constant jets with others
+            return _sqrt_columns(x, const)
+        return k.graded("pow", x, 0.5)
+    return k.graded(kind, x)
+
+
+def _lift_recip(k, x):
+    """Multiplicative inverse, the power -1."""
+    primal = k.primal(x)
+    _require(primal != 0, "reciprocal of a non-invertible element "
+             "(primal coefficient is zero)", primal)
+    return k.graded("pow", x, -1.0)
+
+
+def _lift_pow_int(k, x, n: int):
+    """Exact non-negative integer power by binary exponentiation, in
+    popcount(n) + n.bit_length() - 1 products: one per set bit, the first of
+    them with one, and a squaring below each bit but the top one."""
+    mul = k.mul
+    result = k.like(x, 1.0)
+    while n > 0:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
 
 
 def _sqrt_columns(w: WeilValue, const: np.ndarray) -> WeilValue:
@@ -591,21 +577,169 @@ def _sqrt_columns(w: WeilValue, const: np.ndarray) -> WeilValue:
     return _result(w.shape, out.reshape(w.coeffs.shape))
 
 
-class FloatTables(NamedTuple):
-    """What a pass on Python floats needs of its shape: |alpha| of every
-    flat index, and (|alpha|, alpha, pairs) for every alpha != 0 in graded
+@dataclass(frozen=True, slots=True)
+class NumpyKernels:
+    """The lift kernels on ``WeilValue``s of one shape and batch shape.
+    Each kernel is looked up in this module's globals when it is called, so
+    rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift.
+    ``weil_unary``, ``weil_recip`` and ``weil_pow_int`` run the shared lifts
+    on the class itself."""
+
+    shape: WeilShape
+    batch_shape: tuple[int, ...] = ()
+
+    def const(self, c: float) -> WeilValue:
+        return weil_const(self.shape, np.full(self.batch_shape, float(c)))
+
+    add = staticmethod(lambda a, b: weil_add(a, b))
+    sub = staticmethod(lambda a, b: weil_sub(a, b))
+    neg = staticmethod(lambda a: weil_neg(a))
+    mul = staticmethod(lambda a, b: weil_mul(a, b))
+    unary = staticmethod(lambda kind, w, exponent=None:
+                         weil_unary(kind, w, exponent))
+    recip = staticmethod(lambda w: weil_recip(w))
+    pow_int = staticmethod(lambda w, n: weil_pow_int(w, n))
+
+    # the hooks of the shared lifts
+    primal = operator.attrgetter("primal")
+    const_jets = staticmethod(lambda w: ~np.any(w.coeffs[1:], axis=0))
+    graded = staticmethod(_graded)
+
+    @staticmethod
+    def like(w: WeilValue, c) -> WeilValue:
+        """The constant jet c, of w's shape and batch."""
+        return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
+
+
+def weil_recip(w: WeilValue) -> WeilValue:
+    """Multiplicative inverse, the power -1."""
+    return _lift_recip(NumpyKernels, w)
+
+
+def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
+    """Exact non-negative integer power by binary exponentiation."""
+    return _lift_pow_int(NumpyKernels, w, n)
+
+
+def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilValue:
+    """Lift a smooth scalar primitive by its graded recurrence."""
+    return _lift_unary(NumpyKernels, kind, w, exponent)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class FloatKernels:
+    """The lift kernels on the coefficient lists of one shape, which
+    ``float_kernels`` builds: ``degrees`` holds |alpha| of every flat index,
+    and ``steps`` (|alpha|, alpha, pairs) for every alpha != 0 in graded
     order, pairs being the (beta, alpha - beta) with beta != 0 in ascending
-    beta.  ``products`` is the pair table where products run on numpy,
-    past FLOAT_MUL_PAIRS pairs, else None."""
+    beta.  ``products`` is the pair table where products run on numpy, past
+    FLOAT_MUL_PAIRS pairs, else None."""
 
     degrees: tuple[float, ...]
     steps: tuple[tuple[float, int, tuple[tuple[int, int], ...]], ...]
     products: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
+    unary, recip, pow_int = _lift_unary, _lift_recip, _lift_pow_int
+    primal = operator.itemgetter(0)
+    const_jets = staticmethod(lambda x: not any(x[1:]))
+
+    def const(self, c: float) -> list[float]:
+        x = [0.0] * len(self.degrees)
+        x[0] = float(c)
+        return x
+
+    def like(self, x: list[float], c) -> list[float]:
+        return self.const(c)
+
+    add = staticmethod(lambda a, b: list(map(operator.add, a, b)))
+    sub = staticmethod(lambda a, b: list(map(operator.sub, a, b)))
+    neg = staticmethod(lambda a: list(map(operator.neg, a)))
+
+    def mul(self, a: list[float], b: list[float]) -> list[float]:
+        """``weil_mul`` on lists: each coefficient is a ``+=`` fold from 0.0
+        in ascending index of a, the order in which ``np.bincount`` adds the
+        pair table, so the bits (signed zeros too) are the same.  Past
+        FLOAT_MUL_PAIRS pairs it is that ``np.bincount``."""
+        if self.products is not None:
+            i, j, k = self.products
+            return np.bincount(k, np.array(a)[i] * np.array(b)[j],
+                               len(a)).tolist()
+        a0 = a[0]
+        out = [0.0] * len(a)
+        out[0] = 0.0 + a0 * b[0]
+        for _, t, pairs in self.steps:
+            acc = 0.0 + a0 * b[t]
+            for i, j in pairs:
+                acc += a[i] * b[j]
+            out[t] = acc
+        return out
+
+    def graded(self, kind: str, x: list[float],
+               r: float = 0.0) -> list[float]:
+        """The recurrences of ``_graded`` on a list, one target at a time.
+        Each conv is a ``+=`` fold from 0.0 over the step's pairs, as
+        ``np.bincount`` adds them, so the result is the same to the bit.
+        Primal values are numpy calls, as in ``_graded``: a ``math``
+        function may round differently, and ``**`` on a float may raise
+        OverflowError."""
+        steps = self.steps
+        x0 = x[0]
+        dx = list(map(operator.mul, self.degrees, x))  # D x
+        y = [0.0] * len(x)
+        if kind == "exp":
+            y[0] = float(np.exp(x0))
+            for d, t, pairs in steps:
+                acc = 0.0
+                for b, c in pairs:
+                    acc += dx[b] * y[c]
+                y[t] = acc / d
+        elif kind in ("sin", "cos"):
+            s, co = y, [0.0] * len(x)
+            s[0], co[0] = float(np.sin(x0)), float(np.cos(x0))
+            for d, t, pairs in steps:
+                acc_s = acc_c = 0.0
+                for b, c in pairs:
+                    acc_s += dx[b] * co[c]
+                    acc_c += dx[b] * s[c]
+                s[t], co[t] = acc_s / d, acc_c / -d
+            y = s if kind == "sin" else co
+        elif kind == "tanh":
+            u = [0.0] * len(x)
+            y0 = y[0] = float(np.tanh(x0))
+            u[0] = 1.0 - y0 * y0
+            for d, t, pairs in steps:
+                acc = 0.0
+                for b, c in pairs:
+                    acc += dx[b] * u[c]
+                yt = y[t] = acc / d
+                acc = 0.0
+                for b, c in pairs:
+                    acc += y[b] * y[c]
+                u[t] = -(acc + y0 * yt)
+        elif kind == "log":
+            y[0] = float(np.log(x0))
+            for d, t, pairs in steps:
+                acc = 0.0
+                for b, c in pairs:
+                    acc += (d * x[b] - dx[b]) * y[c]
+                y[t] = (d * x[t] - acc) / (d * x0)
+        elif kind == "pow":
+            # an array, as _graded's row: np.float64 ** r rounds differently
+            y[0] = float(np.asarray(x0) ** r)
+            r1 = r + 1.0
+            for d, t, pairs in steps:
+                acc = 0.0
+                for b, c in pairs:
+                    acc += (r1 * dx[b] - d * x[b]) * y[c]
+                y[t] = acc / (d * x0)
+        else:
+            raise ValueError(f"unsupported unary primitive {kind!r}")
+        return y
+
 
 @lru_cache(maxsize=None)
-def float_tables(shape: WeilShape) -> FloatTables | None:
-    """The float tables of shape; None where an unbatched pass runs on
+def float_kernels(shape: WeilShape) -> FloatKernels | None:
+    """The float kernels of shape; None where an unbatched pass runs on
     numpy, past FLOAT_PAIRS_PER_DEGREE * K pairs with beta != 0 (K the top
     total degree) or past PAIR_LIMIT pairs."""
     pairs = _target_pairs(shape)
@@ -617,137 +751,7 @@ def float_tables(shape: WeilShape) -> FloatTables | None:
         by_target.setdefault(t, []).append((b, c))
     degrees = tuple(_degrees(shape)[:-1].tolist())
     products = _pair_table(shape)
-    return FloatTables(degrees, tuple(
+    return FloatKernels(degrees, tuple(
         (degrees[t], t, tuple(by_target[t]))
         for t in shape.graded()[0][1:].tolist()),
         products if len(products[0]) > FLOAT_MUL_PAIRS else None)
-
-
-def float_const(tables: FloatTables, c: float) -> list[float]:
-    x = [0.0] * len(tables.degrees)
-    x[0] = float(c)
-    return x
-
-
-def float_add(a: list[float], b: list[float]) -> list[float]:
-    return list(map(operator.add, a, b))
-
-
-def float_sub(a: list[float], b: list[float]) -> list[float]:
-    return list(map(operator.sub, a, b))
-
-
-def float_neg(a: list[float]) -> list[float]:
-    return list(map(operator.neg, a))
-
-
-def float_mul(tables: FloatTables, a: list[float],
-              b: list[float]) -> list[float]:
-    """``weil_mul`` on lists: each coefficient is a ``+=`` fold from 0.0 in
-    ascending index of a, the order in which ``np.bincount`` adds the pair
-    table, so the bits (signed zeros too) are the same.  Past
-    FLOAT_MUL_PAIRS pairs it is that ``np.bincount``."""
-    if tables.products is not None:
-        i, j, k = tables.products
-        return np.bincount(k, np.array(a)[i] * np.array(b)[j],
-                           len(a)).tolist()
-    a0 = a[0]
-    out = [0.0] * len(a)
-    out[0] = 0.0 + a0 * b[0]
-    for _, t, pairs in tables.steps:
-        acc = 0.0 + a0 * b[t]
-        for i, j in pairs:
-            acc += a[i] * b[j]
-        out[t] = acc
-    return out
-
-
-def float_recip(tables: FloatTables, x: list[float]) -> list[float]:
-    _recip_domain(x[0])
-    return _graded_floats(tables, "pow", x, -1.0)
-
-
-def float_pow_int(tables: FloatTables, x: list[float], n: int) -> list[float]:
-    return _binary_power(partial(float_mul, tables), float_const(tables, 1.0),
-                         x, n)
-
-
-def float_unary(tables: FloatTables, kind: str, x: list[float],
-                exponent: float | None = None) -> list[float]:
-    """``weil_unary`` on lists, with the same domain checks."""
-    if kind == "pow":
-        if exponent == round(exponent) and exponent >= 0:
-            return float_pow_int(tables, x, int(round(exponent)))
-        _pow_domain(x[0], exponent)
-        return _graded_floats(tables, "pow", x, exponent)
-    if kind == "log":
-        _log_domain(x[0])
-    elif kind == "sqrt":
-        const = not any(x[1:])
-        _sqrt_domain(x[0], const)
-        if const:
-            return float_const(tables, np.sqrt(x[0]))
-        return _graded_floats(tables, "pow", x, 0.5)
-    return _graded_floats(tables, kind, x)
-
-
-def _graded_floats(tables: FloatTables, kind: str, x: list[float],
-                   r: float = 0.0) -> list[float]:
-    """The recurrences of ``_graded`` on a list, one target at a time.  Each
-    conv is a ``+=`` fold from 0.0 over the step's pairs, as ``np.bincount``
-    adds them, so the result is the same to the bit.  Primal values are
-    numpy calls, as in ``_graded``: a ``math`` function may round
-    differently, and ``**`` on a float may raise OverflowError."""
-    steps = tables.steps
-    x0 = x[0]
-    dx = list(map(operator.mul, tables.degrees, x))  # D x
-    y = [0.0] * len(x)
-    if kind == "exp":
-        y[0] = float(np.exp(x0))
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += dx[b] * y[c]
-            y[t] = acc / d
-    elif kind in ("sin", "cos"):
-        s, co = y, [0.0] * len(x)
-        s[0], co[0] = float(np.sin(x0)), float(np.cos(x0))
-        for d, t, pairs in steps:
-            acc_s = acc_c = 0.0
-            for b, c in pairs:
-                acc_s += dx[b] * co[c]
-                acc_c += dx[b] * s[c]
-            s[t], co[t] = acc_s / d, acc_c / -d
-        y = s if kind == "sin" else co
-    elif kind == "tanh":
-        u = [0.0] * len(x)
-        y0 = y[0] = float(np.tanh(x0))
-        u[0] = 1.0 - y0 * y0
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += dx[b] * u[c]
-            yt = y[t] = acc / d
-            acc = 0.0
-            for b, c in pairs:
-                acc += y[b] * y[c]
-            u[t] = -(acc + y0 * yt)
-    elif kind == "log":
-        y[0] = float(np.log(x0))
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += (d * x[b] - dx[b]) * y[c]
-            y[t] = (d * x[t] - acc) / (d * x0)
-    elif kind == "pow":
-        # an array, as _graded's row: np.float64 ** r rounds differently
-        y[0] = float(np.asarray(x0) ** r)
-        r1 = r + 1.0
-        for d, t, pairs in steps:
-            acc = 0.0
-            for b, c in pairs:
-                acc += (r1 * dx[b] - d * x[b]) * y[c]
-            y[t] = acc / (d * x0)
-    else:
-        raise ValueError(f"unsupported unary primitive {kind!r}")
-    return y

@@ -144,6 +144,16 @@ def test_taylor_envelope_and_tail(capsys, tmp_path):
         2.8 * 0.5 ** 4 / 24)
 
 
+@pytest.mark.parametrize("tail", ["1", "1,2,3"])
+def test_taylor_tail_takes_two_values(capsys, tmp_path, tail):
+    # a usage error, reported before the pass (which would fail at log 0)
+    path = tmp_path / "log.slp"
+    path.write_text("input x\ny = log x\noutput y\n")
+    code, out, err = run_cli(capsys, "taylor", str(path), "--x", "0",
+                             "--dirs", "1", "--caps", "3", "--tail", tail)
+    assert (code, out, err) == (2, "", "error: --tail takes M,rho\n")
+
+
 def test_taylor_max_dim_refusal(capsys, x2y_file):
     code, _, err = run_cli(capsys, "taylor", x2y_file, "--x", "1,2",
                            "--dirs", "1,0;0,1", "--caps", "30,30",

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,66 @@ from jetweil.jets import (SeedSpec, WeilSemantics, basis_seed,
 from jetweil.modes import jvp, pairing_residual
 from jetweil.slp import (PrimitiveKind, eval_generic, parse_program,
                          random_program)
-from jetweil.weil import multi_factorial
+from jetweil import weil
+from jetweil.weil import make_shape, multi_factorial
 
 X2Y = parse_program("input x y\nt = mul x x\nu = mul t y\noutput u")
+
+
+# every primitive, div and pow by an integer and a fraction among them
+EVERY_PRIMITIVE = parse_program("""input x y
+c = const 0.5
+a = add x y
+s = sub a c
+m = mul a s
+n = neg m
+e = exp n
+l = log a
+si = sin x
+co = cos y
+t = tanh s
+q = sqrt a
+r = recip a
+d = div x a
+p = pow s 3
+f = pow a 1.5
+output e l si co t q r d p f
+""")
+KERNEL_NAMES = ("weil_mul", "weil_unary", "weil_recip", "weil_pow_int",
+                "weil_add", "weil_sub", "weil_neg", "weil_const")
+
+
+@contextlib.contextmanager
+def _wrapped_kernels():
+    """Each numpy kernel rebound in ``weil`` to a mock wrapping it, as a
+    tracer rebinds them; yields the mocks by name."""
+    with contextlib.ExitStack() as stack:
+        yield {name: stack.enter_context(mock.patch.object(
+            weil, name, wraps=getattr(weil, name))) for name in KERNEL_NAMES}
+
+
+def test_lifts_reach_kernels_rebound_in_weil():
+    # every lift looks its numpy kernel up in weil when it runs, so kernels
+    # rebound there are called in batched and unbatched numpy passes; a
+    # float pass calls none of them
+    x, dirs = (0.7, 0.4), ((0.3, -0.2), (0.1, 0.5))
+    shape = make_shape((2, 2))
+    with _wrapped_kernels() as kernels:
+        inputs = [weil.WeilValue(shape, np.outer(w.coeffs, np.linspace(1, 2, 4)))
+                  for w in seed(SeedSpec(x, dirs, (2, 2)))]
+        eval_generic(EVERY_PRIMITIVE, inputs, WeilSemantics(shape, (4,)))
+    assert {name: kernel.call_count > 0 for name, kernel in kernels.items()
+            } == dict.fromkeys(KERNEL_NAMES, True)
+    six = SeedSpec(x, ((0.3, -0.2),) * 6, (1,) * 6)
+    assert weil.float_kernels(make_shape(six.caps)) is None
+    with _wrapped_kernels() as kernels:
+        taylor_eval(EVERY_PRIMITIVE, six)
+    assert {name: kernel.call_count > 0 for name, kernel in kernels.items()
+            } == dict.fromkeys(KERNEL_NAMES, True)
+    with _wrapped_kernels() as kernels:
+        taylor_eval(EVERY_PRIMITIVE, SeedSpec(x, dirs[:1], (2,)))
+    assert {name: kernel.call_count for name, kernel in kernels.items()
+            } == dict.fromkeys(KERNEL_NAMES, 0)
 
 
 def test_seed_single_direction():

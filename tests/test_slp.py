@@ -239,6 +239,16 @@ def test_program_validation():
                 nodes=(Node(PrimitiveKind.DIV, (0, 0)),), outputs=(1,))
 
 
+def test_program_refuses_empty_outputs():
+    # as the parser refuses an output line that names no values: a pass
+    # over such a program has nothing to return
+    with pytest.raises(ValueError, match="program has no outputs"):
+        Program(n_inputs=1, nodes=(), outputs=())
+    with pytest.raises(ValueError, match="program has no outputs"):
+        Program(n_inputs=1, nodes=(Node(PrimitiveKind.SIN, (0,)),),
+                outputs=())
+
+
 @pytest.mark.parametrize("op, operands", [
     (PrimitiveKind.CONST, ()), (PrimitiveKind.POW_CONST, (0,))])
 @pytest.mark.parametrize("payload", [math.inf, -math.inf, math.nan])

@@ -537,16 +537,16 @@ DOMAIN_CASES = [
 
 @contextlib.contextmanager
 def _float_pairs_per_degree(limit):
-    """float_tables under another FLOAT_PAIRS_PER_DEGREE: with 0 no shape
+    """float_kernels under another FLOAT_PAIRS_PER_DEGREE: with 0 no shape
     has them, so every batch-1 pass runs on numpy; with 10 ** 9 every shape
     within PAIR_LIMIT has them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weil, "FLOAT_PAIRS_PER_DEGREE", limit)
-        weil.float_tables.cache_clear()
+        weil.float_kernels.cache_clear()
         try:
             yield
         finally:
-            weil.float_tables.cache_clear()
+            weil.float_kernels.cache_clear()
 
 
 BATCH1_CAPS = [(1,), (8,), (15,), (2, 2), (4, 4), (2, 2, 2), (1,) * 5,
@@ -558,9 +558,9 @@ def _lift(kind, exponent, w):
             else weil_unary(kind, w, exponent=exponent))
 
 
-def _float_lift(tables, kind, exponent, x):
-    return (weil.float_recip(tables, x) if kind == "recip"
-            else weil.float_unary(tables, kind, x, exponent))
+def _float_lift(kernels, kind, exponent, x):
+    return (kernels.recip(x) if kind == "recip"
+            else kernels.unary(kind, x, exponent))
 
 
 @pytest.mark.parametrize("caps", BATCH1_CAPS)
@@ -573,43 +573,43 @@ def test_batch1_float_kernel_matches_numpy(caps):
     rng = np.random.default_rng(8)
     shape = make_shape(caps)
     with _float_pairs_per_degree(10 ** 9):
-        tables = weil.float_tables(shape)
+        kernels = weil.float_kernels(shape)
     jets = [_jet(shape, rng, primal) for primal in (0.3, 1.7, 40.0)]
     zero = weil_const(shape, 0.0)
     numpy_out = [_lift(kind, exponent, w) for w in jets
                  for kind, exponent in UNARY_CASES]
     numpy_out.append(weil_unary("sqrt", zero))
-    float_out = [_float_lift(tables, kind, exponent, w.coeffs.tolist())
+    float_out = [_float_lift(kernels, kind, exponent, w.coeffs.tolist())
                  for w in jets for kind, exponent in UNARY_CASES]
-    float_out.append(weil.float_unary(tables, "sqrt", zero.coeffs.tolist()))
+    float_out.append(kernels.unary("sqrt", zero.coeffs.tolist()))
     sparse = WeilValue(shape, np.where(rng.random(shape.dim) < 0.5, 0.0,
                                        jets[0].coeffs))
     factors = jets + [sparse, weil_neg(zero)]
-    loop = tables._replace(products=None)  # products on floats at any size
+    # products on floats at any size
+    loop = weil.FloatKernels(kernels.degrees, kernels.steps, None)
     for a in factors:
         for b in factors:
             numpy_out += [weil_mul(a, b), weil_mul(a, b), weil_add(a, b),
                           weil_sub(a, b)]
             x, y = a.coeffs.tolist(), b.coeffs.tolist()
-            float_out += [weil.float_mul(tables, x, y),
-                          weil.float_mul(loop, x, y), weil.float_add(x, y),
-                          weil.float_sub(x, y)]
+            float_out += [kernels.mul(x, y), loop.mul(x, y),
+                          kernels.add(x, y), kernels.sub(x, y)]
         numpy_out.append(weil_neg(a))
-        float_out.append(weil.float_neg(a.coeffs.tolist()))
+        float_out.append(kernels.neg(a.coeffs.tolist()))
     assert ([np.array(x).tobytes() for x in float_out]
             == [w.coeffs.tobytes() for w in numpy_out])
 
 
 def test_batch1_float_kernel_selection():
     # at most FLOAT_PAIRS_PER_DEGREE pairs with beta != 0 per total degree
-    # get float tables; their pairs are the level tables' pairs in order,
+    # get float kernels; their pairs are the level tables' pairs in order,
     # and past FLOAT_MUL_PAIRS pairs their products run on the pair table
-    chosen = {caps: weil.float_tables(make_shape(caps)) is not None
+    chosen = {caps: weil.float_kernels(make_shape(caps)) is not None
               for caps in BATCH1_CAPS}
     assert chosen == {caps: caps not in ((1,) * 6, (3, 3, 3), (4, 4, 4))
                       for caps in BATCH1_CAPS}
     for caps in BATCH1_CAPS[:7]:
-        products = weil.float_tables(make_shape(caps)).products
+        products = weil.float_kernels(make_shape(caps)).products
         assert (products is None) == (caps in ((1,), (8,), (2, 2))), caps
         assert products is None or products is weil._pair_table(
             make_shape(caps))
@@ -617,7 +617,8 @@ def test_batch1_float_kernel_selection():
     i, j, k = weil._pair_table(shape)
     keep = i != 0
     want = sorted(zip(k[keep].tolist(), i[keep].tolist(), j[keep].tolist()))
-    degrees, steps, _ = weil.float_tables(shape)
+    kernels = weil.float_kernels(shape)
+    degrees, steps = kernels.degrees, kernels.steps
     assert list(degrees) == [sum(shape.alpha_of(t)) for t in range(shape.dim)]
     assert [t for _, t, _ in steps] == shape.graded()[0][1:].tolist()
     assert all(d == degrees[t] for d, t, _ in steps)
@@ -630,15 +631,15 @@ def test_pow_int_product_count():
     # one product per set bit, the first with one, and one squaring per bit
     # below the top: no squaring after the top bit
     w = val([3], [1.2, 0.7, -0.3, 0.1])
-    tables = weil.float_tables(w.shape)
+    kernels = weil.float_kernels(w.shape)
     for n in range(1, 10):
         want = bin(n).count("1") + n.bit_length() - 1
         with mock.patch.object(weil, "weil_mul", wraps=weil.weil_mul) as mul:
             out = weil_pow_int(w, n)
         assert mul.call_count == want, n
-        with mock.patch.object(weil, "float_mul",
-                               wraps=weil.float_mul) as mul:
-            floats = weil.float_pow_int(tables, w.coeffs.tolist(), n)
+        with mock.patch.object(weil.FloatKernels, "mul", autospec=True,
+                               side_effect=weil.FloatKernels.mul) as mul:
+            floats = kernels.pow_int(w.coeffs.tolist(), n)
         assert mul.call_count == want, n
         assert np.array(floats).tobytes() == out.coeffs.tobytes()
 
@@ -670,7 +671,7 @@ def test_batch1_kernels_raise_alike(floats, kind, exponent, primal, message):
     w = _jet(make_shape((2, 2)), np.random.default_rng(9), primal)
     with pytest.raises(DomainError) as exc:
         if floats:
-            _float_lift(weil.float_tables(w.shape), kind, exponent,
+            _float_lift(weil.float_kernels(w.shape), kind, exponent,
                         w.coeffs.tolist())
         else:
             _lift(kind, exponent, w)
@@ -708,7 +709,7 @@ def _float_pass_cases(caps):
 def test_float_pass_matches_numpy_pass(caps):
     # the whole pass on floats gives the numpy pass's table to the bit, and
     # the same error class, message, node and value where it fails
-    assert weil.float_tables(make_shape(caps)) is not None
+    assert weil.float_kernels(make_shape(caps)) is not None
     cases = _float_pass_cases(caps)
     outcomes, lifts = {}, {}
     for limit in (10 ** 9, 0):
