@@ -21,7 +21,8 @@ from .bench import (DEFAULT_DIMS, bench_program, run_nested_bench,
 from .checks import SUITES, run_suite
 from .errors import (DomainError, JetweilError, NumericOverflowError,
                      ParseError, ShapeTooLargeError)
-from .jets import SeedSpec, coefficient_envelope, tail_bound, taylor_eval
+from .jets import (SeedSpec, check_envelope_args, coefficient_envelope,
+                   tail_bound, taylor_eval)
 from .modes import pairing_residual, vjp
 from .oracle import finite_difference
 from .slp import eval_primal, parse_program, random_program
@@ -144,18 +145,20 @@ def cmd_taylor(args) -> int:
     tail = _floats(args.tail) if args.tail else None
     if tail is not None and len(tail) != 2:
         raise ValueError("--tail takes M,rho")
+    bounds = _floats(args.envelope) if args.envelope else None
+    if bounds is not None:
+        check_envelope_args(spec.directions, spec.caps, bounds)
     table = taylor_eval(prog, spec, max_dim=_resolve_max_dim(args.max_dim))
     payload = table.to_json_dict()
-    if args.envelope:
-        report = coefficient_envelope(table, _floats(args.envelope))
-        payload["envelope"] = report.to_json_dict()
+    if bounds is not None:
+        payload["envelope"] = coefficient_envelope(table, bounds).to_json_dict()
     if tail is not None:
         m_next, rho = tail
         k = sum(spec.caps)
         payload["tail_bound"] = {"m_next": m_next, "rho": rho, "k": k,
                                  "value": tail_bound(m_next, k, rho)}
     _emit(payload)
-    if args.envelope and not payload["envelope"]["passed"]:
+    if bounds is not None and not payload["envelope"]["passed"]:
         return 1
     return 0
 

@@ -228,21 +228,24 @@ class EnvelopeReport:
         }
 
 
-def coefficient_envelope(table: DerivativeTable,
-                         bounds: Sequence[float]) -> EnvelopeReport:
-    """Check every raw coefficient against M_{|alpha|} / alpha!.
-
-    Requires direction norms <= 1, the hypothesis the envelope is stated
-    under; larger directions are rejected, never silently normalized.
-    """
-    for d in table.directions:
+def check_envelope_args(directions: Sequence[Sequence[float]],
+                        caps: Sequence[int], bounds: Sequence[float]) -> None:
+    """ValueError unless every direction norm is <= 1, as the envelope
+    assumes (never silently normalized), and bounds cover 0..sum(caps)."""
+    for d in directions:
         if np.linalg.norm(d) > 1.0 + 1e-12:
             raise ValueError(
                 "envelope check requires direction norms <= 1")
-    max_degree = sum(table.alphas[-1])
+    max_degree = sum(caps)
     if len(bounds) <= max_degree:
         raise ValueError(
             f"need bounds for degrees 0..{max_degree}, got {len(bounds)}")
+
+
+def coefficient_envelope(table: DerivativeTable,
+                         bounds: Sequence[float]) -> EnvelopeReport:
+    """Check every raw coefficient against M_{|alpha|} / alpha!."""
+    check_envelope_args(table.directions, table.shape.caps, bounds)
     rows = []
     passed = True
     for alpha, coeff, m, e in zip(table.alphas, table.raw,

@@ -1,10 +1,10 @@
 """First-order forward (pushforward) and reverse (pullback) engines.
 
-Forward mode propagates value/tangent pairs through the program; reverse
-mode records primal intermediates on a tape and accumulates adjoints along
-a reverse sweep.  ``pairing_residual`` probes the duality between the two,
-``compose_vjp_check`` probes functoriality under syntactic composition.
-Values and partial derivatives come from the rule table ``slp.PRIMITIVES``.
+``record_tape`` linearizes the program once, with one ``linear`` rule call
+(``slp.PRIMITIVES``) per node; ``tangent_sweep`` and ``reverse_sweep`` run
+that tape forward and back without calling a rule.  ``pairing_residual``
+probes the duality between the two on one tape, ``compose_vjp_check``
+probes functoriality under syntactic composition.
 """
 from __future__ import annotations
 
@@ -16,59 +16,60 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .slp import (PRIMITIVES, Node, Program, check_finite, eval_primal,
-                  node_error, primal_slots)
-
-
-def eval_dual(prog: Program, x: Sequence[float],
-              v: Sequence[float]) -> tuple[list[float], list[float]]:
-    """One forward sweep with a single tangent; returns (outputs, tangents).
-
-    Values follow primal_slots, checks included.
-    """
-    if len(x) != prog.n_inputs or len(v) != prog.n_inputs:
-        raise DimensionMismatchError("point/tangent length mismatch")
-    vals = [float(a) for a in x]
-    dots = [float(a) for a in v]
-    try:
-        for k, node in enumerate(prog.nodes):
-            rule = PRIMITIVES[node.op]
-            args = [vals[r] for r in node.operands]
-            value = rule.value(args, node.const)
-            parts = rule.partials(args, node.const)
-            if not math.isfinite(value):
-                raise OverflowError
-            vals.append(value)
-            # at most two terms: a fold gives sum()'s bits, without a generator
-            dot = 0.0
-            for p, r in zip(parts, node.operands):
-                dot += p * dots[r]
-            dots.append(dot)
-    except (DomainError, OverflowError) as err:
-        raise node_error(err, node, k) from None
-    return ([vals[r] for r in prog.outputs],
-            [dots[r] for r in prog.outputs])
-
-
-def jvp(prog: Program, x: Sequence[float], v: Sequence[float]) -> list[float]:
-    """Jacobian-vector product J_f(x) v without materializing the Jacobian.
-
-    Raises NumericOverflowError when an output's tangent is non-finite.
-    """
-    return check_finite(prog, eval_dual(prog, x, v)[1], prog.outputs,
-                        "tangent")
+                  node_error)
 
 
 @dataclass
 class Tape:
-    """Recorded primal intermediates, one per slot: the point at which every
-    sweep pulls a covector back."""
+    """The primal of every slot, and each node's partials in its operands:
+    the linear map every sweep runs through, both ways."""
 
     program: Program
     primals: list[float]
+    partials: list[tuple[float, ...]]
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
-    return Tape(program=prog, primals=primal_slots(prog, x))
+    """Raises the first node, in forward order, whose value or partials
+    fail, as eval_primal does."""
+    if len(x) != prog.n_inputs:
+        raise DimensionMismatchError(
+            f"program takes {prog.n_inputs} inputs, got {len(x)}")
+    vals = [float(a) for a in x]
+    partials = []
+    # unrolled by arity, here and in the sweeps: a zip costs more per node
+    try:
+        for k, node in enumerate(prog.nodes):
+            ops = node.operands
+            if len(ops) == 2:
+                args = [vals[ops[0]], vals[ops[1]]]
+            else:
+                args = [vals[ops[0]]] if ops else ()
+            value, parts = PRIMITIVES[node.op].linear(args, node.const)
+            if not math.isfinite(value):
+                raise OverflowError
+            vals.append(value)
+            partials.append(parts)
+    except (DomainError, OverflowError) as err:
+        raise node_error(err, node, k) from None
+    return Tape(program=prog, primals=vals, partials=partials)
+
+
+def tangent_sweep(tape: Tape, v: Sequence[float]) -> list[float]:
+    """Push one tangent forward along the tape; returns output tangents."""
+    prog = tape.program
+    if len(v) != prog.n_inputs:
+        raise DimensionMismatchError("point/tangent length mismatch")
+    dots = [float(a) for a in v]
+    for parts, node in zip(tape.partials, prog.nodes):
+        # a left fold from 0.0: sum()'s bits, signed zeros included
+        ops = node.operands
+        if len(ops) == 2:
+            dots.append(0.0 + parts[0] * dots[ops[0]]
+                        + parts[1] * dots[ops[1]])
+        else:
+            dots.append(0.0 + parts[0] * dots[ops[0]] if ops else 0.0)
+    return [dots[r] for r in prog.outputs]
 
 
 def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
@@ -84,17 +85,32 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
     adj = [0.0] * len(tape.primals)
     for w, r in zip(omega, prog.outputs):
         adj[r] += float(w)
-    try:
-        for k in range(prog.n_nodes - 1, -1, -1):
-            node = prog.nodes[k]
-            u_bar = adj[prog.n_inputs + k]
-            args = [tape.primals[r] for r in node.operands]
-            parts = PRIMITIVES[node.op].partials(args, node.const)
-            for p, r in zip(parts, node.operands):
-                adj[r] += p * u_bar
-    except (DomainError, OverflowError) as err:
-        raise node_error(err, node, k) from None
+    slot = prog.n_slots
+    for parts, node in zip(reversed(tape.partials), reversed(prog.nodes)):
+        slot -= 1
+        u_bar, ops = adj[slot], node.operands
+        if ops:
+            adj[ops[0]] += parts[0] * u_bar
+            if len(ops) == 2:
+                adj[ops[1]] += parts[1] * u_bar
     return adj[:prog.n_inputs]
+
+
+def eval_dual(prog: Program, x: Sequence[float],
+              v: Sequence[float]) -> tuple[list[float], list[float]]:
+    """One forward sweep with a single tangent; returns (outputs, tangents).
+    Fails as record_tape does."""
+    tape = record_tape(prog, x)
+    return [tape.primals[r] for r in prog.outputs], tangent_sweep(tape, v)
+
+
+def jvp(prog: Program, x: Sequence[float], v: Sequence[float]) -> list[float]:
+    """Jacobian-vector product J_f(x) v without materializing the Jacobian.
+
+    Raises NumericOverflowError when an output's tangent is non-finite.
+    """
+    return check_finite(prog, eval_dual(prog, x, v)[1], prog.outputs,
+                        "tangent")
 
 
 def vjp(prog: Program, x: Sequence[float],
@@ -110,9 +126,14 @@ def vjp(prog: Program, x: Sequence[float],
 
 def pairing_residual(prog: Program, x: Sequence[float], v: Sequence[float],
                      omega: Sequence[float]) -> float:
-    """Normalized defect of <J^T omega, v> == <omega, J v>."""
-    forward = float(np.dot(omega, jvp(prog, x, v)))
-    backward = float(np.dot(vjp(prog, x, omega), v))
+    """Normalized defect of <J^T omega, v> == <omega, J v>, both sides swept
+    along one tape."""
+    tape = record_tape(prog, x)
+    jv = check_finite(prog, tangent_sweep(tape, v), prog.outputs, "tangent")
+    forward = float(np.dot(omega, jv))
+    jt_omega = check_finite(prog, reverse_sweep(tape, omega),
+                            range(prog.n_inputs), "adjoint")
+    backward = float(np.dot(jt_omega, v))
     return abs(backward - forward) / max(1.0, abs(forward))
 
 

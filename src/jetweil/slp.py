@@ -6,10 +6,10 @@ earlier nodes.  Evaluation is parameterized by a scalar semantics, so the
 same walk performs plain evaluation, coefficient-array lifting, dual-number
 forward mode, tape recording, and symbolic expansion.
 
-``PRIMITIVES`` defines each primitive once: its checked value, its partial
-derivatives, its condition number and its lift to the truncated coefficient
-algebra.  Forward, reverse, stability and lifted evaluation all look their
-rules up there.
+``PRIMITIVES`` defines each primitive once: its checked value, its value
+with its partial derivatives, its condition number and its lift to the
+truncated coefficient algebra.  Primal, tape, stability and lifted
+evaluation all look their rules up there.
 """
 from __future__ import annotations
 
@@ -60,18 +60,19 @@ KAPPA_CAP = 1.0 / UNIT_ROUNDOFF
 
 @dataclass(frozen=True)
 class Rule:
-    """One primitive's rules: the checked value, the partial derivatives
-    (DomainError where they do not exist) and the condition number with its
-    capped flag, each called as ``rule(operands, constant)``, and the lift
-    to the truncated coefficient algebra, called as ``lift(kernels,
-    operands, constant)``.  A lift is written once against the kernel
-    interface (``const``, ``add``, ``sub``, ``neg``, ``mul``, ``unary``,
-    ``recip``) of ``weil.NumpyKernels`` and ``weil.FloatKernels``, so the
-    same rule lifts coefficient arrays and coefficient lists; ``const`` has
-    no lift, since each semantics builds constants itself."""
+    """One primitive's rules: the checked value, the linearization ``(value,
+    partials)`` (the value's checks, then DomainError where the partials do
+    not exist) and the condition number with its capped flag, each called
+    as ``rule(operands, constant)``, and the lift to the truncated
+    coefficient algebra, ``lift(kernels, operands, constant)``.  A lift is
+    written once against the kernel interface (``const``, ``add``, ``sub``,
+    ``neg``, ``mul``, ``unary``, ``recip``) of ``weil.NumpyKernels`` and
+    ``weil.FloatKernels``, so the same rule lifts coefficient arrays and
+    coefficient lists; ``const`` has no lift, since each semantics builds
+    constants itself."""
 
     value: Callable
-    partials: Callable
+    linear: Callable
     kappa: Callable
     lift: Callable | None
 
@@ -93,12 +94,6 @@ def _log_value(a, c):
     return math.log(a[0])
 
 
-def _log_partials(a, c):
-    if a[0] <= 0:
-        raise DomainError("log requires a positive argument", a[0])
-    return (1.0 / a[0],)
-
-
 def _log_kappa(a, c):
     la = math.log(a[0])
     return (KAPPA_CAP, True) if la == 0 else _capped(abs(1.0 / la))
@@ -118,11 +113,6 @@ def _cos_kappa(a, c):
     return _capped(abs(a[0] * math.sin(a[0]) / co))
 
 
-def _tanh_partials(a, c):
-    t = math.tanh(a[0])
-    return (1.0 - t * t,)
-
-
 def _tanh_kappa(a, c):
     if a[0] == 0:
         return 1.0, False
@@ -136,10 +126,11 @@ def _sqrt_value(a, c):
     return math.sqrt(a[0])
 
 
-def _sqrt_partials(a, c):
+def _sqrt_linear(a, c):
+    y = _sqrt_value(a, c)
     if a[0] <= 0:
         raise DomainError("sqrt derivative needs a positive argument", a[0])
-    return (0.5 / math.sqrt(a[0]),)
+    return y, (0.5 / y,)
 
 
 def _recip_value(a, c):
@@ -148,12 +139,11 @@ def _recip_value(a, c):
     return 1.0 / a[0]
 
 
-def _recip_partials(a, c):
-    if a[0] == 0:
-        raise DomainError("reciprocal of zero", a[0])
+def _recip_linear(a, c):
+    y = _recip_value(a, c)
     if a[0] * a[0] == 0:
         raise OverflowError("derivative of recip past the float range")
-    return (-1.0 / (a[0] * a[0]),)
+    return y, (-1.0 / (a[0] * a[0]),)
 
 
 def _pow_value(a, e):
@@ -165,13 +155,14 @@ def _pow_value(a, e):
     return x ** e
 
 
-def _pow_partials(a, e):
+def _pow_linear(a, e):
+    y = _pow_value(a, e)
     x = a[0]
     if e == 0:
-        return (0.0,)
+        return y, (0.0,)
     if x == 0 and e < 1:
         raise DomainError("power derivative singular at zero", x)
-    return (e * x ** (e - 1),)
+    return y, (e * x ** (e - 1),)
 
 
 def _unary_lift(kind: str) -> Callable:
@@ -184,48 +175,52 @@ def _kappa_one(a, c):
 
 PRIMITIVES: dict[PrimitiveKind, Rule] = {
     PrimitiveKind.CONST: Rule(
-        value=lambda a, c: c, partials=lambda a, c: (),
+        value=lambda a, c: c, linear=lambda a, c: (c, ()),
         kappa=lambda a, c: (0.0, False), lift=None),
     PrimitiveKind.ADD: Rule(
-        value=lambda a, c: a[0] + a[1], partials=lambda a, c: (1.0, 1.0),
+        value=lambda a, c: a[0] + a[1],
+        linear=lambda a, c: (a[0] + a[1], (1.0, 1.0)),
         kappa=lambda a, c: _sum_kappa(a, a[0] + a[1]),
         lift=lambda k, a, c: k.add(a[0], a[1])),
     PrimitiveKind.SUB: Rule(
-        value=lambda a, c: a[0] - a[1], partials=lambda a, c: (1.0, -1.0),
+        value=lambda a, c: a[0] - a[1],
+        linear=lambda a, c: (a[0] - a[1], (1.0, -1.0)),
         kappa=lambda a, c: _sum_kappa(a, a[0] - a[1]),
         lift=lambda k, a, c: k.sub(a[0], a[1])),
     PrimitiveKind.MUL: Rule(
-        value=lambda a, c: a[0] * a[1], partials=lambda a, c: (a[1], a[0]),
+        value=lambda a, c: a[0] * a[1],
+        linear=lambda a, c: (a[0] * a[1], (a[1], a[0])),
         kappa=_kappa_one, lift=lambda k, a, c: k.mul(a[0], a[1])),
     PrimitiveKind.NEG: Rule(
-        value=lambda a, c: -a[0], partials=lambda a, c: (-1.0,),
+        value=lambda a, c: -a[0], linear=lambda a, c: (-a[0], (-1.0,)),
         kappa=_kappa_one, lift=lambda k, a, c: k.neg(a[0])),
     PrimitiveKind.EXP: Rule(
         value=lambda a, c: math.exp(a[0]),
-        partials=lambda a, c: (math.exp(a[0]),),
+        linear=lambda a, c: (y := math.exp(a[0]), (y,)),
         kappa=lambda a, c: (abs(a[0]), False), lift=_unary_lift("exp")),
     PrimitiveKind.LOG: Rule(
-        value=_log_value, partials=_log_partials, kappa=_log_kappa,
-        lift=_unary_lift("log")),
+        value=_log_value, kappa=_log_kappa, lift=_unary_lift("log"),
+        linear=lambda a, c: (_log_value(a, c), (1.0 / a[0],))),
     PrimitiveKind.SIN: Rule(
         value=lambda a, c: math.sin(a[0]),
-        partials=lambda a, c: (math.cos(a[0]),),
+        linear=lambda a, c: (math.sin(a[0]), (math.cos(a[0]),)),
         kappa=_sin_kappa, lift=_unary_lift("sin")),
     PrimitiveKind.COS: Rule(
         value=lambda a, c: math.cos(a[0]),
-        partials=lambda a, c: (-math.sin(a[0]),),
+        linear=lambda a, c: (math.cos(a[0]), (-math.sin(a[0]),)),
         kappa=_cos_kappa, lift=_unary_lift("cos")),
     PrimitiveKind.TANH: Rule(
-        value=lambda a, c: math.tanh(a[0]), partials=_tanh_partials,
+        value=lambda a, c: math.tanh(a[0]),
+        linear=lambda a, c: (t := math.tanh(a[0]), (1.0 - t * t,)),
         kappa=_tanh_kappa, lift=_unary_lift("tanh")),
     PrimitiveKind.SQRT: Rule(
-        value=_sqrt_value, partials=_sqrt_partials,
+        value=_sqrt_value, linear=_sqrt_linear,
         kappa=lambda a, c: (0.5, False), lift=_unary_lift("sqrt")),
     PrimitiveKind.RECIP: Rule(
-        value=_recip_value, partials=_recip_partials, kappa=_kappa_one,
+        value=_recip_value, linear=_recip_linear, kappa=_kappa_one,
         lift=lambda k, a, c: k.recip(a[0])),
     PrimitiveKind.POW_CONST: Rule(
-        value=_pow_value, partials=_pow_partials,
+        value=_pow_value, linear=_pow_linear,
         kappa=lambda a, e: (abs(e), False),
         lift=lambda k, a, e: k.unary("pow", a[0], e)),
 }
@@ -513,8 +508,8 @@ def check_finite(prog: Program, values: list[float], slots: Sequence[int],
     return values
 
 
-def primal_slots(prog: Program, x: Sequence[float]) -> list[float]:
-    """Every slot's value: the inputs, then each node in turn."""
+def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
+    """The outputs, by the checked value rules alone."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
@@ -528,11 +523,6 @@ def primal_slots(prog: Program, x: Sequence[float]) -> list[float]:
             slots.append(value)
     except (DomainError, OverflowError) as err:
         raise node_error(err, node, k) from None
-    return slots
-
-
-def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
-    slots = primal_slots(prog, x)
     return [slots[r] for r in prog.outputs]
 
 

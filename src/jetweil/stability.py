@@ -4,15 +4,16 @@ Each sweep step gets an adjoint-Lipschitz constant and a relative-error
 term derived from the primitive's condition number at the recorded primal;
 their product bounds the computed pullback norm.  Fan-out is counted as an
 explicit duplication step of norm sqrt(r), which is what makes the product
-inequality literally checkable on arbitrary DAGs.  Partial derivatives and
-condition numbers come from the rule table ``slp.PRIMITIVES``.
+inequality literally checkable on arbitrary DAGs.  Partial derivatives come
+from the tape, condition numbers from the rule table ``slp.PRIMITIVES``.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +28,8 @@ def adjoint_lipschitz(node: Node, primal_operands: Sequence[float]) -> float:
     Raises DomainError where the partials do not exist (``log`` at -1,
     ``sqrt`` at 0) and OverflowError where they overflow.
     """
-    return math.hypot(*PRIMITIVES[node.op].partials(primal_operands,
-                                                    node.const))
+    return math.hypot(*PRIMITIVES[node.op].linear(primal_operands,
+                                                  node.const)[1])
 
 
 def condition_estimate(node: Node,
@@ -37,8 +38,10 @@ def condition_estimate(node: Node,
     return PRIMITIVES[node.op].kappa(primal_operands, node.const)
 
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(NamedTuple):
+    """One step of the product: a named tuple, immutable and built without
+    a frozen dataclass's per-field ``object.__setattr__``."""
+
     kind: str              # "primitive" or "fan"
     node: int | None       # node index, or duplicated slot for fan rows
     lipschitz: float       # effective step constant entering the product
@@ -57,10 +60,7 @@ class StabilityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [{"kind": r.kind, "node": r.node,
-                      "lipschitz": r.lipschitz, "local_norm": r.local_norm,
-                      "kappa": r.kappa, "delta": r.delta, "capped": r.capped}
-                     for r in self.rows],
+            "rows": [r._asdict() for r in self.rows],
             "product_bound": self.product_bound,
             "observed_norm": self.observed_norm,
             "first_order_error": self.first_order_error,
@@ -68,12 +68,8 @@ class StabilityReport:
 
 
 def _fanout_counts(prog: Program) -> Counter:
-    uses: Counter = Counter()
-    for node in prog.nodes:
-        for r in node.operands:
-            uses[r] += 1
-    for r in prog.outputs:
-        uses[r] += 1
+    uses = Counter(chain.from_iterable(node.operands for node in prog.nodes))
+    uses.update(prog.outputs)
     return uses
 
 
@@ -97,15 +93,14 @@ def stability_bound(prog: Program, x: Sequence[float],
     for k in range(prog.n_nodes - 1, -1, -1):
         node = prog.nodes[k]
         args = [tape.primals[r] for r in node.operands]
-        local = adjoint_lipschitz(node, args)
+        local = math.hypot(*tape.partials[k])
         kappa, capped = condition_estimate(node, args)
         delta = delta_const * UNIT_ROUNDOFF * kappa
         eff = max(local, 1.0)
         product *= (1.0 + delta) * eff
         delta_sum += delta
-        rows.append(StabilityRow(kind="primitive", node=k, lipschitz=eff,
-                                 local_norm=local, kappa=kappa, delta=delta,
-                                 capped=capped))
+        rows.append(StabilityRow("primitive", k, eff, local, kappa, delta,
+                                 capped))
     for slot, count in sorted(_fanout_counts(prog).items()):
         if count < 2:
             continue
@@ -113,9 +108,7 @@ def stability_bound(prog: Program, x: Sequence[float],
         eff = math.sqrt(count)
         product *= (1.0 + delta) * eff
         delta_sum += delta
-        rows.append(StabilityRow(kind="fan", node=slot, lipschitz=eff,
-                                 local_norm=eff, kappa=1.0, delta=delta,
-                                 capped=False))
+        rows.append(StabilityRow("fan", slot, eff, eff, 1.0, delta, False))
     bound = product * float(np.linalg.norm(omega))
     return StabilityReport(rows=tuple(rows), product_bound=bound,
                            observed_norm=observed,

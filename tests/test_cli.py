@@ -259,6 +259,23 @@ def test_taylor_derived_numbers_stay_finite(capsys, tmp_path, options, want,
         assert word in err
 
 
+@pytest.mark.parametrize("options, word", [
+    (["--dirs", "1", "--caps", "3", "--envelope", "1"],
+     "need bounds for degrees 0..3, got 1"),
+    (["--dirs", "2", "--caps", "2", "--envelope", "1,1,1"],
+     "envelope check requires direction norms <= 1"),
+], ids=["too-few-bounds", "direction-norm"])
+def test_taylor_envelope_arguments_checked_before_the_pass(capsys, tmp_path,
+                                                            options, word):
+    # the lifted pass would fail at x = 0 (exit 3): usage comes first
+    path = tmp_path / "log.slp"
+    path.write_text("input x\ny = log x\noutput y\n")
+    code, out, err = run_cli(capsys, "taylor", str(path), "--x", "0",
+                             *options, "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {word}\n"
+
+
 def test_taylor_table_past_170_factorial(capsys, prod_file):
     # alpha! of (100, 100) is past float64, yet every derivative is finite
     code, out, err = run_cli(capsys, "taylor", prod_file, "--x=1,2",

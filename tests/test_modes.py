@@ -4,15 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from counting import counting
+from counting import counting, rule_calls
 from jetweil.cli import main
 from jetweil.errors import (DimensionMismatchError, DomainError,
                             NumericOverflowError)
 from jetweil.jets import SeedSpec, taylor_eval
 from jetweil.modes import (Tape, compose_programs, compose_vjp_check,
                            eval_dual, jvp, pairing_residual, record_tape,
-                           reverse_sweep, vjp)
-from jetweil.slp import Program, eval_primal, parse_program, random_program
+                           reverse_sweep, tangent_sweep, vjp)
+from jetweil.slp import (PRIMITIVES, Program, eval_primal, parse_program,
+                         random_program)
 from jetweil.stability import stability_bound
 
 PROD = parse_program("input a b\nt = mul a b\noutput t")
@@ -74,6 +75,7 @@ def test_tape_shape_and_counter():
         assert snapshot()["tape_allocations"] == 1
     assert isinstance(tape, Tape)
     assert len(tape.primals) == PROD.n_slots
+    assert tape.partials == [(5.0, 3.0)]
     assert not hasattr(tape, "adjoints")
 
 
@@ -84,6 +86,67 @@ def test_tape_sweeps_any_number_of_covectors():
     assert reverse_sweep(tape, [1.0]) == [5.0, 3.0]
     assert reverse_sweep(tape, [2.0]) == [10.0, 6.0]
     assert tape.primals == primals
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+def _looped_sweeps(prog, x, v, omega):
+    """The sweeps as one loop over each node's (partial, operand) pairs,
+    with the partials of fresh linear rule calls."""
+    vals, dots = [float(a) for a in x], [float(a) for a in v]
+    parts = []
+    for node in prog.nodes:
+        value, p = PRIMITIVES[node.op].linear(
+            [vals[r] for r in node.operands], node.const)
+        dot = 0.0
+        for pk, r in zip(p, node.operands):
+            dot += pk * dots[r]
+        vals.append(value)
+        dots.append(dot)
+        parts.append(p)
+    adj = [0.0] * prog.n_slots
+    for w, r in zip(omega, prog.outputs):
+        adj[r] += w
+    for k in range(prog.n_nodes - 1, -1, -1):
+        for pk, r in zip(parts[k], prog.nodes[k].operands):
+            adj[r] += pk * adj[prog.n_inputs + k]
+    return [dots[r] for r in prog.outputs], adj[:prog.n_inputs]
+
+
+def test_one_tape_swept_both_ways():
+    rng = random.Random(14)
+    for seed in range(60):
+        prog = random_program(seed=seed, depth=rng.randint(1, 80),
+                              n_inputs=rng.randint(1, 4))
+        x = [rng.uniform(-1, 1) for _ in range(prog.n_inputs)]
+        v = [rng.uniform(-1, 1) for _ in range(prog.n_inputs)]
+        w = [rng.uniform(-1, 1)]
+        tape = record_tape(prog, x)
+        forward, backward = tangent_sweep(tape, v), reverse_sweep(tape, w)
+        assert _bits(forward) == _bits(jvp(prog, x, v))
+        assert _bits(backward) == _bits(vjp(prog, x, w))
+        assert (_bits(forward), _bits(backward)) == tuple(
+            map(_bits, _looped_sweeps(prog, x, v, w)))
+
+
+def test_sweeps_make_no_rule_call():
+    prog = random_program(seed=4, depth=40, n_inputs=3)
+    x, v, w = [0.1, -0.2, 0.3], [1.0, 0.5, -0.5], [1.0]
+    n = prog.n_nodes
+    with rule_calls() as calls:
+        tape = record_tape(prog, x)
+        assert calls() == {"value": 0, "linear": n, "kappa": 0}
+        tangent_sweep(tape, v)
+        reverse_sweep(tape, w)
+        reverse_sweep(tape, [2.0])
+        assert calls() == {"value": 0, "linear": n, "kappa": 0}
+        stability_bound(prog, x, w)
+        assert calls() == {"value": 0, "linear": 2 * n, "kappa": n}
+    with counting() as snapshot:
+        pairing_residual(prog, x, v, w)
+        assert snapshot()["tape_allocations"] == 1
 
 
 def test_eval_dual_returns_outputs_too():
@@ -234,6 +297,28 @@ def test_domain_edges_agree_across_modes(rhs, x, error, primal_error,
         out = capsys.readouterr().out
         assert code == (0 if error is None else 3)
         assert (out == "") == (error is not None)
+
+
+@pytest.mark.parametrize("first, x, error, message", [
+    ("sqrt x", 0.0, DomainError, "sqrt derivative needs a positive argument"),
+    ("recip x", 1e-170, NumericOverflowError, "overflow at node 0 (recip)"),
+], ids=["sqrt-0", "recip-derivative-overflow"])
+def test_modes_name_the_first_failing_node(first, x, error, message,
+                                           tmp_path, capsys):
+    # node 1, sqrt y at y = 0, has no derivative either: every mode names
+    # node 0, the first failure in forward order
+    text = f"input x y\na = {first}\nb = sqrt y\nc = add a b\noutput c\n"
+    prog = parse_program(text)
+    calls = [lambda: jvp(prog, [x, 0.0], [1.0, 1.0]),
+             lambda: vjp(prog, [x, 0.0], [1.0]),
+             lambda: stability_bound(prog, [x, 0.0], [1.0])]
+    assert [_outcome(call) for call in calls] == [(error, 0)] * len(calls)
+    path = tmp_path / "two.slp"
+    path.write_text(text)
+    code = main(["grad", str(path), "--x", f"{x!r},0", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"numeric error: {message}\n"
 
 
 def test_non_finite_adjoints_and_tangents_raise():
