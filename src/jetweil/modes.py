@@ -30,14 +30,14 @@ class Tape:
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
-    """Raises the first node, in forward order, whose value or partials
-    fail, as eval_primal does."""
+    """The tape at x; fails at the first node, in forward order, whose
+    value or partials fail, as eval_primal does."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
     vals = [float(a) for a in x]
     partials = []
-    # unrolled by arity, here and in the sweeps: a zip costs more per node
+    # unrolled by arity, here and in the sweeps: cheaper than a zip per node
     try:
         for k, node in enumerate(prog.nodes):
             ops = node.operands
