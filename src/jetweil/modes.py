@@ -30,8 +30,8 @@ class Tape:
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
-    """The tape at x; fails at the first node, in forward order, whose
-    value or partials fail, as eval_primal does."""
+    """The tape at x.  Raises, through ``node_error``, at the first node in
+    forward order whose value or partials fail."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")

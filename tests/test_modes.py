@@ -129,6 +129,13 @@ def test_one_tape_swept_both_ways():
         assert _bits(backward) == _bits(vjp(prog, x, w))
         assert (_bits(forward), _bits(backward)) == tuple(
             map(_bits, _looped_sweeps(prog, x, v, w)))
+    # the fold starts from 0.0, so products that are all -0.0 sum to +0.0
+    neg = parse_program("input a\nu = neg a\noutput u")
+    for prog, x, v in ((PROD, [1.0, 1.0], [-0.0, -0.0]),
+                       (neg, [1.0], [0.0])):
+        assert _bits(jvp(prog, x, v)) == _bits([0.0])
+        assert _bits(jvp(prog, x, v)) == _bits(
+            _looped_sweeps(prog, x, v, [1.0])[0])
 
 
 def test_sweeps_make_no_rule_call():
