@@ -23,7 +23,7 @@ from .errors import (DomainError, JetweilError, NumericOverflowError,
                      ParseError, ShapeTooLargeError)
 from .jets import (SeedSpec, check_envelope_args, coefficient_envelope,
                    tail_bound, taylor_eval)
-from .modes import pairing_residual, vjp
+from .modes import vjp, vjp_and_pairing
 from .oracle import finite_difference
 from .slp import eval_primal, parse_program, random_program
 from .weil import DEFAULT_MAX_DIM
@@ -114,12 +114,11 @@ def cmd_grad(args) -> int:
         print("error: program has multiple outputs; pass --omega",
               file=sys.stderr)
         return 2
-    grad = vjp(prog, x, omega)
-    payload: dict = {"gradient": grad}
+    payload: dict = {}
     if args.check:
         rng = random.Random(args.seed)
         v = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
-        residual = pairing_residual(prog, x, v, omega)
+        grad, residual = vjp_and_pairing(prog, x, omega, v)
         fd_diff = 0.0
         for i in range(prog.n_inputs):
             alpha = tuple(1 if j == i else 0 for j in range(prog.n_inputs))
@@ -127,6 +126,9 @@ def cmd_grad(args) -> int:
             fd_diff = max(fd_diff, abs(est - grad[i]))
         payload["check"] = {"pairing_residual": residual,
                             "fd_max_abs_diff": fd_diff}
+    else:
+        grad = vjp(prog, x, omega)
+    payload["gradient"] = grad
     if args.json:
         _emit(payload)
     else:
@@ -148,15 +150,19 @@ def cmd_taylor(args) -> int:
     bounds = _floats(args.envelope) if args.envelope else None
     if bounds is not None:
         check_envelope_args(spec.directions, spec.caps, bounds)
+    # the tail bound needs no table: computed before the pass, its usage
+    # errors exit 2 even where the pass would fail
+    if tail is not None:
+        m_next, rho = tail
+        k = sum(spec.caps)
+        tail_json = {"m_next": m_next, "rho": rho, "k": k,
+                     "value": tail_bound(m_next, k, rho)}
     table = taylor_eval(prog, spec, max_dim=_resolve_max_dim(args.max_dim))
     payload = table.to_json_dict()
     if bounds is not None:
         payload["envelope"] = coefficient_envelope(table, bounds).to_json_dict()
     if tail is not None:
-        m_next, rho = tail
-        k = sum(spec.caps)
-        payload["tail_bound"] = {"m_next": m_next, "rho": rho, "k": k,
-                                 "value": tail_bound(m_next, k, rho)}
+        payload["tail_bound"] = tail_json
     _emit(payload)
     if bounds is not None and not payload["envelope"]["passed"]:
         return 1

@@ -3,8 +3,9 @@
 ``record_tape`` linearizes the program once, with one ``linear`` rule call
 (``slp.PRIMITIVES``) per node; ``tangent_sweep`` and ``reverse_sweep`` run
 that tape forward and back without calling a rule.  ``pairing_residual``
-probes the duality between the two on one tape, ``compose_vjp_check``
-probes functoriality under syntactic composition.
+probes the duality between the two on one tape, which ``vjp_and_pairing``
+also takes the gradient from; ``compose_vjp_check`` probes functoriality
+under syntactic composition.
 """
 from __future__ import annotations
 
@@ -128,13 +129,20 @@ def pairing_residual(prog: Program, x: Sequence[float], v: Sequence[float],
                      omega: Sequence[float]) -> float:
     """Normalized defect of <J^T omega, v> == <omega, J v>, both sides swept
     along one tape."""
+    return vjp_and_pairing(prog, x, omega, v)[1]
+
+
+def vjp_and_pairing(prog: Program, x: Sequence[float], omega: Sequence[float],
+                    v: Sequence[float]) -> tuple[list[float], float]:
+    """``vjp`` and ``pairing_residual`` along v, from one tape; the adjoint
+    is checked before the tangent."""
     tape = record_tape(prog, x)
-    jv = check_finite(prog, tangent_sweep(tape, v), prog.outputs, "tangent")
-    forward = float(np.dot(omega, jv))
     jt_omega = check_finite(prog, reverse_sweep(tape, omega),
                             range(prog.n_inputs), "adjoint")
+    jv = check_finite(prog, tangent_sweep(tape, v), prog.outputs, "tangent")
+    forward = float(np.dot(omega, jv))
     backward = float(np.dot(jt_omega, v))
-    return abs(backward - forward) / max(1.0, abs(forward))
+    return jt_omega, abs(backward - forward) / max(1.0, abs(forward))
 
 
 def compose_programs(f: Program, g: Program) -> Program:

@@ -2,9 +2,9 @@
 
 Three oracles: exact sparse-polynomial expansion for polynomial programs,
 central finite differences, and a schedule that rebuilds mixed directional
-derivatives from first-order passes alone.  The schedule's pass count is
-the combinatorial baseline the one-pass lifted evaluation is compared
-against.
+derivatives from first-order passes alone, in one of two pass layouts
+chosen by (p, k).  The schedule's pass count is the combinatorial baseline
+the one-pass lifted evaluation is compared against.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnsupportedOrderError, UnsupportedPrimitiveError
+from .errors import (DimensionMismatchError, UnsupportedOrderError,
+                     UnsupportedPrimitiveError)
 from .jets import DerivativeTable, SeedSpec
 from .modes import eval_dual
 from .slp import Node, PrimitiveKind, Program, eval_generic, eval_primal
@@ -144,7 +145,19 @@ def symbolic_eval(prog: Program) -> list[SparsePoly]:
 def symbolic_partial(poly: SparsePoly, alpha: Sequence[int],
                      x: Sequence[float]) -> float:
     """Exact alpha-th partial derivative evaluated at x."""
+    _check_lengths(poly.n, x, [alpha], "alpha")
     return poly.partial(alpha).evaluate(x)
+
+
+def _check_lengths(n: int, x, vectors, what: str = "direction") -> None:
+    """DimensionMismatchError unless the point and each vector have length n,
+    worded as ``eval_primal`` and ``SeedSpec`` word it."""
+    if len(x) != n:
+        raise DimensionMismatchError(f"program takes {n} inputs, got {len(x)}")
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionMismatchError(
+                f"{what} length {len(v)} != input dimension {n}")
 
 
 def _central_weights(order: int) -> np.ndarray:
@@ -160,6 +173,7 @@ def finite_difference(prog: Program, x: Sequence[float],
                       alpha: Sequence[int],
                       h: float | None = None) -> np.ndarray:
     """Central-difference estimate of the alpha mixed partial, O(h^2)."""
+    _check_lengths(prog.n_inputs, x, [alpha], "alpha")
     order = sum(alpha)
     if order > 4:
         raise UnsupportedOrderError(
@@ -245,191 +259,127 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
     first-order passes only.
 
     Every pass is one dual-number evaluation (a point and a single tangent
-    direction).  Passes are spent on rays t -> x + t * (sum_j c_j v_j):
-    polynomial fits along each ray give directional derivatives, and a
-    polarization linear system per order turns ray derivatives into mixed
-    ones.  The total number of passes is exactly C(p+k, k).
+    direction), and there are exactly C(p+k, k) of them.  They are spent on
+    the R = C(p+k-1, k) rays t -> x + t * (sum_j c_j v_j), in one of two
+    layouts:
+
+    - *double* (k = p >= 2, where C(p+k, k) = 2R): two passes per ray, at
+      t = +s and -s;
+    - *center* (every other p, k): 1 + p passes at x (the value and the p
+      first derivatives), then the rest of the budget on the rays in turn;
+      k = 1 spends the whole budget at x.
+
+    Up to k = 3 a closed-form fit along each ray gives its directional
+    derivatives, and a polarization linear system per order turns them into
+    mixed ones; from k = 4 one joint least-squares fit over all passes does.
+    Measured against ``taylor_eval`` on safe programs the worst relative gap
+    is about 1e-8 for the double layout and for the center layout at k = 2,
+    about 1e-3 for the center layout at k = 3, and 1e-1 from k = 4.
     """
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    if len(directions) == 0:
+        raise ValueError("nested_jvp_schedule needs at least one direction")
+    _check_lengths(prog.n_inputs, x, directions)
     x = [float(v) for v in x]
     dirs = [np.asarray(d, dtype=float) for d in directions]
     p = len(dirs)
-    if k < 1:
-        raise ValueError("order k must be >= 1")
     budget = math.comb(p + k, k)
-    m = len(prog.outputs)
+    units = [tuple(int(i == j) for i in range(p)) for j in range(p)]
     passes = 0
 
     def ray_pass(point_shift: np.ndarray, tangent: np.ndarray):
         nonlocal passes
         passes += 1
-        pt = [xi + si for xi, si in zip(x, point_shift)]
-        y, dy = eval_dual(prog, pt, list(tangent))
+        y, dy = eval_dual(prog, [xi + si for xi, si in zip(x, point_shift)],
+                          list(tangent))
         return np.asarray(y), np.asarray(dy)
 
-    zero = np.zeros(len(x))
-    units = [tuple(1 if i == j else 0 for i in range(p)) for j in range(p)]
-    entries: dict[tuple[int, ...], np.ndarray] = {}
-    max_cond = 0.0
-    max_resid = 0.0
-
-    if k == 1:
-        y, _ = ray_pass(zero, zero)
-        entries[(0,) * p] = y
-        for j in range(p):
-            _, dy = ray_pass(zero, dirs[j])
-            entries[units[j]] = dy
-        count = ScheduleCount(p=p, k=k, passes=passes)
-        assert passes == budget
-        return (_schedule_table(x, dirs, k, entries), count,
-                ScheduleDiagnostics(0.0, 0.0, False))
-
+    # the pass plan: the center passes as {alpha: value}, and the nodes tau
+    # of each ray, a ray pass sitting at x + tau * s * w
     rays = _ray_set(p, k)
-
-    # pass layout: either pure double rays (when the budget is exactly 2R),
-    # or center passes plus round-robin ray nodes.
-    double_only = budget == 2 * len(rays)
-    if step is not None:
-        s = step
-    elif double_only:
-        s = _DOUBLE_STEP.get(k, 5e-3)
+    double = k == p > 1
+    center: dict[tuple[int, ...], np.ndarray] = {}
+    if double:
+        taus = [(1.0, -1.0)] * len(rays)
     else:
-        s = _CENTER_STEP.get(k, 2e-3)
-    ray_data: list[dict] = []
-    center_value = None
-    center_jvps = None
-    if double_only:
-        for c in rays:
-            w = sum(cj * vj for cj, vj in zip(c, dirs))
-            nodes, vals, slopes = [], [], []
-            for tau in (1.0, -1.0):
-                y, dy = ray_pass(tau * s * w, w)
-                nodes.append(tau)
-                vals.append(y)
-                slopes.append(s * dy)
-            ray_data.append({"c": c, "tau": np.array(nodes),
-                             "vals": np.array(vals),
-                             "slopes": np.array(slopes), "center": False})
-    else:
-        y0, _ = ray_pass(zero, zero)
-        center_value = np.asarray(y0)
-        center_jvps = []
-        for j in range(p):
-            _, dy = ray_pass(zero, dirs[j])
-            center_jvps.append(np.asarray(dy))
+        zero = np.zeros(len(x))
+        center[(0,) * p] = ray_pass(zero, zero)[0]
+        for u, d in zip(units, dirs):
+            center[u] = ray_pass(zero, d)[1]
+        # the rest round-robin over the rays, at nodes +1, -1, +2, ... along
+        # each: one or more per ray from k = 2 on, no ray at all at k = 1
         remaining = budget - 1 - p
-        node_sequence = [float((-1) ** i * (i // 2 + 1))
-                         for i in range(remaining)]
-        counts = [0] * len(rays)
-        for i in range(remaining):
-            counts[i % len(rays)] += 1
-        for c, n_nodes in zip(rays, counts):
-            w = sum(cj * vj for cj, vj in zip(c, dirs))
-            nodes, vals, slopes = [], [], []
-            for tau in node_sequence[:n_nodes]:
-                y, dy = ray_pass(tau * s * w, w)
-                nodes.append(tau)
-                vals.append(y)
-                slopes.append(s * dy)
-            ray_data.append({"c": c, "tau": np.array(nodes),
-                             "vals": np.array(vals) if vals else
-                             np.zeros((0, m)),
-                             "slopes": np.array(slopes) if slopes else
-                             np.zeros((0, m)), "center": True})
+        nodes = [float((-1) ** i * (i // 2 + 1)) for i in range(remaining)]
+        rays = rays[:remaining]
+        taus = [nodes[:len(range(r, remaining, len(rays)))]
+                for r in range(len(rays))]
+    s = step if step is not None else (
+        _DOUBLE_STEP.get(k, 5e-3) if double else _CENTER_STEP.get(k, 2e-3))
+    # one (c, tau, values, slopes) per ray; slopes are derivatives in tau
+    ray_data = []
+    for c, tau in zip(rays, taus):
+        w = sum(cj * vj for cj, vj in zip(c, dirs))
+        ys, dys = zip(*[ray_pass(t * s * w, w) for t in tau])
+        ray_data.append((c, np.array(tau), np.array(ys), s * np.array(dys)))
     assert passes == budget, (passes, budget)
 
+    max_cond = max_resid = 0.0
     if k >= 4:
-        # per-ray data no longer supports degree-k fits within the pass
-        # budget; fall back to one joint multivariate fit (count-exact,
-        # best-effort accuracy).
-        entries, cond = _global_fit(ray_data, center_value, center_jvps,
-                                    p, m, k, s)
-        if center_value is not None:
-            entries[(0,) * p] = center_value
-            entries.update(zip(units, center_jvps))
-        count = ScheduleCount(p=p, k=k, passes=passes)
-        diags = ScheduleDiagnostics(max_condition=cond, max_residual=0.0,
-                                    ill_conditioned=cond > 1e8)
-        return _schedule_table(x, dirs, k, entries), count, diags
-
-    # per-ray univariate fits -> directional derivatives h^(l)(0), l = 0..k.
-    # For k <= 3 each ray carries one or two nodes; both cases have exact
-    # closed-form solves, which matters because the interesting coefficients
-    # are many orders of magnitude below the value data.
-    ray_derivs: list[np.ndarray | None] = []
-    for rd in ray_data:
-        tau, vals, slopes = rd["tau"], rd["vals"], rd["slopes"]
-        if rd["center"]:
-            # fold in the exact center data by eliminating b0 and b1
-            c = rd["c"]
-            b0 = center_value
-            b1 = s * sum(cj * dj for cj, dj in zip(c, center_jvps))
-            vals = vals - b0[None, :] - np.outer(tau, b1)
-            slopes = slopes - b1[None, :]
-            if len(tau) >= 2:
-                # slope rows alone determine b2 and b3 by parity, keeping
-                # the O(|f|) value-row roundoff out of them entirely
-                b2 = 0.25 * (slopes[0] - slopes[1])
-                b3 = (slopes[0] + slopes[1]) / 6.0
-            else:
-                b2 = 3.0 * vals[0] - slopes[0]
-                b3 = slopes[0] - 2.0 * vals[0]
-            b = np.stack([b0, b1, b2, b3])
-        else:
-            b = _fit_double(vals, slopes)
-        # b_l = h^(l)(0) s^l / l!
-        derivs = np.array([b[l] * math.factorial(l) / s ** l
-                           for l in range(k + 1)])
-        ray_derivs.append(derivs)
-
-    # order 0 and 1
-    if center_value is not None:
-        entries[(0,) * p] = center_value
-        entries.update(zip(units, center_jvps))
+        # too few nodes per ray for degree-k fits: one joint multivariate
+        # fit instead (count-exact, best-effort accuracy)
+        entries, max_cond = _global_fit(ray_data, center, p, k, s)
+        entries.update(center)
     else:
-        vals0 = np.array([d[0] for d in ray_derivs if d is not None])
-        entries[(0,) * p] = vals0.mean(axis=0)
-        rows, rhs = [], []
-        for rd, d in zip(ray_data, ray_derivs):
-            if d is None:
-                continue
-            rows.append(list(rd["c"]))
-            rhs.append(d[1])
-        sol, cond, resid = _solve_polarization(np.array(rows, dtype=float),
-                                               np.array(rhs))
-        max_cond = max(max_cond, cond)
-        max_resid = max(max_resid, resid)
-        entries.update(zip(units, sol))
+        entries = dict(center)
+        # per-ray univariate fits -> directional derivatives h^(l)(0),
+        # l = 0..k.  Each ray carries one or two nodes; both cases have exact
+        # closed-form solves, which matters because the interesting
+        # coefficients are many orders of magnitude below the value data.
+        ray_derivs = []
+        for c, tau, vals, slopes in ray_data:
+            if double:
+                b = _fit_double(vals, slopes)
+            else:
+                # fold in the exact center data by eliminating b0 and b1
+                b0 = center[(0,) * p]
+                b1 = s * sum(cj * center[u] for cj, u in zip(c, units))
+                vals = vals - b0[None, :] - np.outer(tau, b1)
+                slopes = slopes - b1[None, :]
+                if len(tau) >= 2:
+                    # slope rows alone determine b2 and b3 by parity, keeping
+                    # the O(|f|) value-row roundoff out of them entirely
+                    b2 = 0.25 * (slopes[0] - slopes[1])
+                    b3 = (slopes[0] + slopes[1]) / 6.0
+                else:
+                    b2 = 3.0 * vals[0] - slopes[0]
+                    b3 = slopes[0] - 2.0 * vals[0]
+                b = np.stack([b0, b1, b2, b3])
+            # b_l = h^(l)(0) s^l / l!
+            ray_derivs.append(np.array([b[l] * math.factorial(l) / s ** l
+                                        for l in range(k + 1)]))
+        # with no pass at x, the value is the rays' mean and order 1 is
+        # polarized from the rays, as orders 2..k are in both layouts
+        if double:
+            entries[(0,) * p] = np.mean([d[0] for d in ray_derivs], axis=0)
+        for order in range(1 if double else 2, k + 1):
+            monos = units if order == 1 else [
+                a for a in itertools.product(range(order + 1), repeat=p)
+                if sum(a) == order]
+            rows = [[math.factorial(order) / multi_factorial(a)
+                     * math.prod(cj ** aj for cj, aj in zip(c, a))
+                     for a in monos] for c, *_ in ray_data]
+            sol, cond, resid = _solve_polarization(
+                np.array(rows), np.array([d[order] for d in ray_derivs]))
+            max_cond = max(max_cond, cond)
+            max_resid = max(max_resid, resid)
+            entries.update(zip(monos, sol))
 
-    # orders 2..k via polarization systems
-    for order in range(2, k + 1):
-        monos = [a for a in itertools.product(range(order + 1), repeat=p)
-                 if sum(a) == order]
-        rows, rhs = [], []
-        for rd, d in zip(ray_data, ray_derivs):
-            if d is None or len(d) <= order:
-                continue
-            c = rd["c"]
-            row = [math.factorial(order) / multi_factorial(a)
-                   * math.prod(cj ** aj for cj, aj in zip(c, a))
-                   for a in monos]
-            rows.append(row)
-            rhs.append(d[order])
-        a_mat = np.array(rows)
-        sol, cond, resid = _solve_polarization(a_mat, np.array(rhs))
-        max_cond = max(max_cond, cond)
-        max_resid = max(max_resid, resid)
-        for a, val in zip(monos, sol):
-            entries[a] = val
-
-    count = ScheduleCount(p=p, k=k, passes=passes)
-    diags = ScheduleDiagnostics(max_condition=max_cond,
-                                max_residual=max_resid,
-                                ill_conditioned=max_cond > 1e8)
-    return _schedule_table(x, dirs, k, entries), count, diags
+    return (_schedule_table(x, dirs, k, entries), ScheduleCount(p, k, passes),
+            ScheduleDiagnostics(max_cond, max_resid, max_cond > 1e8))
 
 
-def _global_fit(ray_data, center_value, center_jvps, p: int, m: int,
-                k: int, s: float):
+def _global_fit(ray_data, center, p: int, k: int, s: float):
     """Joint multivariate Hermite least squares over every issued pass."""
     gammas = [g for g in itertools.product(range(k + 1), repeat=p)
               if sum(g) <= k]
@@ -444,30 +394,20 @@ def _global_fit(ray_data, center_value, center_jvps, p: int, m: int,
             slope_row.append(d * tau ** (d - 1) * cg if d > 0 else 0.0)
         return val_row, slope_row
 
-    if center_value is not None:
-        vr, _ = monomial_rows((0,) * p, 0.0)
-        rows.append(vr)
-        rhs.append(center_value)
-        for j, dy in enumerate(center_jvps):
-            c = tuple(1 if i == j else 0 for i in range(p))
-            _, sr = monomial_rows(c, 0.0)
-            rows.append(sr)
-            rhs.append(s * dy)
-    for rd in ray_data:
-        for tau, val, slope in zip(rd["tau"], rd["vals"], rd["slopes"]):
-            vr, sr = monomial_rows(rd["c"], float(tau))
-            rows.append(vr)
-            rhs.append(val)
-            rows.append(sr)
-            rhs.append(slope)
+    # a center pass gives the value row at x (alpha = 0) or the slope row
+    # along one direction (alpha = e_j), both at tau = 0
+    for alpha, y in center.items():
+        rows.append(monomial_rows(alpha, 0.0)[sum(alpha)])
+        rhs.append(s ** sum(alpha) * y)
+    for c, taus, vals, slopes in ray_data:
+        for tau, val, slope in zip(taus, vals, slopes):
+            rows.extend(monomial_rows(c, float(tau)))
+            rhs.extend((val, slope))
     a_mat = np.array(rows)
-    b_mat = np.array(rhs).reshape(len(rhs), m)
-    sol, *_ = np.linalg.lstsq(a_mat, b_mat, rcond=None)
+    sol, *_ = np.linalg.lstsq(a_mat, np.array(rhs), rcond=None)
     cond = float(np.linalg.cond(a_mat))
-    entries = {}
-    for g, b in zip(gammas, sol):
-        entries[g] = b * multi_factorial(g) / s ** sum(g)
-    return entries, cond
+    return ({g: b * multi_factorial(g) / s ** sum(g)
+             for g, b in zip(gammas, sol)}, cond)
 
 
 def _solve_polarization(a_mat: np.ndarray, rhs: np.ndarray):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from counting import counting
 from jetweil.checks import SUITES, run_suite
 from jetweil.cli import main
 from jetweil.jets import (SeedSpec, coefficient_envelope, tail_bound,
@@ -109,6 +110,14 @@ def test_grad_check_fields(capsys, prod_file):
     payload = json.loads(out)
     assert payload["check"]["pairing_residual"] <= 1e-10
     assert payload["check"]["fd_max_abs_diff"] <= 1e-4
+
+
+def test_grad_check_records_one_tape(capsys, prod_file):
+    with counting() as snapshot:
+        code, _, _ = run_cli(capsys, "grad", prod_file, "--x", "3,5",
+                             "--check", "--json")
+        assert snapshot()["tape_allocations"] == 1
+    assert code == 0
 
 
 def test_grad_deterministic(capsys, prod_file):
@@ -264,7 +273,11 @@ def test_taylor_derived_numbers_stay_finite(capsys, tmp_path, options, want,
      "need bounds for degrees 0..3, got 1"),
     (["--dirs", "2", "--caps", "2", "--envelope", "1,1,1"],
      "envelope check requires direction norms <= 1"),
-], ids=["too-few-bounds", "direction-norm"])
+    (["--dirs", "1", "--caps", "3", "--tail", "1,-1"],
+     "radius must be positive"),
+    (["--dirs", "1", "--caps", "3", "--tail", "-1,1"],
+     "derivative bound must be non-negative"),
+], ids=["too-few-bounds", "direction-norm", "tail-radius", "tail-bound"])
 def test_taylor_envelope_arguments_checked_before_the_pass(capsys, tmp_path,
                                                             options, word):
     # the lifted pass would fail at x = 0 (exit 3): usage comes first

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from jetweil.errors import UnsupportedOrderError, UnsupportedPrimitiveError
+from jetweil.errors import (DimensionMismatchError, UnsupportedOrderError,
+                            UnsupportedPrimitiveError)
 from jetweil.jets import SeedSpec, taylor_eval
 from jetweil.oracle import (SparsePoly, finite_difference,
                             nested_jvp_schedule, symbolic_eval,
@@ -165,6 +166,50 @@ def test_schedule_safe_program_agreement():
         gap, _, _ = _table_gap(prog, x, AXIS2, 2)
         worst = max(worst, gap)
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_schedule_center_layout_order_three(p):
+    # k = 3 with p != 3 runs the center layout; single-node rays fit order 3
+    # from value rows, so it is far less accurate than k = 2 (worst measured
+    # gap 2.6e-3 at p = 2, 3.7e-3 at p = 4)
+    rng = random.Random(31)
+    dirs = [[1.0 if i == j else 0.0 for i in range(p)] for j in range(p)]
+    worst = 0.0
+    for i in range(60):
+        prog = random_program(seed=4000 + i, depth=rng.randint(1, 10),
+                              n_inputs=p)
+        x = [rng.uniform(-0.8, 0.8) for _ in range(p)]
+        gap, count, _ = _table_gap(prog, x, dirs, 3)
+        assert count.passes == math.comb(p + 3, 3)
+        worst = max(worst, gap)
+    assert worst <= 5e-3
+
+
+X2Y = parse_program("input x y\nt = mul x x\nu = mul t y\noutput u")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: nested_jvp_schedule(X2Y, [0.1, 0.2], [(1.0,), (0.0, 1.0)], 2),
+     DimensionMismatchError, "direction length 1 != input dimension 2"),
+    (lambda: nested_jvp_schedule(X2Y, [0.1, 0.2], [(1.0, 0.0, 0.0)], 1),
+     DimensionMismatchError, "direction length 3 != input dimension 2"),
+    (lambda: nested_jvp_schedule(X2Y, [0.1, 0.2], [], 2),
+     ValueError, "at least one direction"),
+    (lambda: symbolic_partial(symbolic_eval(X2Y)[0], (1, 1), [2.0]),
+     DimensionMismatchError, "program takes 2 inputs, got 1"),
+    (lambda: symbolic_partial(symbolic_eval(X2Y)[0], (1, 1, 0), [2.0, 1.0]),
+     DimensionMismatchError, "alpha length 3 != input dimension 2"),
+    (lambda: finite_difference(X2Y, [0.1, 0.2], (0, 0, 1)),
+     DimensionMismatchError, "alpha length 3 != input dimension 2"),
+    (lambda: finite_difference(X2Y, [0.1], (0, 1)),
+     DimensionMismatchError, "program takes 2 inputs, got 1"),
+], ids=["schedule-short-direction", "schedule-long-direction",
+        "schedule-no-direction", "symbolic-short-point", "symbolic-long-alpha",
+        "fd-long-alpha", "fd-short-point"])
+def test_oracles_refuse_wrong_lengths(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_schedule_nonaxis_directions():
