@@ -172,15 +172,20 @@ def _central_weights(order: int) -> np.ndarray:
 def finite_difference(prog: Program, x: Sequence[float],
                       alpha: Sequence[int],
                       h: float | None = None) -> np.ndarray:
-    """Central-difference estimate of the alpha mixed partial, O(h^2)."""
+    """Central-difference estimate of the alpha mixed partial, O(h^2).
+
+    The default step scales with 1 + the largest |x_i| the stencil moves:
+    that cannot overflow, and huge coordinates it does not move leave the
+    step, and so the moved coordinates' points, as they are."""
     _check_lengths(prog.n_inputs, x, [alpha], "alpha")
     order = sum(alpha)
     if order > 4:
         raise UnsupportedOrderError(
             f"stencil order {order} > 4 is numerically useless in 64-bit")
-    if h is None:
-        h = (2.0 ** -52) ** (1.0 / (order + 2)) * (1.0 + float(np.linalg.norm(x)))
     axes = [i for i, a in enumerate(alpha) if a > 0]
+    if h is None:
+        h = (2.0 ** -52) ** (1.0 / (order + 2)) * (
+            1.0 + max((abs(float(x[i])) for i in axes), default=0.0))
     weight_sets = [_central_weights(alpha[i]) for i in axes]
     total = np.zeros(len(prog.outputs))
     for offsets in itertools.product(*(range(-alpha[i], alpha[i] + 1)
@@ -280,6 +285,8 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
         raise ValueError("order k must be >= 1")
     if len(directions) == 0:
         raise ValueError("nested_jvp_schedule needs at least one direction")
+    if step is not None and not 0.0 < step < math.inf:
+        raise ValueError(f"step must be a positive finite number, got {step!r}")
     _check_lengths(prog.n_inputs, x, directions)
     x = [float(v) for v in x]
     dirs = [np.asarray(d, dtype=float) for d in directions]

@@ -6,17 +6,24 @@ convolution, so series truncation is structural: products past any cap are
 simply never formed.  Coefficients may carry a trailing batch axis, which
 every operation broadcasts over.
 
-Three numpy kernels, picked from the operands' own shapes:
+Four numpy kernels, picked from the operands' own shapes:
 
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
-* slice loop: products with a batched operand, one slice update per nonzero
+* grouped gather: batched products of two factors of one batch shape, each
+  with more than ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows.  The
+  targets are grouped by their number of pairs; each group gathers both
+  factors and sums them with one ``np.einsum``, through ``_level_conv``,
+  and writes its targets once.
+* slice loop: every other batched product, one slice update per nonzero
   row of one factor: the unbatched one if only one is, else the one with
   fewer nonzero rows, so a constant factor costs one update and a seeded
   input p + 1.  A second factor's rows are visited in descending index.
 * graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
-  a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+  a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13), through the
+  same gather kernel: ``sin`` and ``cos`` gather D x once per degree for
+  both of their sums.
 
 Each primitive's ``lift`` rule runs on one of two kernel sets with one
 interface (``const``, ``add``, ``sub``, ``neg``, ``mul``, ``unary``,
@@ -31,9 +38,14 @@ plain ``+=`` from 0.0: never ``sum()``, which adds floats with compensation
 from CPython 3.12.  Only a product past ``FLOAT_MUL_PAIRS`` pairs goes
 through numpy, as the pair table's one ``np.bincount``.
 
-All of them add each coefficient's terms in ascending order of the first
-factor's index (the descending visit of a second factor's rows does exactly
-that), so batched, unbatched and float results agree bit for bit.  Past
+All of them add each coefficient's terms from 0.0 in ascending order of
+the first factor's index (the descending visit of a second factor's rows
+does exactly that), so batched, unbatched and float results agree bit for
+bit.  ``np.einsum`` folds the pair axis in this order once a gather has
+two columns or more; a lone column goes to ``np.bincount``, since
+``einsum``, like ``sum``, would reduce it pairwise.  The fold must multiply,
+round, then add: a numpy built to fuse the two would round differently,
+which the tests guard.  Past
 ``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
 and the recurrences build each coefficient's pairs when they reach it.
 
@@ -44,8 +56,8 @@ per-shape ``lru_cache`` hashes in C.  ``WeilValue(shape, coeffs)`` checks its
 rows; the kernels build their results unchecked (``_result``), since every
 kernel makes a float array of ``shape.dim`` rows by construction.
 
-Scratch: the batched temporaries of the slice loop and of the recurrences'
-gathers go into two float64 buffers that each thread keeps for reuse
+Scratch: the batched temporaries of the slice loop and of the gathers go
+into two float64 buffers that each thread keeps for reuse
 (``threading.local``, since library callers may lift from threads).
 Each buffer holds ``GATHER_LIMIT`` values, 4 MiB; a larger temporary is
 allocated afresh.  Fresh temporaries of this size go back to the OS when
@@ -87,6 +99,15 @@ FLOAT_PAIRS_PER_DEGREE = 64
 # pair; past it one np.bincount over arrays of the two lists costs less,
 # about 5 us at any of the float passes' shapes.  (8,) has 45 pairs, (12,) 91.
 FLOAT_MUL_PAIRS = 64
+# A batched product of two factors of one batch shape runs the grouped
+# gather when the sparser one has more than GATHER_ROWS * max(dim, 3 g)
+# nonzero rows, g the shape's number of pair-count groups; else the slice
+# loop over it.  The gather costs a few calls per group, the loop two per
+# row.  Measured at B = 128 to 2048, the gather overtook the loop between
+# 0.3 and 0.6 of dim on (1,)*4 to (1,)*6 and (2, 2, 2), past 0.7 of dim on
+# (1,)*6 at B = 2048, and near 1.5 rows per group on (1, 1, 1), (3, 3) and
+# (4, 4); on (1, 1), (2, 2) and every (c,) it never won.
+GATHER_ROWS = 0.5
 
 _scratch = threading.local()
 
@@ -324,13 +345,16 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
     Two unbatched operands use the pair table while it has at most
-    PAIR_LIMIT pairs.  All other products run the slice loop, one update per
-    nonzero row of the factor with the smaller (axes, nonzero rows): an
-    unbatched factor broadcasts, so it goes first, and a tie keeps a.  The
-    loop visits a's rows in ascending index and b's in descending index, so
-    either way each coefficient adds its terms in ascending index of a, as
-    the pair table does, and every batch column equals its unbatched product
-    bit for bit.
+    PAIR_LIMIT pairs.  Two factors of one batch shape, each with more than
+    ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, run the grouped
+    gather: one ``conv`` per group of ``_product_groups``, each writing its
+    targets once.  All other products run the slice loop,
+    one update per nonzero row of the factor with the smaller (axes,
+    nonzero rows): an unbatched factor broadcasts, so it goes first, and a
+    tie keeps a.  The loop visits a's rows in ascending index and b's in
+    descending index.
+    Every kernel adds each coefficient's terms in ascending index of a, from
+    0.0, so every batch column equals its unbatched product bit for bit.
     """
     shape = _check_shapes(a, b)
     if a.coeffs.ndim == 1 and b.coeffs.ndim == 1:
@@ -340,6 +364,16 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
             return _result(shape, np.bincount(
                 k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
     rows_a, rows_b = _nonzero_rows(a), _nonzero_rows(b)
+    groups = (_product_groups(shape) if a.coeffs.shape == b.coeffs.shape
+              else None)
+    if groups is not None and min(len(rows_a), len(rows_b)) > (
+            GATHER_ROWS * max(shape.dim, 3 * len(groups))):
+        ca = a.coeffs.reshape(shape.dim, -1)
+        cb = b.coeffs.reshape(ca.shape)
+        out = np.empty(ca.shape)
+        for targets, conv in groups:
+            out[targets] = conv(ca, cb)
+        return _result(shape, out.reshape(a.coeffs.shape))
     if (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a)):
         a, b, rows_a = b, a, rows_b[::-1]
     tshape = shape.tensor_shape
@@ -355,6 +389,31 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         np.add(acc, np.multiply(ta[ia], part, out=scratch[:acc.size]
                                 .reshape(acc.shape)), out=acc)
     return _result(shape, out.reshape((shape.dim,) + batch))
+
+
+@lru_cache(maxsize=None)
+def _product_groups(shape: WeilShape):
+    """(targets, conv) for each pair count n of the pair table: ``targets``
+    holds the flat indices with n pairs, and ``conv(a, b)`` sums their pairs
+    a[i] * b[j] in ascending i, the pair table's order, unpadded.  Every
+    index is a target of pair (0, alpha), so the groups cover the dim rows.
+    None past PAIR_LIMIT pairs."""
+    pairs = _pair_table(shape)
+    if pairs is None:
+        return None
+    i, j, k = pairs
+    order = np.argsort(k, kind="stable")  # by target, ascending i within
+    i, j, k = i[order], j[order], k[order]
+    count = np.bincount(k)
+    groups = []
+    for n in np.unique(count).tolist():
+        targets = np.flatnonzero(count == n)
+        sel = np.isin(k, targets)
+        pos = np.repeat(np.arange(len(targets)), n)
+        groups.append((targets, _level_conv(
+            i[sel].reshape(-1, n), j[sel].reshape(-1, n), i[sel], j[sel],
+            pos, shape.dim)))
+    return tuple(groups)
 
 
 @lru_cache(maxsize=None)
@@ -407,9 +466,15 @@ def _levels(shape: WeilShape):
 
 
 def _level_conv(I, J, i, j, pos, dim: int):
-    """Unbatched, one ``np.bincount`` over the pairs; batched, the padded
-    gather summed along its rows, GATHER_LIMIT products at a time.  Both add
-    in ascending beta, so a batch column matches its unbatched lift exactly.
+    """``conv(a, *bs)`` sums a[I[r]] * b[J[r]] along each row r of the
+    tables, for each b: an array for one b, a tuple for several, so a is
+    gathered once for all of them.  Unbatched, one ``np.bincount`` over the
+    pairs (i, j) of the rows ``pos``; batched, the gathers of a and b
+    reduced by one ``np.einsum``, GATHER_LIMIT products at a time.  Both add
+    along the row, from 0.0, so a batch column matches its unbatched lift
+    exactly.  A lone column goes to ``np.bincount``: ``einsum``, like
+    ``sum``, would reduce it pairwise.  The batched call of one b with at
+    most ``cols`` columns, the most frequent, runs straight through.
 
     The gathers run unchecked into the thread's scratch, so the index
     tables are checked here, once: every entry lies in 0..dim, the rows of
@@ -420,20 +485,30 @@ def _level_conv(I, J, i, j, pos, dim: int):
             raise IndexError(f"level table index outside 0..{dim}")
     cols = max(1, GATHER_LIMIT // I.size)
 
-    def conv(a, b):
-        if a.ndim == 1:
-            return np.bincount(pos, a[i] * b[j], len(I))
-        if a.shape[1] == 1:  # numpy would sum a lone column pairwise
-            return conv(a[:, 0], b[:, 0])[:, None]
-        if a.shape[1] <= cols:
+    def conv(a, b, *more):
+        if a.ndim == 1:  # unbatched lifts make most calls, so no list here
+            ai = a[i]
+            out = np.bincount(pos, ai * b[j], len(I))
+            if not more:
+                return out
+            return out, *[np.bincount(pos, ai * c[j], len(I)) for c in more]
+        if 1 < a.shape[1] <= cols:
             n, gather = I.size * a.shape[1], I.shape + a.shape[1:]
-            prod = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather),
-                          "clip")
-            prod *= b.take(J, 0, _scratch_buffer(1, n)[:n].reshape(gather),
-                           "clip")
-            return prod.sum(axis=1)
-        return np.concatenate([conv(a[:, lo:lo + cols], b[:, lo:lo + cols])
-                               for lo in range(0, a.shape[1], cols)], axis=1)
+            ga = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather), "clip")
+            gb = _scratch_buffer(1, n)[:n].reshape(gather)
+            out = np.einsum("tkb,tkb->tb", ga, b.take(J, 0, gb, "clip"))
+            if not more:
+                return out
+            return out, *[np.einsum("tkb,tkb->tb", ga, c.take(J, 0, gb, "clip"))
+                          for c in more]
+        # a lone column as an unbatched one, more columns in blocks of cols
+        cuts = [0] if a.shape[1] == 1 else [
+            slice(lo, lo + cols) for lo in range(0, a.shape[1], cols)]
+        parts = [conv(a[:, k], b[:, k], *[c[:, k] for c in more])
+                 for k in cuts]
+        out = [np.concatenate([x.reshape(len(I), -1) for x in xs], axis=1)
+               for xs in zip(*(parts if more else [(x,) for x in parts]))]
+        return tuple(out) if more else out[0]
     return conv
 
 
@@ -475,7 +550,8 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
         s, c = y, np.zeros(rows)
         s[:1], c[:1] = np.sin(x0), np.cos(x0)
         for d, t, conv in levels:
-            s[t], c[t] = conv(dx, c) / d, conv(dx, s) / -d
+            sc, ss = conv(dx, c, s)
+            s[t], c[t] = sc / d, ss / -d
         y = s if kind == "sin" else c
     elif kind == "tanh":  # D y = u D x with u = 1 - y**2
         u = np.zeros(rows)

@@ -112,6 +112,19 @@ def test_grad_check_fields(capsys, prod_file):
     assert payload["check"]["fd_max_abs_diff"] <= 1e-4
 
 
+def test_grad_check_near_overflow(capsys, tmp_path):
+    # the gradient is finite, and so is every finite-difference point
+    path = tmp_path / "big.slp"
+    path.write_text("input a b c\np = mul a c\nq = mul b c\nz = add p q\n"
+                    "output z\n")
+    code, out, _ = run_cli(capsys, "grad", str(path), "--x", "1,-1,1.5e308",
+                           "--check", "--seed", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gradient"] == [1.5e308, 1.5e308, 0.0]
+    assert payload["check"]["fd_max_abs_diff"] <= 1e-9 * 1.5e308
+
+
 def test_grad_check_records_one_tape(capsys, prod_file):
     with counting() as snapshot:
         code, _, _ = run_cli(capsys, "grad", prod_file, "--x", "3,5",

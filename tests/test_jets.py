@@ -12,11 +12,12 @@ from jetweil.errors import (DimensionMismatchError, DomainError,
 from jetweil.jets import (SeedSpec, WeilSemantics, basis_seed,
                           coefficient_envelope, directional_taylor, seed,
                           tail_bound, taylor_eval)
-from jetweil.modes import jvp, pairing_residual
+from jetweil.modes import compose_programs, jvp, pairing_residual
+from jetweil.oracle import SparsePoly
 from jetweil.slp import (PrimitiveKind, eval_generic, parse_program,
                          random_program)
 from jetweil import weil
-from jetweil.weil import make_shape, multi_factorial
+from jetweil.weil import WeilValue, make_shape, multi_factorial
 
 X2Y = parse_program("input x y\nt = mul x x\nu = mul t y\noutput u")
 
@@ -226,6 +227,69 @@ def test_single_pass_counters():
         counters = snapshot()
     assert counters["lifted_primitives"] == prog.n_nodes
     assert counters["tape_allocations"] == 0
+
+
+def _composed_series(f_raw, alphas, g_raw, caps):
+    """g's Taylor polynomial at f's primal applied to f's nilpotent part,
+    sum of g_m N**m truncated to caps, on ``oracle.SparsePoly``: no
+    ``weil`` code composes."""
+    p = len(caps)
+
+    def truncate(poly):
+        return SparsePoly(p, {e: c for e, c in poly.terms.items()
+                              if all(a <= cap for a, cap in zip(e, caps))})
+
+    nil = SparsePoly(p, {a: float(c) for a, c in zip(alphas, f_raw) if any(a)})
+    out, power = SparsePoly.constant(p, g_raw[0]), SparsePoly.constant(p, 1.0)
+    for g_m in g_raw[1:]:
+        power = truncate(power * nil)
+        out = out + SparsePoly(p, {e: g_m * c for e, c in power.terms.items()})
+    return out
+
+
+# Worst gap measured over 200 pairs of three columns per caps: 3.3e-15,
+# relative to max(1, the largest |coefficient|).
+FUNCTORIALITY_TOL = 5e-15
+
+
+@pytest.mark.parametrize("caps", [(2,), (4,), (2, 2), (3, 3), (2, 2, 2)])
+def test_lifted_functoriality(caps):
+    # T(g o f) = T g o T f, coefficient by coefficient: f's table along
+    # (dirs, caps) substituted into g's univariate table at f(x), to the top
+    # total degree, against taylor_eval of the composed program and against
+    # each column of one batched pass of it.  This guards the multivariate
+    # bookkeeping (pair tables, slice loop, product groups, float tables).
+    shape = make_shape(caps)
+    rng = random.Random(len(caps) * 100 + sum(caps))
+    batch = 3
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        f = random_program(rng.randrange(10 ** 6), rng.randint(5, 30), n)
+        g = random_program(rng.randrange(10 ** 6), rng.randint(5, 30), 1)
+        fg = compose_programs(f, g)
+        specs = [SeedSpec(tuple(rng.uniform(-1, 1) for _ in range(n)),
+                          tuple(tuple(rng.uniform(-1, 1) for _ in range(n))
+                                for _ in caps), caps) for _ in range(batch)]
+        inputs = [np.zeros((shape.dim, batch)) for _ in range(n)]
+        for col, spec in enumerate(specs):
+            for x, seeded in zip(spec.base, inputs):
+                seeded[0, col] = x
+            for d, stride in zip(spec.directions, shape.strides):
+                for v, seeded in zip(d, inputs):
+                    seeded[stride, col] = v
+        batched = eval_generic(fg, [WeilValue(shape, c) for c in inputs],
+                               WeilSemantics(shape, (batch,)))[0].coeffs
+        for col, spec in enumerate(specs):
+            tf = taylor_eval(f, spec)
+            tg = taylor_eval(g, SeedSpec((float(tf.raw[0, 0]),), ((1.0,),),
+                                         (shape.max_total_degree,)))
+            series = _composed_series(tf.raw[:, 0], tf.alphas, tg.raw[:, 0],
+                                      caps)
+            want = np.array([series.terms.get(a, 0.0) for a in tf.alphas])
+            for got in (taylor_eval(fg, spec).raw[:, 0],
+                        batched[shape.graded()[0], col]):
+                gap = np.abs(got - want).max() / max(1.0, np.abs(got).max())
+                assert gap <= FUNCTORIALITY_TOL, (caps, col, gap)
 
 
 def test_weil_eps_coefficient_equals_jvp():

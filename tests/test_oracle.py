@@ -225,6 +225,26 @@ def test_schedule_rejects_bad_order():
         nested_jvp_schedule(SQUARE, [1.0], [(1.0,)], 0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+def test_schedule_rejects_bad_step(step):
+    # refused before any pass: a zero step made a NaN table, with a numpy
+    # warning (an error under this suite), and a max_residual of 0.0
+    with pytest.raises(ValueError, match="positive finite"):
+        nested_jvp_schedule(X2Y, [0.1, 0.2], AXIS2, 2, step=step)
+
+
+def test_fd_default_step_near_overflow():
+    # the step scales with the coordinate it moves: a norm of x would be
+    # inf here, and a step sized by the third coordinate would overflow
+    # a * c when the stencil moves a
+    prog = parse_program("input a b c\np = mul a c\nq = mul b c\n"
+                         "z = add p q\noutput z")
+    x = [1.0, -1.0, 1.5e308]
+    for i, want in enumerate([1.5e308, 1.5e308, 0.0]):
+        est = finite_difference(prog, x, tuple(int(j == i) for j in range(3)))
+        assert abs(est[0] - want) <= 1e-9 * 1.5e308
+
+
 def test_schedule_k4_count_and_rough_accuracy():
     prog = parse_program("input x y\nt = mul x y\ns = sin t\noutput s")
     gap, count, diag = _table_gap(prog, [0.7, 0.4], AXIS2, 4)

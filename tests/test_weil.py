@@ -272,6 +272,139 @@ def test_slice_loop_updates_per_sparse_row(monkeypatch, caps):
             assert len(lookups) == want, (caps, sparse)
 
 
+GATHER_CAPS = [(1,) * 4, (1,) * 5, (1,) * 6, (2, 2), (2, 2, 2), (3,), (15,)]
+
+
+def _columns_match_unbatched(shape, a, b, out):
+    for i in range(a.shape[1]):
+        single = weil_mul(WeilValue(shape, a[:, i]), WeilValue(shape, b[:, i]))
+        assert np.array_equal(out[:, i], single.coeffs), (shape.caps, i)
+
+
+@pytest.mark.parametrize("caps", GATHER_CAPS)
+@pytest.mark.parametrize("batch", [2, 3, 128])
+def test_dense_product_groups_against_loop(caps, batch):
+    # Dense batched products go through the grouped gather, but on (2, 2),
+    # (3,) and (15,), with few rows per group, through the slice loop; the
+    # groups themselves are checked at every shape.  Each column equals its
+    # unbatched product bit for bit.
+    rng = np.random.default_rng(11)
+    shape = make_shape(caps)
+    a, b = rng.normal(size=(2, shape.dim, batch))
+    _columns_match_unbatched(
+        shape, a, b, weil_mul(WeilValue(shape, a), WeilValue(shape, b)).coeffs)
+    out = np.empty_like(a)
+    for targets, conv in weil._product_groups(shape):
+        out[targets] = conv(a, b)
+    _columns_match_unbatched(shape, a, b, out)
+
+
+@pytest.mark.parametrize("batch", [7, 9])
+def test_dense_product_in_column_blocks(monkeypatch, batch):
+    # A small GATHER_LIMIT splits each group into blocks of a few columns,
+    # and 9 columns leave a lone one; each still matches its unbatched product.
+    monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
+    weil._product_groups.cache_clear()
+    try:
+        rng = np.random.default_rng(12)
+        for caps in [(1,) * 4, (2, 2, 2)]:
+            shape = make_shape(caps)
+            a, b = rng.normal(size=(2, shape.dim, batch))
+            _columns_match_unbatched(shape, a, b, weil_mul(
+                WeilValue(shape, a), WeilValue(shape, b)).coeffs)
+    finally:
+        weil._product_groups.cache_clear()
+
+
+@pytest.mark.parametrize("caps", [(1, 1, 1), (1,) * 4, (2, 2, 2)])
+@pytest.mark.parametrize("batch", [2, 3])
+def test_negative_zero_products_as_bincount(caps, batch):
+    # Column 0 has only -0.0 terms (+0.0 times a negative, or -0.0 times a
+    # positive); the other columns make every row nonzero, so the product
+    # gathers.  np.bincount adds them to 0.0 and gives +0.0, and so must
+    # every kernel.
+    shape = make_shape(caps)
+    rng = np.random.default_rng(13)
+    for zero, other in ((0.0, -1.0), (-0.0, 1.0)):
+        a = rng.normal(size=(shape.dim, batch))
+        b = rng.normal(size=(shape.dim, batch))
+        a[:, 0], b[:, 0] = zero, other * rng.uniform(1, 2, shape.dim)
+        out = weil_mul(WeilValue(shape, a), WeilValue(shape, b)).coeffs
+        i, j, k = weil._pair_table(shape)
+        want = np.bincount(k, a[i, 0] * b[j, 0], shape.dim)
+        assert not np.signbit(want).any()
+        assert np.array_equal(out[:, 0], want)
+        assert not np.signbit(out[:, 0]).any()
+
+
+@pytest.mark.parametrize("batch", [2, 3, 4, 8, 16, 128])
+def test_einsum_folds_without_fused_multiply_add(batch):
+    # Rounding each product before adding it gives
+    # -(1 + 2**-29) + (1 + 2**-29) = 0; a fused multiply-add would keep the
+    # 2**-60 that rounding a1 * a1 drops.  The batched kernels sum with
+    # np.einsum and must fold as np.bincount does, multiply then add.
+    a1, a0 = 1.0 + 2.0 ** -30, -(1.0 + 2.0 ** -29)
+    assert a1 * a1 + a0 == 0.0
+    x = np.array([[[a0], [a1]]]).repeat(batch, axis=2)
+    y = np.array([[[1.0], [a1]]]).repeat(batch, axis=2)
+    assert np.array_equal(np.einsum("tkb,tkb->tb", x, y), np.zeros((1, batch)))
+    # the same sums through a product: target e_0 of (1,)*4 has the pairs
+    # (0, e_0) and (e_0, 0), in that order; column 1 on makes rows nonzero
+    shape = make_shape((1,) * 4)
+    s = shape.strides[0]
+    rng = np.random.default_rng(14)
+    a, b = rng.normal(size=(2, shape.dim, batch))
+    a[:, 0] = b[:, 0] = 0.0
+    a[0, 0], a[s, 0], b[0, 0], b[s, 0] = a0, a1, a1, 1.0
+    out = weil_mul(WeilValue(shape, a), WeilValue(shape, b)).coeffs
+    assert out[s, 0] == 0.0
+    _columns_match_unbatched(shape, a, b, out)
+
+
+@pytest.mark.parametrize("caps", [(1, 1, 1), (1,) * 4, (1,) * 6, (2, 2, 2)])
+def test_dense_products_make_no_slice_update(monkeypatch, caps):
+    lookups = []
+    table = weil._slice_table
+
+    class Counting(list):
+        def __getitem__(self, k):
+            lookups.append(k)
+            return list.__getitem__(self, k)
+
+    monkeypatch.setattr(weil, "_slice_table",
+                        lambda shape: Counting(table(shape)))
+    shape = make_shape(caps)
+    dense = _sparse_factors(shape, np.random.default_rng(15), 3)["dense"]
+    weil_mul(dense, dense)
+    assert lookups == []
+
+
+@pytest.mark.parametrize("caps", [(2, 2), (1,) * 6, (3, 3, 3)])
+def test_batched_sin_gathers_dx_once_per_level(monkeypatch, caps):
+    # one conv call per level, with D x on the left and both of c and s on
+    # the right, so D x is gathered once for both sums
+    calls = []
+    build = weil._level_conv
+
+    def counted(*tables):
+        conv = build(*tables)
+
+        def count(a, *bs):
+            calls.append(len(bs))
+            return conv(a, *bs)
+        return count
+
+    monkeypatch.setattr(weil, "_level_conv", counted)
+    weil._levels.cache_clear()
+    try:
+        shape = make_shape(caps)
+        rng = np.random.default_rng(16)
+        weil_unary("sin", _jet(shape, rng, rng.uniform(0.5, 2.0, 4), (4,)))
+    finally:
+        weil._levels.cache_clear()
+    assert calls == [2] * shape.max_total_degree
+
+
 def test_unary_exp_example():
     w = val([2], [0, 1, 0])
     assert np.allclose(weil_unary("exp", w).coeffs, [1, 1, 0.5], atol=1e-15)
