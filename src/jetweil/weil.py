@@ -11,10 +11,11 @@ Four numpy kernels, picked from the operands' own shapes:
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
 * grouped gather: batched products of two factors of one batch shape, each
-  with more than ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows.  The
-  targets are grouped by their number of pairs; each group gathers both
-  factors and sums them with one ``np.einsum``, through ``_level_conv``,
-  and writes its targets once.
+  with more than ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, while
+  the pairs times the batch columns fit ``GATHER_LIMIT``.  The targets are
+  grouped by their number of pairs; each group gathers both factors,
+  multiplies and sums them through ``_level_conv``, and writes its targets
+  once.
 * slice loop: every other batched product, one slice update per nonzero
   row of one factor: the unbatched one if only one is, else the one with
   fewer nonzero rows, so a constant factor costs one update and a seeded
@@ -41,13 +42,15 @@ through numpy, as the pair table's one ``np.bincount``.
 All of them add each coefficient's terms from 0.0 in ascending order of
 the first factor's index (the descending visit of a second factor's rows
 does exactly that), so batched, unbatched and float results agree bit for
-bit.  ``np.einsum`` folds the pair axis in this order once a gather has
-two columns or more; a lone column goes to ``np.bincount``, since
-``einsum``, like ``sum``, would reduce it pairwise.  The fold must multiply,
-round, then add: a numpy built to fuse the two would round differently,
-which the tests guard.  Past
-``PAIR_LIMIT`` pairs no pair table is built: products run the slice loop,
-and the recurrences build each coefficient's pairs when they reach it.
+bit.  A gather of two columns or more multiplies into its scratch and
+then adds along the pair axis, which numpy folds in order when that axis
+is not the innermost; a lone column goes to ``np.bincount``, since numpy
+would reduce it pairwise.  The multiply and the add stay two calls: a
+one-call sum of products (``np.einsum``, ``np.dot``) may fuse them into
+one rounding on CPUs with a fused multiply-add, which the tests guard.
+Past ``PAIR_LIMIT`` pairs no pair table is built: products run the slice
+loop, and the recurrences build each coefficient's pairs when they reach
+it.
 
 Shapes are interned: ``make_shape`` returns one ``WeilShape`` per caps
 tuple, and copies and pickles come back as that object.  Shapes therefore
@@ -101,12 +104,14 @@ FLOAT_PAIRS_PER_DEGREE = 64
 FLOAT_MUL_PAIRS = 64
 # A batched product of two factors of one batch shape runs the grouped
 # gather when the sparser one has more than GATHER_ROWS * max(dim, 3 g)
-# nonzero rows, g the shape's number of pair-count groups; else the slice
-# loop over it.  The gather costs a few calls per group, the loop two per
-# row.  Measured at B = 128 to 2048, the gather overtook the loop between
-# 0.3 and 0.6 of dim on (1,)*4 to (1,)*6 and (2, 2, 2), past 0.7 of dim on
-# (1,)*6 at B = 2048, and near 1.5 rows per group on (1, 1, 1), (3, 3) and
-# (4, 4); on (1, 1), (2, 2) and every (c,) it never won.
+# nonzero rows, g the shape's number of pair-count groups, and its pairs
+# times its batch size fit GATHER_LIMIT; else the slice loop over it.  The
+# gather costs a few calls per group, the loop two per row, but the gather
+# copies every pair.  Measured at B = 128 to 2048, the gather overtook the
+# loop between 0.4 and 0.5 of dim on (1,)*4 to (1,)*6 and (2, 2, 2) at
+# B = 512, near 0.8 on (1,)*5 and (2, 2, 2) at B = 2048, and near 1.5 rows
+# per group on (1, 1, 1), (3, 3) and (4, 4); it never won on (1, 1),
+# (2, 2) or any (c,), nor on dense (1,)*6 (729 pairs) at B = 2048.
 GATHER_ROWS = 0.5
 
 _scratch = threading.local()
@@ -338,7 +343,8 @@ def _slice_table(shape: WeilShape):
 
 def _nonzero_rows(w: WeilValue) -> np.ndarray:
     """Flat indices of the rows of w that are nonzero in some batch column."""
-    return np.flatnonzero(w.coeffs.reshape(w.shape.dim, -1).any(axis=1))
+    return np.flatnonzero((w.coeffs.reshape(w.shape.dim, -1) != 0)
+                          .any(axis=1))
 
 
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
@@ -346,13 +352,13 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
 
     Two unbatched operands use the pair table while it has at most
     PAIR_LIMIT pairs.  Two factors of one batch shape, each with more than
-    ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, run the grouped
-    gather: one ``conv`` per group of ``_product_groups``, each writing its
-    targets once.  All other products run the slice loop,
-    one update per nonzero row of the factor with the smaller (axes,
-    nonzero rows): an unbatched factor broadcasts, so it goes first, and a
-    tie keeps a.  The loop visits a's rows in ascending index and b's in
-    descending index.
+    ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, and at most
+    GATHER_LIMIT pairs times batch columns, run the grouped gather: one
+    ``conv`` per group of ``_product_groups``, each writing its targets
+    once.  All other products run the slice loop, one update per
+    nonzero row of the factor with the smaller (axes, nonzero rows): an
+    unbatched factor broadcasts, so it goes first, and a tie keeps a.  The
+    loop visits a's rows in ascending index and b's in descending index.
     Every kernel adds each coefficient's terms in ascending index of a, from
     0.0, so every batch column equals its unbatched product bit for bit.
     """
@@ -367,12 +373,15 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     groups = (_product_groups(shape) if a.coeffs.shape == b.coeffs.shape
               else None)
     if groups is not None and min(len(rows_a), len(rows_b)) > (
-            GATHER_ROWS * max(shape.dim, 3 * len(groups))):
+            GATHER_ROWS * max(shape.dim, 3 * len(groups))) and (
+            # the pair table's size, then times the batch columns
+            math.prod((c + 1) * (c + 2) // 2 for c in shape.caps)
+            * a.coeffs[0].size <= GATHER_LIMIT):
         ca = a.coeffs.reshape(shape.dim, -1)
         cb = b.coeffs.reshape(ca.shape)
         out = np.empty(ca.shape)
         for targets, conv in groups:
-            out[targets] = conv(ca, cb)
+            out[targets] = conv(ca, cb)[0]
         return _result(shape, out.reshape(a.coeffs.shape))
     if (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a)):
         a, b, rows_a = b, a, rows_b[::-1]
@@ -394,9 +403,10 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
 @lru_cache(maxsize=None)
 def _product_groups(shape: WeilShape):
     """(targets, conv) for each pair count n of the pair table: ``targets``
-    holds the flat indices with n pairs, and ``conv(a, b)`` sums their pairs
-    a[i] * b[j] in ascending i, the pair table's order, unpadded.  Every
-    index is a target of pair (0, alpha), so the groups cover the dim rows.
+    holds the flat indices with n pairs, and ``conv(a, b)[0]`` sums their
+    pairs a[i] * b[j] in ascending i, the pair table's order, unpadded.
+    Every index is a target of pair (0, alpha), so the groups cover the dim
+    rows.
     None past PAIR_LIMIT pairs."""
     pairs = _pair_table(shape)
     if pairs is None:
@@ -441,8 +451,9 @@ def _levels(shape: WeilShape):
     None past PAIR_LIMIT pairs.
 
     ``targets`` holds the flat indices alpha with |alpha| == d.  For each of
-    them ``conv(a, b)`` sums a[beta] * b[alpha - beta] over beta != 0 in
-    ascending beta, where a and b carry a zero row after their dim rows.
+    them ``conv(a, *bs)`` sums a[beta] * b[alpha - beta] over beta != 0 in
+    ascending beta, for each b, where a and the bs carry a zero row after
+    their dim rows.
     """
     pairs = _target_pairs(shape)
     if pairs is None:
@@ -466,15 +477,14 @@ def _levels(shape: WeilShape):
 
 
 def _level_conv(I, J, i, j, pos, dim: int):
-    """``conv(a, *bs)`` sums a[I[r]] * b[J[r]] along each row r of the
-    tables, for each b: an array for one b, a tuple for several, so a is
-    gathered once for all of them.  Unbatched, one ``np.bincount`` over the
-    pairs (i, j) of the rows ``pos``; batched, the gathers of a and b
-    reduced by one ``np.einsum``, GATHER_LIMIT products at a time.  Both add
-    along the row, from 0.0, so a batch column matches its unbatched lift
-    exactly.  A lone column goes to ``np.bincount``: ``einsum``, like
-    ``sum``, would reduce it pairwise.  The batched call of one b with at
-    most ``cols`` columns, the most frequent, runs straight through.
+    """``conv(a, *bs)`` lists, for each b, the sums of a[I[r]] * b[J[r]]
+    along each row r of the tables; a is gathered once for all of them.
+    Unbatched, one ``np.bincount`` over the pairs (i, j) of the rows
+    ``pos``; batched, the gathers of a and b multiplied into the scratch
+    and added along the row by ``np.add.reduce``, GATHER_LIMIT products at
+    a time.  Both add along the row, from 0.0, so a batch column matches
+    its unbatched lift exactly.  A lone column goes to ``np.bincount``,
+    since numpy would reduce it pairwise.
 
     The gathers run unchecked into the thread's scratch, so the index
     tables are checked here, once: every entry lies in 0..dim, the rows of
@@ -485,30 +495,25 @@ def _level_conv(I, J, i, j, pos, dim: int):
             raise IndexError(f"level table index outside 0..{dim}")
     cols = max(1, GATHER_LIMIT // I.size)
 
-    def conv(a, b, *more):
-        if a.ndim == 1:  # unbatched lifts make most calls, so no list here
-            ai = a[i]
-            out = np.bincount(pos, ai * b[j], len(I))
-            if not more:
-                return out
-            return out, *[np.bincount(pos, ai * c[j], len(I)) for c in more]
-        if 1 < a.shape[1] <= cols:
+    def conv(a, *bs):
+        if a.ndim == 1:  # unbatched lifts make most calls: a plain loop
+            ai, out = a[i], []
+            for b in bs:
+                out.append(np.bincount(pos, ai * b[j], len(I)))
+            return out
+        if a.shape[1] == 1:  # numpy would sum a lone column pairwise
+            return [x[:, None] for x in conv(a[:, 0], *[b[:, 0] for b in bs])]
+        if a.shape[1] <= cols:
             n, gather = I.size * a.shape[1], I.shape + a.shape[1:]
-            ga = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather), "clip")
+            ga = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather),
+                        "clip")
             gb = _scratch_buffer(1, n)[:n].reshape(gather)
-            out = np.einsum("tkb,tkb->tb", ga, b.take(J, 0, gb, "clip"))
-            if not more:
-                return out
-            return out, *[np.einsum("tkb,tkb->tb", ga, c.take(J, 0, gb, "clip"))
-                          for c in more]
-        # a lone column as an unbatched one, more columns in blocks of cols
-        cuts = [0] if a.shape[1] == 1 else [
-            slice(lo, lo + cols) for lo in range(0, a.shape[1], cols)]
-        parts = [conv(a[:, k], b[:, k], *[c[:, k] for c in more])
-                 for k in cuts]
-        out = [np.concatenate([x.reshape(len(I), -1) for x in xs], axis=1)
-               for xs in zip(*(parts if more else [(x,) for x in parts]))]
-        return tuple(out) if more else out[0]
+            return [np.add.reduce(np.multiply(ga, b.take(J, 0, gb, "clip"),
+                                              out=gb), axis=1, initial=0.0)
+                    for b in bs]
+        blocks = [conv(a[:, lo:lo + cols], *[b[:, lo:lo + cols] for b in bs])
+                  for lo in range(0, a.shape[1], cols)]
+        return [np.concatenate(xs, axis=1) for xs in zip(*blocks)]
     return conv
 
 
@@ -545,7 +550,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     if kind == "exp":  # D y = y D x
         y[:1] = np.exp(x0)
         for d, t, conv in levels:
-            y[t] = conv(dx, y) / d
+            y[t] = conv(dx, y)[0] / d
     elif kind in ("sin", "cos"):  # D s = c D x, D c = -s D x
         s, c = y, np.zeros(rows)
         s[:1], c[:1] = np.sin(x0), np.cos(x0)
@@ -558,16 +563,16 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
         y0 = y[:1] = np.tanh(x0)
         u[:1] = 1.0 - y0 * y0
         for d, t, conv in levels:
-            yt = y[t] = conv(dx, u) / d
-            u[t] = -(conv(y, y) + y0 * yt)
+            yt = y[t] = conv(dx, u)[0] / d
+            u[t] = -(conv(y, y)[0] + y0 * yt)
     elif kind == "log":  # x D y = D x
         y[:1] = np.log(x0)
         for d, t, conv in levels:
-            y[t] = (d * x[t] - conv(d * x - dx, y)) / (d * x0)
+            y[t] = (d * x[t] - conv(d * x - dx, y)[0]) / (d * x0)
     elif kind == "pow":  # x D y = r y D x: sqrt from y**2 = x, recip from x y = 1
         y[:1] = x0 ** r
         for d, t, conv in levels:
-            y[t] = conv((r + 1.0) * dx - d * x, y) / (d * x0)
+            y[t] = conv((r + 1.0) * dx - d * x, y)[0] / (d * x0)
     else:
         raise ValueError(f"unsupported unary primitive {kind!r}")
     return _result(shape, y[:-1].reshape((shape.dim,) + batch))

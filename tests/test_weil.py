@@ -295,14 +295,16 @@ def test_dense_product_groups_against_loop(caps, batch):
         shape, a, b, weil_mul(WeilValue(shape, a), WeilValue(shape, b)).coeffs)
     out = np.empty_like(a)
     for targets, conv in weil._product_groups(shape):
-        out[targets] = conv(a, b)
+        out[targets] = conv(a, b)[0]
     _columns_match_unbatched(shape, a, b, out)
 
 
 @pytest.mark.parametrize("batch", [7, 9])
-def test_dense_product_in_column_blocks(monkeypatch, batch):
+def test_dense_product_groups_in_column_blocks(monkeypatch, batch):
     # A small GATHER_LIMIT splits each group into blocks of a few columns,
-    # and 9 columns leave a lone one; each still matches its unbatched product.
+    # and 9 columns leave a lone one; each still matches its unbatched
+    # product.  weil_mul itself then takes the slice loop, since the pairs
+    # times the columns exceed GATHER_LIMIT.
     monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
     weil._product_groups.cache_clear()
     try:
@@ -310,8 +312,10 @@ def test_dense_product_in_column_blocks(monkeypatch, batch):
         for caps in [(1,) * 4, (2, 2, 2)]:
             shape = make_shape(caps)
             a, b = rng.normal(size=(2, shape.dim, batch))
-            _columns_match_unbatched(shape, a, b, weil_mul(
-                WeilValue(shape, a), WeilValue(shape, b)).coeffs)
+            out = np.empty_like(a)
+            for targets, conv in weil._product_groups(shape):
+                out[targets] = conv(a, b)[0]
+            _columns_match_unbatched(shape, a, b, out)
     finally:
         weil._product_groups.cache_clear()
 
@@ -338,16 +342,15 @@ def test_negative_zero_products_as_bincount(caps, batch):
 
 
 @pytest.mark.parametrize("batch", [2, 3, 4, 8, 16, 128])
-def test_einsum_folds_without_fused_multiply_add(batch):
+def test_batched_fold_without_fused_multiply_add(batch):
     # Rounding each product before adding it gives
     # -(1 + 2**-29) + (1 + 2**-29) = 0; a fused multiply-add would keep the
-    # 2**-60 that rounding a1 * a1 drops.  The batched kernels sum with
-    # np.einsum and must fold as np.bincount does, multiply then add.
+    # 2**-60 that rounding a1 * a1 drops.  The batched kernels multiply into
+    # scratch and then add, in two numpy calls, so they fold as np.bincount
+    # does on every platform; a one-call sum of products (np.einsum, np.dot)
+    # may fuse the two where the CPU has the instruction.
     a1, a0 = 1.0 + 2.0 ** -30, -(1.0 + 2.0 ** -29)
     assert a1 * a1 + a0 == 0.0
-    x = np.array([[[a0], [a1]]]).repeat(batch, axis=2)
-    y = np.array([[[1.0], [a1]]]).repeat(batch, axis=2)
-    assert np.array_equal(np.einsum("tkb,tkb->tb", x, y), np.zeros((1, batch)))
     # the same sums through a product: target e_0 of (1,)*4 has the pairs
     # (0, e_0) and (e_0, 0), in that order; column 1 on makes rows nonzero
     shape = make_shape((1,) * 4)
@@ -377,6 +380,11 @@ def test_dense_products_make_no_slice_update(monkeypatch, caps):
     dense = _sparse_factors(shape, np.random.default_rng(15), 3)["dense"]
     weil_mul(dense, dense)
     assert lookups == []
+    # past GATHER_LIMIT pairs times columns the same product loops over rows
+    pairs = weil._pair_table(shape)[0].size
+    monkeypatch.setattr(weil, "GATHER_LIMIT", 3 * pairs - 1)
+    weil_mul(dense, dense)
+    assert len(lookups) == shape.dim
 
 
 @pytest.mark.parametrize("caps", [(2, 2), (1,) * 6, (3, 3, 3)])
