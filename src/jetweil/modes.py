@@ -97,6 +97,21 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
     return adj[:prog.n_inputs]
 
 
+def _tangent_exponent(tape: Tape, v: Sequence[float]) -> int:
+    """The least m >= 0 for which a bound through the partials keeps every
+    tangent of the sweep along v * 2**-m below 2**1023: with |a| < 2**e(a)
+    (``math.frexp``), a node's tangent is below 2**(max e(p) + e(d) + 1)
+    over its partials p and operand tangents d, the 1 for a sum of two.
+    A zero counts as below 1, which only loosens the bound."""
+    exps = [math.frexp(a)[1] for a in v]
+    for parts, node in zip(tape.partials, tape.program.nodes):
+        ops = node.operands
+        exps.append(max((math.frexp(p)[1] + exps[op]
+                         for p, op in zip(parts, ops)), default=0)
+                    + (len(ops) == 2))
+    return max(0, max(exps) - 1023)
+
+
 def eval_dual(prog: Program, x: Sequence[float],
               v: Sequence[float]) -> tuple[list[float], list[float]]:
     """One forward sweep with a single tangent; returns (outputs, tangents).
@@ -135,11 +150,18 @@ def pairing_residual(prog: Program, x: Sequence[float], v: Sequence[float],
 def vjp_and_pairing(prog: Program, x: Sequence[float], omega: Sequence[float],
                     v: Sequence[float]) -> tuple[list[float], float]:
     """``vjp`` and ``pairing_residual`` along v, from one tape; the adjoint
-    is checked before the tangent."""
+    is checked before the tangent.  Where J v is non-finite but J^T omega
+    is not, the probe is v * 2**-m, which keeps every tangent finite
+    (``_tangent_exponent``), swept once more."""
     tape = record_tape(prog, x)
     jt_omega = check_finite(prog, reverse_sweep(tape, omega),
                             range(prog.n_inputs), "adjoint")
-    jv = check_finite(prog, tangent_sweep(tape, v), prog.outputs, "tangent")
+    jv = tangent_sweep(tape, v)
+    if not all(map(math.isfinite, jv)):
+        m = _tangent_exponent(tape, v)
+        v = [math.ldexp(a, -m) for a in v]
+        jv = tangent_sweep(tape, v)
+    jv = check_finite(prog, jv, prog.outputs, "tangent")
     forward = float(np.dot(omega, jv))
     backward = float(np.dot(jt_omega, v))
     return jt_omega, abs(backward - forward) / max(1.0, abs(forward))

@@ -24,7 +24,12 @@ Four numpy kernels, picked from the operands' own shapes:
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13), through the
   same gather kernel: ``sin`` and ``cos`` gather D x once per degree for
-  both of their sums.
+  both of their sums.  They run in graded row order, (|alpha|, alpha), so
+  each degree's targets are one block of rows, which every level sums into
+  and divides in place: one ``take`` permutes x in and one permutes y out.
+  A batch runs in column tiles, ``TILE_GATHER`` // widest columns wide
+  (widest the most padded pairs of one level), so that a tile's gathers
+  and operands stay in L2; an unbatched value is one tile.
 
 Each primitive's ``lift`` rule runs on one of two kernel sets with one
 interface (``const``, ``add``, ``sub``, ``neg``, ``mul``, ``unary``,
@@ -59,8 +64,9 @@ per-shape ``lru_cache`` hashes in C.  ``WeilValue(shape, coeffs)`` checks its
 rows; the kernels build their results unchecked (``_result``), since every
 kernel makes a float array of ``shape.dim`` rows by construction.
 
-Scratch: the batched temporaries of the slice loop and of the gathers go
-into two float64 buffers that each thread keeps for reuse
+Scratch: the batched temporaries of the slice loop and of the gathers, and
+the operands of a lift's tile (x, D x, y and two more, each with its zero
+row), go into three float64 buffers that each thread keeps for reuse
 (``threading.local``, since library callers may lift from threads).
 Each buffer holds ``GATHER_LIMIT`` values, 4 MiB; a larger temporary is
 allocated afresh.  Fresh temporaries of this size go back to the OS when
@@ -88,9 +94,11 @@ from .errors import DomainError, IncompatibleShapesError, ShapeTooLargeError
 DEFAULT_MAX_DIM = 1 << 20
 # Largest pair table weil_mul builds; three intp index arrays, 24 MiB at most.
 PAIR_LIMIT = 1 << 20
-# Most products one batched recurrence gathers at a time (4 MiB of float64).
-# Summed over sin lifts at B = 2048, 2**19 ran (6,6,6) and (15,15) twice as
-# fast as 2**20 or no limit, and the benchmark's small caps as fast.
+# Most pairs times batch columns a batched product gathers (4 MiB of
+# float64 per factor), and the size of each scratch buffer.  Past it the
+# gather copies more than the slice loop costs: a dense (1,)*6 product (729
+# pairs) ran 3.58 ms gathered against the loop's 3.05 at B = 2048, and
+# 0.19 against 0.54 ms at B = 128.
 GATHER_LIMIT = 1 << 19
 # Most pairs (beta != 0) per total degree at which an unbatched pass runs
 # on Python floats: the numpy recurrence costs a few calls per degree, the
@@ -113,19 +121,28 @@ FLOAT_MUL_PAIRS = 64
 # per group on (1, 1, 1), (3, 3) and (4, 4); it never won on (1, 1),
 # (2, 2) or any (c,), nor on dense (1,)*6 (729 pairs) at B = 2048.
 GATHER_ROWS = 0.5
+# Most products one level of a batched lift gathers at a time (512 KiB of
+# float64 in each of the two gather buffers): a lift runs over column tiles
+# TILE_GATHER // widest wide, widest being its widest level's padded pairs,
+# so that a tile's gathers and rows stay in L2.  In-process over the
+# benchmark's taylor-batched requests, 2**15 gained 8%, 2**16 11% and 2**17
+# nothing against untiled lifts.
+TILE_GATHER = 1 << 16
 
 _scratch = threading.local()
 
 
 def _scratch_buffer(which: int, n: int) -> np.ndarray:
-    """Flat float64 scratch buffer ``which`` (0 or 1) of the calling thread,
-    of at least n values; a fresh array past GATHER_LIMIT values."""
+    """Flat float64 scratch buffer ``which`` of the calling thread, of at
+    least n values; a fresh array past GATHER_LIMIT values.  Buffers 0 and 1
+    take the gathers and the slice loop's products, 2 the operands of a
+    lift's tile."""
     if n > GATHER_LIMIT:
         return np.empty(n)
     try:
         return _scratch.bufs[which]
     except AttributeError:
-        _scratch.bufs = (np.empty(GATHER_LIMIT), np.empty(GATHER_LIMIT))
+        _scratch.bufs = tuple(np.empty(GATHER_LIMIT) for _ in range(3))
         return _scratch.bufs[which]
 
 
@@ -433,6 +450,18 @@ def _degrees(shape: WeilShape) -> np.ndarray:
     return np.append(deg, 0).astype(float)
 
 
+@lru_cache(maxsize=None)
+def _graded_rows(shape: WeilShape):
+    """(order, rows, degrees) of the graded row order, in which the lifts
+    run: row g holds flat index order[g] and flat index k sits in row
+    rows[k]; degrees holds |alpha| of every row, then 0 for a zero row
+    after them.  Each total degree's rows are one block."""
+    order = shape.graded()[0]
+    rows = np.empty(shape.dim, dtype=np.intp)
+    rows[order] = np.arange(shape.dim)
+    return order, rows, _degrees(shape)[np.append(order, shape.dim)]
+
+
 def _target_pairs(shape: WeilShape):
     """(beta, alpha - beta, alpha) of every pair with beta != 0, sorted by
     target alpha, then ascending beta; None past PAIR_LIMIT pairs."""
@@ -447,44 +476,54 @@ def _target_pairs(shape: WeilShape):
 
 @lru_cache(maxsize=None)
 def _levels(shape: WeilShape):
-    """(d, targets, conv) for each total degree d = 1..K, in that order;
-    None past PAIR_LIMIT pairs.
+    """(widest, levels), levels holding (d, lo, hi, conv) for each total
+    degree d = 1..K, in that order; None past PAIR_LIMIT pairs.
 
-    ``targets`` holds the flat indices alpha with |alpha| == d.  For each of
-    them ``conv(a, *bs)`` sums a[beta] * b[alpha - beta] over beta != 0 in
-    ascending beta, for each b, where a and the bs carry a zero row after
-    their dim rows.
+    Indices are graded rows (``_graded_rows``).  The rows lo..hi - 1 are
+    the alphas with |alpha| == d; for each of them ``conv(a, *bs)`` sums
+    a[beta] * b[alpha - beta] over beta != 0 in ascending flat index of
+    beta, for each b, where a and the bs carry a zero row after their dim
+    rows.  ``widest`` is the most padded pairs, over the levels, that a
+    batched ``conv`` gathers per column.
     """
     pairs = _target_pairs(shape)
     if pairs is None:
         return None
-    i, j, k = pairs
-    deg = _degrees(shape)[k]
-    levels = []
+    rows = _graded_rows(shape)[1]
+    deg = _degrees(shape)[pairs[2]]
+    # a degree's targets ascend in flat index and in row alike
+    i, j, k = (rows[x] for x in pairs)
+    widest, levels = 0, []
     for d in range(1, shape.max_total_degree + 1):
         sel = deg == d
         targets, start, count = np.unique(k[sel], return_index=True,
                                           return_counts=True)
         pos = np.repeat(np.arange(len(targets)), count)
-        # row r of I, J: the pairs of targets[r], padded with the zero row
-        I = np.full((len(targets), count.max()), shape.dim)
+        # column r of I, J: the pairs of targets[r], padded with the zero row
+        I = np.full((count.max(), len(targets)), shape.dim)
         J = I.copy()
-        I[pos, np.arange(len(pos)) - start[pos]] = i[sel]
-        J[pos, np.arange(len(pos)) - start[pos]] = j[sel]
-        levels.append((np.float64(d), targets,
-                       _level_conv(I, J, i[sel], j[sel], pos, shape.dim)))
-    return tuple(levels)
+        I[np.arange(len(pos)) - start[pos], pos] = i[sel]
+        J[np.arange(len(pos)) - start[pos], pos] = j[sel]
+        widest = max(widest, I.size)
+        levels.append((np.float64(d), int(targets[0]), int(targets[-1]) + 1,
+                       _level_conv(I, J, i[sel], j[sel], pos, shape.dim, 0)))
+    return widest, tuple(levels)
 
 
-def _level_conv(I, J, i, j, pos, dim: int):
-    """``conv(a, *bs)`` lists, for each b, the sums of a[I[r]] * b[J[r]]
-    along each row r of the tables; a is gathered once for all of them.
-    Unbatched, one ``np.bincount`` over the pairs (i, j) of the rows
-    ``pos``; batched, the gathers of a and b multiplied into the scratch
-    and added along the row by ``np.add.reduce``, GATHER_LIMIT products at
-    a time.  Both add along the row, from 0.0, so a batch column matches
-    its unbatched lift exactly.  A lone column goes to ``np.bincount``,
-    since numpy would reduce it pairwise.
+def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
+    """``conv(a, *bs, out=None)`` lists, for each b, the sums of
+    a[I[r]] * b[J[r]] along each row r of the tables, or along each column
+    r where ``axis`` (the tables' pair axis) is 0; a is gathered once for
+    all of them.  Unbatched, one ``np.bincount`` over the pairs (i, j) of
+    the rows ``pos``, into a new array; batched, the gathers of a and b
+    multiplied into the scratch and added along the pair axis by
+    ``np.add.reduce``, into the arrays of ``out`` (one per b) where given.
+    Both add each target's pairs in table order, from 0.0, so a batch
+    column matches its unbatched lift exactly.  A lone column goes to ``np.bincount``, since
+    numpy would reduce it pairwise.  Pairs first, the reduction adds whole
+    rows of targets and columns, which suits the narrow tiles of the lifts;
+    targets first, each target's sum stays in cache, which suits a product's
+    full batch.
 
     The gathers run unchecked into the thread's scratch, so the index
     tables are checked here, once: every entry lies in 0..dim, the rows of
@@ -493,89 +532,139 @@ def _level_conv(I, J, i, j, pos, dim: int):
     for table in (I, J):
         if table.min() < 0 or table.max() > dim:
             raise IndexError(f"level table index outside 0..{dim}")
-    cols = max(1, GATHER_LIMIT // I.size)
+    rows = I.shape[1 - axis]
 
-    def conv(a, *bs):
+    def conv(a, *bs, out=None):
+        sums = []
         if a.ndim == 1:  # unbatched lifts make most calls: a plain loop
-            ai, out = a[i], []
+            ai = a[i]
             for b in bs:
-                out.append(np.bincount(pos, ai * b[j], len(I)))
-            return out
-        if a.shape[1] == 1:  # numpy would sum a lone column pairwise
-            return [x[:, None] for x in conv(a[:, 0], *[b[:, 0] for b in bs])]
-        if a.shape[1] <= cols:
+                sums.append(np.bincount(pos, ai * b[j], rows))
+        elif a.shape[1] == 1:  # numpy would sum a lone column pairwise
+            for x in conv(a[:, 0], *[b[:, 0] for b in bs]):
+                sums.append(x[:, None])
+        else:
             n, gather = I.size * a.shape[1], I.shape + a.shape[1:]
             ga = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather),
                         "clip")
             gb = _scratch_buffer(1, n)[:n].reshape(gather)
-            return [np.add.reduce(np.multiply(ga, b.take(J, 0, gb, "clip"),
-                                              out=gb), axis=1, initial=0.0)
-                    for b in bs]
-        blocks = [conv(a[:, lo:lo + cols], *[b[:, lo:lo + cols] for b in bs])
-                  for lo in range(0, a.shape[1], cols)]
-        return [np.concatenate(xs, axis=1) for xs in zip(*blocks)]
+            for b, o in zip(bs, out or [None] * len(bs)):
+                sums.append(np.add.reduce(
+                    np.multiply(ga, b.take(J, 0, gb, "clip"), out=gb),
+                    axis=axis, initial=0.0, out=o))
+        return sums
     return conv
 
 
 def _box_levels(shape: WeilShape):
     """_levels past PAIR_LIMIT pairs, one target at a time: the pairs of
     alpha are the beta != 0 of the box beta <= alpha, built when reached."""
-    deg = _degrees(shape)[:-1]
-    for k in shape.graded()[0][1:]:
-        box = tuple(x + 1 for x in shape.alpha_of(int(k)))
-        i = np.dot(shape.strides, np.indices(box).reshape(shape.p, -1)[:, 1:])
-        yield deg[k], np.array([k]), _level_conv(
-            i[None], k - i[None], i, k - i, np.zeros(len(i), dtype=np.intp),
-            shape.dim)
+    order, rows, deg = _graded_rows(shape)
+    for g in range(1, shape.dim):
+        k = int(order[g])
+        box = tuple(x + 1 for x in shape.alpha_of(k))
+        flat = np.dot(shape.strides,
+                      np.indices(box).reshape(shape.p, -1)[:, 1:])
+        i, j = rows[flat], rows[k - flat]
+        yield deg[g], g, g + 1, _level_conv(
+            i[:, None], j[:, None], i, j, np.zeros(len(i), dtype=np.intp),
+            shape.dim, 0)
 
 
 def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     """Lift a unary primitive: D is a derivation, and coefficient alpha of
     D y = f'(x) D x gives y_alpha from lower degrees of y through one
-    ``conv``.  Domain checks are the caller's."""
+    ``conv``.  A batch runs in column tiles TILE_GATHER // widest wide, so
+    that each level's gathers stay in cache; an unbatched value is one
+    tile.  Domain checks are the caller's."""
     shape = w.shape
-    batch = w.batch_shape
-    # operands carry a zero row after the dim coefficients, for the padding
-    rows = (shape.dim + 1,) + ((math.prod(batch),) if batch else ())
-    coeffs = w.coeffs.reshape((shape.dim,) + rows[1:])
-    deg = _degrees(shape).reshape((-1,) + (1,) * (len(rows) - 1))
-    dx = np.zeros(rows)  # D x
-    np.multiply(deg[:-1], coeffs, out=dx[:-1])
-    x0 = coeffs[:1]  # a row, so scalar and batched primals take one ufunc path
-    if kind in ("log", "pow"):
-        x = np.zeros(rows)
-        x[:-1] = coeffs
-    y = np.zeros(rows)
-    levels = _levels(shape) or _box_levels(shape)
+    plan = _levels(shape)
+    # past PAIR_LIMIT the widest level is the top alpha's box
+    widest, levels = plan if plan is not None else (shape.dim - 1, None)
+    back = _graded_rows(shape)[1]
+    if not w.batch_shape:
+        return _result(shape, _lift_tile(kind, shape, w.coeffs, r,
+                                         levels).take(back))
+    coeffs = w.coeffs.reshape(shape.dim, -1)
+    out = np.empty(coeffs.shape)
+    width = max(1, TILE_GATHER // widest)
+    for lo in range(0, coeffs.shape[1], width):
+        _lift_tile(kind, shape, coeffs[:, lo:lo + width], r, levels).take(
+            back, 0, out[:, lo:lo + width], "clip")
+    return _result(shape, out.reshape(w.coeffs.shape))
+
+
+def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
+               levels) -> np.ndarray:
+    """The recurrence of ``_graded`` on coeffs (dim rows, one or no column
+    axis), levels being ``_levels``' or None for ``_box_levels``: one
+    ``take`` puts x in graded rows, where each level fills the block
+    [lo, hi) of y.  Returns y in graded rows, with a zero row after them."""
+    order, _, deg = _graded_rows(shape)
+    rows = (shape.dim + 1,) + coeffs.shape[1:]
+    n = 5 * (coeffs.size + coeffs.size // shape.dim)
+    # five operands in scratch, each with a zero row after its dim rows,
+    # which the padding gathers; their other rows hold stale values, and
+    # each recurrence writes a row before it reads it
+    operands = _scratch_buffer(2, n)[:n].reshape((5,) + rows)
+    operands[:, -1] = 0.0
+    x, dx, y, b, c = operands
+    coeffs.take(order, 0, x[:-1], "clip")
+    np.multiply(deg if x.ndim == 1 else deg[:, None], x, dx)  # D x
+    x0 = x[:1]  # a row, so scalar and batched primals take one ufunc path
+    steps = levels or _box_levels(shape)
+    # each conv sums into the row block it fills, or returns new unbatched
+    # sums, and one ufunc writes the block from them
     if kind == "exp":  # D y = y D x
         y[:1] = np.exp(x0)
-        for d, t, conv in levels:
-            y[t] = conv(dx, y)[0] / d
+        for d, lo, hi, conv in steps:
+            t = y[lo:hi]
+            np.divide(*conv(dx, y, out=(t,)), d, t)
     elif kind in ("sin", "cos"):  # D s = c D x, D c = -s D x
-        s, c = y, np.zeros(rows)
+        s = y
         s[:1], c[:1] = np.sin(x0), np.cos(x0)
-        for d, t, conv in levels:
-            sc, ss = conv(dx, c, s)
-            s[t], c[t] = sc / d, ss / -d
+        for d, lo, hi, conv in steps:
+            ts, tc = s[lo:hi], c[lo:hi]
+            sc, ss = conv(dx, c, s, out=(ts, tc))
+            np.divide(sc, d, ts)
+            np.divide(ss, -d, tc)
         y = s if kind == "sin" else c
     elif kind == "tanh":  # D y = u D x with u = 1 - y**2
-        u = np.zeros(rows)
+        u, spare = b, c
         y0 = y[:1] = np.tanh(x0)
         u[:1] = 1.0 - y0 * y0
-        for d, t, conv in levels:
-            yt = y[t] = conv(dx, u)[0] / d
-            u[t] = -(conv(y, y)[0] + y0 * yt)
-    elif kind == "log":  # x D y = D x
-        y[:1] = np.log(x0)
-        for d, t, conv in levels:
-            y[t] = (d * x[t] - conv(d * x - dx, y)[0]) / (d * x0)
-    elif kind == "pow":  # x D y = r y D x: sqrt from y**2 = x, recip from x y = 1
-        y[:1] = x0 ** r
-        for d, t, conv in levels:
-            y[t] = conv((r + 1.0) * dx - d * x, y)[0] / (d * x0)
+        for d, lo, hi, conv in steps:
+            t, tu = y[lo:hi], u[lo:hi]
+            np.divide(*conv(dx, u, out=(t,)), d, t)
+            yy, = conv(y, y, out=(tu,))
+            # x is spent, and no ufunc here writes over its own input
+            np.negative(np.add(yy, np.multiply(y0, t, x[lo:hi]),
+                               spare[lo:hi]), tu)
+    elif kind in ("log", "pow"):
+        # log: x D y = D x; pow: x D y = r y D x, sqrt from y**2 = x and
+        # recip from x y = 1.  Each level's operand a = d x - D x, or
+        # (r + 1) D x - d x, fills the rows its pairs reach, below hi, and
+        # dxs = d x the same rows.
+        a, dxs, den = b, c, np.empty_like(x0)
+        if kind == "log":
+            y[:1] = np.log(x0)
+        else:
+            y[:1] = x0 ** r
+            rdx = np.multiply(dx, r + 1.0, dx)  # D x itself is spent
+        for d, lo, hi, conv in steps:
+            t = y[lo:hi]
+            np.multiply(x[:hi], d, dxs[:hi])
+            if kind == "log":
+                np.subtract(dxs[:hi], dx[:hi], a[:hi])
+                sums, = conv(a, y, out=(t,))
+                sums = np.subtract(dxs[lo:hi], sums, a[lo:hi])
+            else:
+                np.subtract(rdx[:hi], dxs[:hi], a[:hi])
+                sums, = conv(a, y, out=(t,))
+            np.divide(sums, np.multiply(x0, d, den), t)
     else:
         raise ValueError(f"unsupported unary primitive {kind!r}")
-    return _result(shape, y[:-1].reshape((shape.dim,) + batch))
+    return y
 
 
 def _require(cond, message: str, primal):

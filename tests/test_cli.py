@@ -125,6 +125,21 @@ def test_grad_check_near_overflow(capsys, tmp_path):
     assert payload["check"]["fd_max_abs_diff"] <= 1e-9 * 1.5e308
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_grad_check_rescales_an_overflowing_probe(capsys, tmp_path, seed):
+    # at seeds 2 and 4 the probe v makes J v overflow; it is scaled by a
+    # power of two that keeps every tangent finite, and the pairing holds
+    path = tmp_path / "big.slp"
+    path.write_text("input a b c\np = mul a c\nq = mul b c\nz = add p q\n"
+                    "output z\n")
+    code, out, _ = run_cli(capsys, "grad", str(path), "--x", "1,-1,1.5e308",
+                           "--check", "--seed", str(seed), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gradient"] == [1.5e308, 1.5e308, 0.0]
+    assert payload["check"]["pairing_residual"] <= 1e-10
+
+
 def test_grad_check_records_one_tape(capsys, prod_file):
     with counting() as snapshot:
         code, _, _ = run_cli(capsys, "grad", prod_file, "--x", "3,5",

@@ -299,12 +299,12 @@ def test_dense_product_groups_against_loop(caps, batch):
     _columns_match_unbatched(shape, a, b, out)
 
 
-@pytest.mark.parametrize("batch", [7, 9])
-def test_dense_product_groups_in_column_blocks(monkeypatch, batch):
-    # A small GATHER_LIMIT splits each group into blocks of a few columns,
-    # and 9 columns leave a lone one; each still matches its unbatched
-    # product.  weil_mul itself then takes the slice loop, since the pairs
-    # times the columns exceed GATHER_LIMIT.
+@pytest.mark.parametrize("batch", [1, 7, 9])
+def test_dense_product_groups_past_gather_limit(monkeypatch, batch):
+    # Past a small GATHER_LIMIT each group gathers into fresh arrays, not
+    # the scratch, and a lone column goes to np.bincount; each still matches
+    # its unbatched product.  weil_mul itself then takes the slice loop,
+    # since the pairs times the columns exceed GATHER_LIMIT.
     monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
     weil._product_groups.cache_clear()
     try:
@@ -316,6 +316,8 @@ def test_dense_product_groups_in_column_blocks(monkeypatch, batch):
             for targets, conv in weil._product_groups(shape):
                 out[targets] = conv(a, b)[0]
             _columns_match_unbatched(shape, a, b, out)
+            _columns_match_unbatched(shape, a, b, weil_mul(
+                WeilValue(shape, a), WeilValue(shape, b)).coeffs)
     finally:
         weil._product_groups.cache_clear()
 
@@ -389,28 +391,30 @@ def test_dense_products_make_no_slice_update(monkeypatch, caps):
 
 @pytest.mark.parametrize("caps", [(2, 2), (1,) * 6, (3, 3, 3)])
 def test_batched_sin_gathers_dx_once_per_level(monkeypatch, caps):
-    # one conv call per level, with D x on the left and both of c and s on
-    # the right, so D x is gathered once for both sums
+    # one conv call per level and tile, with D x on the left and both of c
+    # and s on the right, so D x is gathered once for both sums: 5 columns
+    # in tiles of 2 make three tiles, the last a lone column
     calls = []
     build = weil._level_conv
 
     def counted(*tables):
         conv = build(*tables)
 
-        def count(a, *bs):
+        def count(a, *bs, **kw):
             calls.append(len(bs))
-            return conv(a, *bs)
+            return conv(a, *bs, **kw)
         return count
 
     monkeypatch.setattr(weil, "_level_conv", counted)
     weil._levels.cache_clear()
     try:
         shape = make_shape(caps)
+        monkeypatch.setattr(weil, "TILE_GATHER", 2 * weil._levels(shape)[0])
         rng = np.random.default_rng(16)
-        weil_unary("sin", _jet(shape, rng, rng.uniform(0.5, 2.0, 4), (4,)))
+        weil_unary("sin", _jet(shape, rng, rng.uniform(0.5, 2.0, 5), (5,)))
     finally:
         weil._levels.cache_clear()
-    assert calls == [2] * shape.max_total_degree
+    assert calls == [2] * shape.max_total_degree * 3
 
 
 def test_unary_exp_example():
@@ -618,27 +622,115 @@ def test_unary_batched_against_loop(caps):
                 (kind, exponent, caps)
 
 
-@pytest.mark.parametrize("batch", [1, 7, 9])
+# Primal values at which every libm gives f exactly (exp, sin, cos and tanh
+# of +-0, log of 1, and powers of 2 to the exponents of UNARY_CASES), so the
+# digests below pin the recurrences' own arithmetic on any host.
+EXACT_PRIMALS = {"exp": (0.0, -0.0), "sin": (0.0, -0.0), "cos": (0.0, -0.0),
+                 "tanh": (0.0, -0.0), "log": (1.0,),
+                 "sqrt": (0.25, 1.0, 4.0, 16.0),
+                 "recip": (0.25, 1.0, 4.0, 16.0),
+                 "pow": (0.25, 1.0, 4.0, 16.0)}
+
+
+def _lift_digest(caps, batch):
+    """SHA-256 of the coefficient bytes of every UNARY_CASES lift at caps,
+    over seeded jets of the given batch (None: unbatched)."""
+    import hashlib
+    shape = make_shape(caps)
+    rng = np.random.default_rng(sum(caps) * 10007 + (batch or 0))
+    size = () if batch is None else (batch,)
+    h = hashlib.sha256()
+    for kind, exponent in UNARY_CASES:
+        w = _jet(shape, rng, rng.choice(EXACT_PRIMALS[kind], size=size), size)
+        h.update(_lift(kind, exponent, w).coeffs.tobytes())
+    return h.hexdigest()
+
+
+# _lift_digest at the kernels the lifts had before they ran in graded row
+# order over column tiles
+LIFT_DIGESTS = {
+    ((1, 1, 1, 1, 1, 1), None): "3cf684adf49ef2bd15f09f1b34c478261d950cb9d4697ef44d932737404ffc4d",
+    ((1, 1, 1, 1, 1, 1), 5): "34828cd319a055ccd7b65f276a911f6ba694d6f90eb40482c78cbde2b353c51f",
+    ((1, 1, 1, 1, 1, 1), 300): "d825cedd78c7d582aa9459af3f77da284a1683656dce96910250cc21aad15915",
+    ((1, 1, 1, 1, 1, 1), 2048): "671a7b21df48a28a3e8d9dbdcc0229e93ac36be3ca602ddcf47e554acf0f6f98",
+    ((3, 3, 3), None): "20baea9bb9b8f094746c12bb295f9693ee48ba1e2bcd5f29ac24888457467e22",
+    ((3, 3, 3), 5): "64a8a87d34cae6899f1af4e984883df4927f3f819b548580810dd1dca0cfc78c",
+    ((3, 3, 3), 300): "e56264ba89f16cec61d788d77c7a90cad0e0c7f0d411448eff5e4f18b7067b96",
+    ((3, 3, 3), 2048): "d272981a72b0ed4b53f1850bfd5914cdd1c2169fbed9932b816ff6a73b24bca3",
+    ((15,), None): "1fc89d738618845c16dcb846de5918a06cc4627fed531e3ef0ea98b3ac2dd684",
+    ((15,), 5): "857b78b8135c39e67cfcd37a37c92fbf316639104e393fedbff809a2a6bb8319",
+    ((15,), 300): "3fe17ac467506e6e7e04c798b4215de8133e409cb2c9ec06e29e14ea65e8faff",
+    ((15,), 2048): "f4064e540139190b140012a2f05527a22ed1ac28fc9a100353fe3d1e9286dbb0",
+    ((2, 2, 2), None): "f505a50f2753991c0d6959878c2e876213f7fe1026369c586a2e8fabbc42a15f",
+    ((2, 2, 2), 5): "91b7ca48c5868d108f60166649cfaf8323f455e8a0f38b50b9db4c9595958f96",
+    ((2, 2, 2), 300): "68f3c5f073ebd00b53788ee4e1519b14a288f6bf0d7580f841729032e60d1eb0",
+    ((2, 2, 2), 2048): "f84af44565b853b6278f34a0cad1f0457ea03699aadcc4997d3071bf3d3638d0",
+    ((6, 6, 6), None): "63cfc5d6812a84e3fea3cce680610627ba44640f0aba0fea5dd56bd0df0028c5",
+    ((6, 6, 6), 5): "6290c111413f0208c4961cf8ee5eda9f24ddd04dba41c26114a956ef53d48a56",
+    ((6, 6, 6), 300): "69f0ba1204213e5fb971d8c237232d476a5e65486ba5c73d7c5e9276099f689f",
+    ((6, 6, 6), 2048): "b672c302852cdace035f483b2f274e23c78209c632eeca3ec5ae968af7947834",
+}
+
+
+@pytest.mark.parametrize("caps, batch", list(LIFT_DIGESTS))
+def test_lifts_keep_their_bits(caps, batch):
+    assert _lift_digest(caps, batch) == LIFT_DIGESTS[caps, batch]
+
+
+@contextlib.contextmanager
+def _pair_limit(limit):
+    """The kernels under another PAIR_LIMIT, with every per-shape table
+    that depends on it built afresh, before and after."""
+    tables = (weil._pair_table, weil._product_groups, weil._levels,
+              weil.float_kernels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "PAIR_LIMIT", limit)
+        for table in tables:
+            table.cache_clear()
+        try:
+            yield
+        finally:
+            for table in tables:
+                table.cache_clear()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 7, 9, 13])
 def test_unary_batched_in_column_blocks(monkeypatch, batch):
-    # A small GATHER_LIMIT splits every level into blocks of 2 to 5 columns,
-    # and 9 columns leave a lone one; each still matches its unbatched lift.
-    from jetweil import weil
-    monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
-    weil._levels.cache_clear()
-    try:
-        rng = np.random.default_rng(6)
-        shape = make_shape((4, 4))
-        w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch), batch=(batch,))
-        for kind in ("exp", "sin", "tanh", "log"):
-            batched = weil_unary(kind, w)
-            for i in range(batch):
-                single = weil_unary(kind, WeilValue(shape, w.coeffs[:, i]))
-                assert np.array_equal(batched.coeffs[:, i], single.coeffs), kind
-    finally:
-        weil._levels.cache_clear()
+    # A small TILE_GATHER runs a batch in tiles of w = 4 columns, with the
+    # level tables and past PAIR_LIMIT, where the widest level is the top
+    # alpha's box: one tile of 1 to 4 columns, or whole tiles and a tail,
+    # a lone column (5, 9, 13) going to np.bincount.  Every lift of
+    # UNARY_CASES matches its unbatched columns bit for bit.
+    shape = make_shape((3, 2, 2))
+    rng = np.random.default_rng(6)
+    w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch), batch=(batch,))
+    tiles = []
+    lift_tile = weil._lift_tile
+
+    def counted(kind, shape, coeffs, *rest):
+        tiles.append(coeffs.shape[1:])
+        return lift_tile(kind, shape, coeffs, *rest)
+
+    monkeypatch.setattr(weil, "_lift_tile", counted)
+    widths = [(4,)] * (batch // 4) + [(batch % 4,)] * (batch % 4 > 0)
+    for limit in (PAIR_LIMIT, 0):
+        with _pair_limit(limit):
+            plan = weil._levels(shape)
+            widest = shape.dim - 1 if plan is None else plan[0]
+            monkeypatch.setattr(weil, "TILE_GATHER", 4 * widest + 3)
+            for kind, exponent in UNARY_CASES:
+                tiles.clear()
+                batched = _lift(kind, exponent, w)
+                if (kind, exponent) != ("pow", 3.0):  # pow_int multiplies
+                    assert tiles == widths, (kind, limit)
+                for i in range(batch):
+                    single = _lift(kind, exponent,
+                                   WeilValue(shape, w.coeffs[:, i]))
+                    assert np.array_equal(batched.coeffs[:, i],
+                                          single.coeffs), (kind, limit)
 
 
-def test_unary_past_pair_limit_matches_table(monkeypatch):
+def test_unary_past_pair_limit_matches_table():
     # Past PAIR_LIMIT the lifts build each target's pairs from its box,
     # in the order of the table, so they agree exactly.
     from jetweil import weil
@@ -655,15 +747,9 @@ def test_unary_past_pair_limit_matches_table(monkeypatch):
                 else weil_unary(kind, w, exponent=exponent))
 
     table = [lift(*case) for case in cases]
-    monkeypatch.setattr(weil, "PAIR_LIMIT", 0)
-    weil._pair_table.cache_clear()
-    weil._levels.cache_clear()
-    try:
+    with _pair_limit(0):
         for case, ref in zip(cases, table):
             assert np.array_equal(lift(*case).coeffs, ref.coeffs), case
-    finally:
-        weil._pair_table.cache_clear()
-        weil._levels.cache_clear()
 
 
 DOMAIN_CASES = [
