@@ -124,9 +124,12 @@ GATHER_ROWS = 0.5
 # Most products one level of a batched lift gathers at a time (512 KiB of
 # float64 in each of the two gather buffers): a lift runs over column tiles
 # TILE_GATHER // widest wide, widest being its widest level's padded pairs,
-# so that a tile's gathers and rows stay in L2.  In-process over the
-# benchmark's taylor-batched requests, 2**15 gained 8%, 2**16 11% and 2**17
-# nothing against untiled lifts.
+# so that a tile's gathers and operands stay in a 2 MiB L2.  On a 2-core
+# Xeon, best of three single lifts at B = 2048: 2**16 ran sin at (1,)*6 in
+# 4.0 ms against 4.6 at 2**15 and 2**17, and was fastest at (3, 3, 3) too;
+# at (6, 6, 6) and (15, 15) it was within 5% of 2**17.  taylor-batched
+# ops_per_s read 198, 202 and 205 at 2**15, 2**16 and 2**17, against 176
+# untiled (medians of three 12 s runs each).
 TILE_GATHER = 1 << 16
 
 _scratch = threading.local()
@@ -512,18 +515,17 @@ def _levels(shape: WeilShape):
 
 def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
     """``conv(a, *bs, out=None)`` lists, for each b, the sums of
-    a[I[r]] * b[J[r]] along each row r of the tables, or along each column
-    r where ``axis`` (the tables' pair axis) is 0; a is gathered once for
-    all of them.  Unbatched, one ``np.bincount`` over the pairs (i, j) of
-    the rows ``pos``, into a new array; batched, the gathers of a and b
-    multiplied into the scratch and added along the pair axis by
-    ``np.add.reduce``, into the arrays of ``out`` (one per b) where given.
-    Both add each target's pairs in table order, from 0.0, so a batch
-    column matches its unbatched lift exactly.  A lone column goes to ``np.bincount``, since
-    numpy would reduce it pairwise.  Pairs first, the reduction adds whole
-    rows of targets and columns, which suits the narrow tiles of the lifts;
-    targets first, each target's sum stays in cache, which suits a product's
-    full batch.
+    a[I[r]] * b[J[r]] along each row r of the tables (each column r where
+    ``axis``, the tables' pair axis, is 0); a is gathered once for all of
+    them.  Unbatched, one ``np.bincount`` over the pairs (i, j) of the rows
+    ``pos``, into a new array; batched, the gathers of a and b multiplied
+    into the scratch and added along the pair axis by ``np.add.reduce``,
+    into the arrays of ``out`` (one per b) where given.  Both add each
+    target's pairs in table order, from 0.0, so a batch column matches its
+    unbatched lift exactly.  A lone column goes to ``np.bincount``, since
+    numpy would reduce it pairwise.  Pairs first, each add spans every
+    target and column of a lift's narrow tile; targets first, each target's
+    sum over a product's full batch stays in cache.
 
     The gathers run unchecked into the thread's scratch, so the index
     tables are checked here, once: every entry lies in 0..dim, the rows of
@@ -608,7 +610,7 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
     # each recurrence writes a row before it reads it
     operands = _scratch_buffer(2, n)[:n].reshape((5,) + rows)
     operands[:, -1] = 0.0
-    x, dx, y, b, c = operands
+    x, dx, y, p, q = operands
     coeffs.take(order, 0, x[:-1], "clip")
     np.multiply(deg if x.ndim == 1 else deg[:, None], x, dx)  # D x
     x0 = x[:1]  # a row, so scalar and batched primals take one ufunc path
@@ -621,7 +623,7 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
             t = y[lo:hi]
             np.divide(*conv(dx, y, out=(t,)), d, t)
     elif kind in ("sin", "cos"):  # D s = c D x, D c = -s D x
-        s = y
+        s, c = y, p
         s[:1], c[:1] = np.sin(x0), np.cos(x0)
         for d, lo, hi, conv in steps:
             ts, tc = s[lo:hi], c[lo:hi]
@@ -630,7 +632,7 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
             np.divide(ss, -d, tc)
         y = s if kind == "sin" else c
     elif kind == "tanh":  # D y = u D x with u = 1 - y**2
-        u, spare = b, c
+        u, spare = p, q
         y0 = y[:1] = np.tanh(x0)
         u[:1] = 1.0 - y0 * y0
         for d, lo, hi, conv in steps:
@@ -645,7 +647,7 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
         # recip from x y = 1.  Each level's operand a = d x - D x, or
         # (r + 1) D x - d x, fills the rows its pairs reach, below hi, and
         # dxs = d x the same rows.
-        a, dxs, den = b, c, np.empty_like(x0)
+        a, dxs, den = p, q, np.empty_like(x0)
         if kind == "log":
             y[:1] = np.log(x0)
         else:
