@@ -584,7 +584,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     # past PAIR_LIMIT the widest level is the top alpha's box
     widest, levels = plan if plan is not None else (shape.dim - 1, None)
     back = _graded_rows(shape)[1]
-    if not w.batch_shape:
+    if w.coeffs.ndim == 1:
         return _result(shape, _lift_tile(kind, shape, w.coeffs, r,
                                          levels).take(back))
     coeffs = w.coeffs.reshape(shape.dim, -1)
@@ -603,13 +603,17 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
     ``take`` puts x in graded rows, where each level fills the block
     [lo, hi) of y.  Returns y in graded rows, with a zero row after them."""
     order, _, deg = _graded_rows(shape)
-    rows = (shape.dim + 1,) + coeffs.shape[1:]
-    n = 5 * (coeffs.size + coeffs.size // shape.dim)
-    # five operands in scratch, each with a zero row after its dim rows,
-    # which the padding gathers; their other rows hold stale values, and
-    # each recurrence writes a row before it reads it
-    operands = _scratch_buffer(2, n)[:n].reshape((5,) + rows)
-    operands[:, -1] = 0.0
+    # five operands, each with a zero row after its dim rows, which the
+    # padding gathers: a tile's in scratch, where their other rows hold
+    # stale values and each recurrence writes a row before it reads it; an
+    # unbatched value's fresh, which costs fewer calls
+    rows = (5, shape.dim + 1) + coeffs.shape[1:]
+    if coeffs.ndim == 1:
+        operands = np.zeros(rows)
+    else:
+        n = math.prod(rows)
+        operands = _scratch_buffer(2, n)[:n].reshape(rows)
+        operands[:, -1] = 0.0
     x, dx, y, p, q = operands
     coeffs.take(order, 0, x[:-1], "clip")
     np.multiply(deg if x.ndim == 1 else deg[:, None], x, dx)  # D x
