@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import math
 import pickle
 import time
@@ -635,7 +636,6 @@ EXACT_PRIMALS = {"exp": (0.0, -0.0), "sin": (0.0, -0.0), "cos": (0.0, -0.0),
 def _lift_digest(caps, batch):
     """SHA-256 of the coefficient bytes of every UNARY_CASES lift at caps,
     over seeded jets of the given batch (None: unbatched)."""
-    import hashlib
     shape = make_shape(caps)
     rng = np.random.default_rng(sum(caps) * 10007 + (batch or 0))
     size = () if batch is None else (batch,)
