@@ -140,17 +140,6 @@ def fit_slope(dims: Sequence[int],
     return float(slope), float(intercept)
 
 
-def _peak_live_slots(prog: Program) -> int:
-    """Most values eval_generic holds at once: the inputs, and each node's
-    value until its last reader is done (``Program.dead_after``)."""
-    live = peak = prog.n_inputs
-    for dead in prog.dead_after:
-        live += 1
-        peak = max(peak, live)
-        live -= len(dead)
-    return peak
-
-
 def run_weil_bench(prog: Program, family: str,
                    dims: Sequence[int] = DEFAULT_DIMS,
                    repetitions: int = 5, warmup: int = 2,
@@ -178,7 +167,7 @@ def run_weil_bench(prog: Program, family: str,
             dim=dim, caps=shape.caps,
             t_min=min(times), t_median=float(np.median(times)),
             repetitions=repetitions,
-            peak_coeff_bytes=_peak_live_slots(prog) * dim * batch * 8))
+            peak_coeff_bytes=prog.peak_live * dim * batch * 8))
     slope, intercept = fit_slope([r.dim for r in runs],
                                  [r.t_median for r in runs])
     return BenchReport(

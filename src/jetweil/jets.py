@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import (NumpyKernels, WeilShape, WeilValue, cap_tuple,
-                   float_kernels, make_shape)
+from .weil import (NumpyKernels, WeilShape, WeilValue, arena_views,
+                   cap_tuple, float_kernels, make_shape)
 
 
 class WeilSemantics:
@@ -37,6 +37,14 @@ class WeilSemantics:
     ``weil.NumpyKernels`` of the shape and batch shape, unless
     ``taylor_eval`` has put the shape's ``weil.FloatKernels`` there for a
     pass on Python lists.
+
+    A pass of numpy values of at least ``weil.ARENA_FLOOR`` bytes recycles
+    their arrays: ``recycling``, which ``eval_generic`` calls first, returns
+    a semantics whose kernels take each result array from ``free``, a list
+    of views into the thread's arena (``weil.arena_views``), and whose
+    ``release`` puts a dropped value's view back on it.  The arena holds
+    ``Program.peak_live`` values less the inputs, so no node that is not an
+    output finds the list empty.
     """
 
     def __init__(self, shape: WeilShape, batch_shape: tuple[int, ...] = ()):
@@ -47,6 +55,25 @@ class WeilSemantics:
 
     def apply(self, node: Node, args: Sequence) -> WeilValue | list[float]:
         return PRIMITIVES[node.op].lift(self.kernels, args, node.const)
+
+    def recycling(self, prog: Program) -> WeilSemantics | None:
+        kernels = self.kernels
+        if not isinstance(kernels, NumpyKernels):  # a pass on Python lists
+            return None
+        free = arena_views((kernels.shape.dim,) + kernels.batch_shape,
+                           prog.peak_live - prog.n_inputs)
+        if not free:
+            return None
+        pooled = WeilSemantics(kernels.shape, kernels.batch_shape)
+        pooled.kernels = NumpyKernels(kernels.shape, kernels.batch_shape, free)
+        pooled.arena = free[0].base
+        return pooled
+
+    def release(self, value: WeilValue) -> None:
+        """On a semantics from ``recycling``: put a dropped value's array
+        back on the free list if it is a view into the arena."""
+        if value.coeffs.base is self.arena:
+            self.kernels.free.append(value.coeffs)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,22 @@ returned array is a view into it.  The gathers run ``np.take`` with
 ``mode="clip"``, because the default ``mode="raise"`` always copies through
 a temporary ``out``; the index check moves to ``_level_conv``, which checks
 each table once, when it is built.
+
+Arena: the node values themselves die as a pass goes on
+(``slp.eval_generic`` drops each after its last reader), and at B = 2048
+they too went back to the OS and faulted in again at the next node.  A pass
+whose values have at least ``ARENA_FLOOR`` bytes recycles them through a
+fourth buffer per thread, the arena (``arena_views``): one flat float64
+array carved into ``Program.peak_live`` values less the inputs, the most
+node values a pass holds at once.  It lives until the thread ends, is kept
+for the thread's next pass, and is replaced only when a pass needs a larger
+one.  ``jets.WeilSemantics`` keeps the pass's free list of its views; the
+kernels that make a node's value (``weil_const``, ``weil_add``, ``weil_sub``,
+``weil_neg``, both batched products and the batched lifts) write it into a
+free view of its shape, else into a new array, and each value goes back on
+the list when the pass drops it.  No output and no input is a view into the
+arena: output nodes run without the free list, inputs are never released,
+and a value is released only after its last reader has run.
 """
 from __future__ import annotations
 
@@ -131,8 +147,56 @@ GATHER_ROWS = 0.5
 # ops_per_s read 198, 202 and 205 at 2**15, 2**16 and 2**17, against 176
 # untiled (medians of three 12 s runs each).
 TILE_GATHER = 1 << 16
+# Fewest bytes of a node value (dim * batch columns * 8) that a pass
+# recycles through the arena.  malloc serves smaller blocks from its heap and
+# reuses them when freed, without faulting pages in, so there the free
+# list's few calls per node are pure cost: on a 2-core Xeon, a linear
+# q = 500 pass took 4.08 ms recycled against 3.54 at (1,), B = 2048 (32 KiB
+# values), and 5.52 against 5.15 ms at (1, 1) (64 KiB), medians of 25
+# interleaved passes.  Over the taylor-batched schedule, floors of 0 to
+# 512 KiB ran a pass in 0.51-0.59 s against 0.66 s unrecycled (medians of
+# three processes each), within their spread of each other.
+ARENA_FLOOR = 1 << 17
 
 _scratch = threading.local()
+
+
+def arena_views(value_shape: tuple[int, ...],
+                n: int) -> list[np.ndarray] | None:
+    """n arrays of value_shape, disjoint views into the calling thread's
+    arena, for one recycling pass; None where a value has fewer than
+    ARENA_FLOOR bytes.  The arena is one flat float64 array, kept for the
+    thread's next pass and replaced only when a pass needs a larger one."""
+    size = math.prod(value_shape)
+    if 8 * size < ARENA_FLOOR:
+        return None
+    arena = getattr(_scratch, "arena", None)
+    if arena is None or arena.size < n * size:
+        arena = _scratch.arena = np.empty(n * size)
+    return [arena[i:i + size].reshape(value_shape)
+            for i in range(0, n * size, size)]
+
+
+def _recycled(free: list | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The last view on ``free``, a recycling pass's free list, taken off
+    it for a result of ``shape`` if it has that shape; else None.  Its
+    values are stale: the kernel writes every one of them."""
+    if free and free[-1].shape == shape:
+        return free.pop()
+    return None
+
+
+def _empty(shape: tuple[int, ...], free: list | None) -> np.ndarray:
+    out = _recycled(free, shape)
+    return np.empty(shape) if out is None else out
+
+
+def _zeros(shape: tuple[int, ...], free: list | None) -> np.ndarray:
+    out = _recycled(free, shape)
+    if out is None:
+        return np.zeros(shape)
+    out.fill(0.0)
+    return out
 
 
 def _scratch_buffer(which: int, n: int) -> np.ndarray:
@@ -301,9 +365,13 @@ def _result(shape: WeilShape, coeffs: np.ndarray) -> WeilValue:
     return value
 
 
-def weil_const(shape: WeilShape, value) -> WeilValue:
+# Each kernel that makes a node's value takes ``free``, a recycling pass's
+# free list (``arena_views``), and writes its result into a view from it
+# where one has the result's shape.
+
+def weil_const(shape: WeilShape, value, free: list | None = None) -> WeilValue:
     value = np.asarray(value, dtype=float)
-    coeffs = np.zeros((shape.dim,) + value.shape)
+    coeffs = _zeros((shape.dim,) + value.shape, free)
     coeffs[0] = value
     return _result(shape, coeffs)
 
@@ -315,18 +383,30 @@ def _check_shapes(a: WeilValue, b: WeilValue) -> WeilShape:
     return a.shape
 
 
-def weil_add(a: WeilValue, b: WeilValue) -> WeilValue:
+def _elementwise_out(free: list | None, a: WeilValue,
+                     b: WeilValue | None = None) -> np.ndarray | None:
+    """``out`` of an elementwise kernel on a (and b): a recycled view where
+    the operands have one shape, else None (a new array, broadcast)."""
+    if b is None or a.coeffs.shape == b.coeffs.shape:
+        return _recycled(free, a.coeffs.shape)
+    return None
+
+
+def weil_add(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
     shape = _check_shapes(a, b)
-    return _result(shape, a.coeffs + b.coeffs)
+    return _result(shape, np.add(a.coeffs, b.coeffs,
+                                 out=_elementwise_out(free, a, b)))
 
 
-def weil_sub(a: WeilValue, b: WeilValue) -> WeilValue:
+def weil_sub(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
     shape = _check_shapes(a, b)
-    return _result(shape, a.coeffs - b.coeffs)
+    return _result(shape, np.subtract(a.coeffs, b.coeffs,
+                                      out=_elementwise_out(free, a, b)))
 
 
-def weil_neg(a: WeilValue) -> WeilValue:
-    return _result(a.shape, -a.coeffs)
+def weil_neg(a: WeilValue, free: list | None = None) -> WeilValue:
+    return _result(a.shape, np.negative(a.coeffs,
+                                        out=_elementwise_out(free, a)))
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +447,7 @@ def _nonzero_rows(w: WeilValue) -> np.ndarray:
                           .any(axis=1))
 
 
-def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
+def weil_mul(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
     Two unbatched operands use the pair table while it has at most
@@ -399,17 +479,19 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
             * a.coeffs[0].size <= GATHER_LIMIT):
         ca = a.coeffs.reshape(shape.dim, -1)
         cb = b.coeffs.reshape(ca.shape)
-        out = np.empty(ca.shape)
+        result = _empty(a.coeffs.shape, free)
+        out = result.reshape(ca.shape)
         for targets, conv in groups:
             out[targets] = conv(ca, cb)[0]
-        return _result(shape, out.reshape(a.coeffs.shape))
+        return _result(shape, result)
     if (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a)):
         a, b, rows_a = b, a, rows_b[::-1]
     tshape = shape.tensor_shape
     ta = a.coeffs
     tb = b.coeffs.reshape(tshape + b.coeffs.shape[1:])
     batch = np.broadcast_shapes(ta.shape[1:], b.coeffs.shape[1:])
-    out = np.zeros(tshape + batch)
+    result = _zeros((shape.dim,) + batch, free)
+    out = result.reshape(tshape + batch)
     scratch = _scratch_buffer(0, out.size)
     table = _slice_table(shape)
     for ia in rows_a:
@@ -417,7 +499,7 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         part, acc = tb[src], out[dst]  # `out[dst] += t` re-assigns the view
         np.add(acc, np.multiply(ta[ia], part, out=scratch[:acc.size]
                                 .reshape(acc.shape)), out=acc)
-    return _result(shape, out.reshape((shape.dim,) + batch))
+    return _result(shape, result)
 
 
 @lru_cache(maxsize=None)
@@ -573,12 +655,14 @@ def _box_levels(shape: WeilShape):
             shape.dim, 0)
 
 
-def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
+def _graded(kind: str, w: WeilValue, r: float = 0.0,
+            free: list | None = None) -> WeilValue:
     """Lift a unary primitive: D is a derivation, and coefficient alpha of
     D y = f'(x) D x gives y_alpha from lower degrees of y through one
     ``conv``.  A batch runs in column tiles TILE_GATHER // widest wide, so
     that each level's gathers stay in cache; an unbatched value is one
-    tile.  Domain checks are the caller's."""
+    tile.  A batched result takes a view from ``free``.  Domain checks are
+    the caller's."""
     shape = w.shape
     plan = _levels(shape)
     # past PAIR_LIMIT the widest level is the top alpha's box
@@ -588,12 +672,13 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
         return _result(shape, _lift_tile(kind, shape, w.coeffs, r,
                                          levels).take(back))
     coeffs = w.coeffs.reshape(shape.dim, -1)
-    out = np.empty(coeffs.shape)
+    result = _empty(w.coeffs.shape, free)
+    out = result.reshape(coeffs.shape)
     width = max(1, TILE_GATHER // widest)
     for lo in range(0, coeffs.shape[1], width):
         _lift_tile(kind, shape, coeffs[:, lo:lo + width], r, levels).take(
             back, 0, out[:, lo:lo + width], "clip")
-    return _result(shape, out.reshape(w.coeffs.shape))
+    return _result(shape, result)
 
 
 def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
@@ -681,7 +766,7 @@ def _require(cond, message: str, primal):
         raise DomainError(message, value=bad)
 
 
-# The lifts both kernel sets share: k is ``NumpyKernels`` or a
+# The lifts both kernel sets share: k is a ``NumpyKernels`` or a
 # ``FloatKernels``, x a value of its representation.
 
 def _lift_unary(k, kind: str, x, exponent: float | None = None):
@@ -758,28 +843,32 @@ class NumpyKernels:
     """The lift kernels on ``WeilValue``s of one shape and batch shape.
     Each kernel is looked up in this module's globals when it is called, so
     rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift.
-    ``weil_unary``, ``weil_recip`` and ``weil_pow_int`` run the shared lifts
-    on the class itself."""
+    ``free`` is a recycling pass's free list (``arena_views``) or None: the
+    kernels that make a node's value take their result arrays from it, the
+    products inside an integer power do not.  ``weil_unary``, ``weil_recip``
+    and ``weil_pow_int`` run the shared lifts on a kernel set too."""
 
     shape: WeilShape
     batch_shape: tuple[int, ...] = ()
+    free: list | None = None
 
     def const(self, c: float) -> WeilValue:
-        return weil_const(self.shape, np.full(self.batch_shape, float(c)))
+        return weil_const(self.shape, np.full(self.batch_shape, float(c)),
+                          self.free)
 
-    add = staticmethod(lambda a, b: weil_add(a, b))
-    sub = staticmethod(lambda a, b: weil_sub(a, b))
-    neg = staticmethod(lambda a: weil_neg(a))
-    mul = staticmethod(lambda a, b: weil_mul(a, b))
-    unary = staticmethod(lambda kind, w, exponent=None:
-                         weil_unary(kind, w, exponent))
-    recip = staticmethod(lambda w: weil_recip(w))
-    pow_int = staticmethod(lambda w, n: weil_pow_int(w, n))
+    add = lambda self, a, b: weil_add(a, b, self.free)
+    sub = lambda self, a, b: weil_sub(a, b, self.free)
+    neg = lambda self, a: weil_neg(a, self.free)
+    mul = lambda self, a, b: weil_mul(a, b, self.free)
+    unary = (lambda self, kind, w, exponent=None:
+             weil_unary(kind, w, exponent, self.free))
+    recip = lambda self, w: weil_recip(w, self.free)
+    pow_int = lambda self, w, n: weil_pow_int(w, n)
 
     # the hooks of the shared lifts
     primal = operator.attrgetter("primal")
     const_jets = staticmethod(lambda w: ~np.any(w.coeffs[1:], axis=0))
-    graded = staticmethod(_graded)
+    graded = lambda self, kind, w, r=0.0: _graded(kind, w, r, self.free)
 
     @staticmethod
     def like(w: WeilValue, c) -> WeilValue:
@@ -787,19 +876,31 @@ class NumpyKernels:
         return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
 
 
-def weil_recip(w: WeilValue) -> WeilValue:
+@lru_cache(maxsize=None)
+def _plain_kernels(shape: WeilShape) -> NumpyKernels:
+    """The kernel set without a free list on which the shared lifts run."""
+    return NumpyKernels(shape)
+
+
+def _lift_kernels(w: WeilValue, free: list | None) -> NumpyKernels:
+    return (_plain_kernels(w.shape) if free is None
+            else NumpyKernels(w.shape, w.batch_shape, free))
+
+
+def weil_recip(w: WeilValue, free: list | None = None) -> WeilValue:
     """Multiplicative inverse, the power -1."""
-    return _lift_recip(NumpyKernels, w)
+    return _lift_recip(_lift_kernels(w, free), w)
 
 
 def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
     """Exact non-negative integer power by binary exponentiation."""
-    return _lift_pow_int(NumpyKernels, w, n)
+    return _lift_pow_int(_plain_kernels(w.shape), w, n)
 
 
-def weil_unary(kind: str, w: WeilValue, exponent: float | None = None) -> WeilValue:
+def weil_unary(kind: str, w: WeilValue, exponent: float | None = None,
+               free: list | None = None) -> WeilValue:
     """Lift a smooth scalar primitive by its graded recurrence."""
-    return _lift_unary(NumpyKernels, kind, w, exponent)
+    return _lift_unary(_lift_kernels(w, free), kind, w, exponent)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

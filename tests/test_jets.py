@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import threading
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,9 @@ from jetweil.jets import (SeedSpec, WeilSemantics, basis_seed,
                           tail_bound, taylor_eval)
 from jetweil.modes import compose_programs, jvp, pairing_residual
 from jetweil.oracle import SparsePoly
-from jetweil.slp import (PrimitiveKind, eval_generic, parse_program,
-                         random_program)
-from jetweil import weil
+from jetweil.slp import (PrimitiveKind, Program, eval_generic,
+                         parse_program, random_program)
+from jetweil import jets, weil
 from jetweil.weil import WeilValue, make_shape, multi_factorial
 
 X2Y = parse_program("input x y\nt = mul x x\nu = mul t y\noutput u")
@@ -383,3 +384,146 @@ def test_table_json_shape():
     assert list(payload) == ["caps", "base", "directions", "entries"]
     alphas = [tuple(e["alpha"]) for e in payload["entries"]]
     assert alphas == sorted(alphas, key=lambda a: (sum(a), a))
+
+
+# -- recycled arrays of a batched pass ----------------------------------------
+
+def _arena_inputs(shape, batch, n_inputs, rng, n_specs=7):
+    """(inputs, specs, cols): n_specs SeedSpecs drawn from rng, and batched
+    seeded inputs whose column j holds the seed of specs[cols[j]]."""
+    specs = [SeedSpec(tuple(rng.uniform(-1.0, 1.0, n_inputs)),
+                      tuple(map(tuple, rng.uniform(-1.0, 1.0,
+                                                   (shape.p, n_inputs)))),
+                      shape.caps) for _ in range(n_specs)]
+    cols = np.arange(batch) % n_specs
+    coeffs = np.zeros((n_inputs, shape.dim, batch))
+    for i, spec in enumerate(specs):
+        for j, w in enumerate(seed(spec)):
+            coeffs[j][:, cols == i] = w.coeffs[:, None]
+    return [weil.WeilValue(shape, c) for c in coeffs], specs, cols
+
+
+def _poison_arena(monkeypatch):
+    """Fill the arena with NaN before every recycling pass."""
+    views = jets.arena_views
+
+    def poisoned(value_shape, n):
+        free = views(value_shape, n)
+        if free:
+            free[0].base.fill(np.nan)
+        return free
+
+    monkeypatch.setattr(jets, "arena_views", poisoned)
+
+
+# (caps, a batch size at or above weil.ARENA_FLOOR bytes a value, one below)
+ARENA_CASES = [((1,) * 6, 256, 128), ((2, 2, 2), 607, 300), ((3,), 4096, 5)]
+
+
+@pytest.mark.parametrize("caps, above, below", ARENA_CASES)
+def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
+    # passes over an arena of NaNs give the bits of passes that recycle
+    # nothing, and every column the table of its unbatched pass: a kernel
+    # that read a recycled view before writing it would leave NaN
+    shape = make_shape(caps)
+    assert shape.dim * above * 8 >= weil.ARENA_FLOOR > shape.dim * below * 8
+    rng = np.random.default_rng(sum(caps) * 31 + len(caps))
+    progs = []
+    for k in range(8):
+        prog = random_program(seed=600 + k, depth=14, n_inputs=2)
+        # an input and an earlier node are outputs too
+        progs.append(Program(prog.n_inputs, prog.nodes,
+                             (prog.n_slots - 1, 0, prog.n_inputs + 1)))
+    graded = shape.graded()[0]
+    for batch in (above, below):
+        for prog in progs:
+            inputs, specs, cols = _arena_inputs(shape, batch, 2, rng)
+            with monkeypatch.context() as m:
+                m.setattr(weil, "ARENA_FLOOR", math.inf)
+                fresh = eval_generic(prog, inputs,
+                                     WeilSemantics(shape, (batch,)))
+            with monkeypatch.context() as m:
+                _poison_arena(m)
+                outs = eval_generic(prog, inputs,
+                                    WeilSemantics(shape, (batch,)))
+            for got, want in zip(outs, fresh):
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            for i, spec in enumerate(specs):
+                raw = taylor_eval(prog, spec).raw
+                for o, out in enumerate(outs):
+                    assert np.array_equal(out.coeffs[graded][:, cols == i],
+                                          np.repeat(raw[:, o:o + 1],
+                                                    (cols == i).sum(), 1))
+
+
+def test_recycled_outputs_own_their_memory():
+    # t is an output and a later operand, c a constant output and x an
+    # input output: none is in the arena, and later passes at other shapes
+    # and batch sizes leave every output as it was
+    prog = parse_program("input x y\nt = mul x y\nu = sin t\nc = const 2\n"
+                         "v = add u t\nw = mul v v\nz = tanh w\n"
+                         "output z t c x\n")
+    shape = make_shape((1,) * 6)
+    rng = np.random.default_rng(3)
+    inputs = _arena_inputs(shape, 600, 2, rng)[0]
+    outs = eval_generic(prog, inputs, WeilSemantics(shape, (600,)))
+    arena = weil._scratch.arena
+    assert arena.size >= (prog.peak_live - prog.n_inputs) * shape.dim * 600
+    assert outs[3] is inputs[0]
+    copies = [out.coeffs.copy() for out in outs]
+    for caps, batch in [((2, 2, 2), 700), ((1,) * 6, 2048), ((1,) * 6, 600),
+                        ((1,) * 5, 128)]:
+        other = make_shape(caps)
+        eval_generic(prog, _arena_inputs(other, batch, 2, rng)[0],
+                     WeilSemantics(other, (batch,)))
+    for out, copy in zip(outs, copies):
+        assert out.coeffs.tobytes() == copy.tobytes()
+        for buf in (arena, weil._scratch.arena):
+            assert not np.shares_memory(out.coeffs, buf)
+
+
+def test_recycled_pass_after_a_domain_error():
+    # log of a column <= 0 fails at node 3 mid-pass, with views of the
+    # arena taken; the next pass gives the bits of the one before
+    prog = parse_program("input x y\na = mul x y\nb = sin a\nd = neg b\n"
+                         "l = log x\ne = add d l\noutput e\n")
+    shape = make_shape((1,) * 6)
+    rng = np.random.default_rng(5)
+    inputs = _arena_inputs(shape, 512, 2, rng)[0]
+    inputs[0].coeffs[0] = np.abs(inputs[0].coeffs[0]) + 0.5
+    before = eval_generic(prog, inputs, WeilSemantics(shape, (512,)))
+    bad = [weil.WeilValue(shape, inputs[0].coeffs.copy()), inputs[1]]
+    bad[0].coeffs[0, 100] = -0.25
+    with pytest.raises(DomainError) as exc:
+        eval_generic(prog, bad, WeilSemantics(shape, (512,)))
+    assert exc.value.node == 3
+    assert list(exc.value.value) == [-0.25]
+    after = eval_generic(prog, inputs, WeilSemantics(shape, (512,)))
+    assert after[0].coeffs.tobytes() == before[0].coeffs.tobytes()
+
+
+def test_arena_is_kept_for_the_next_pass():
+    # in a thread of its own, which starts without an arena: a pass of the
+    # same size keeps the arena object, one that needs more replaces it
+    prog = random_program(seed=77, depth=20, n_inputs=2)
+    shape = make_shape((1,) * 6)
+    inputs = {b: _arena_inputs(shape, b, 2, np.random.default_rng(b))[0]
+              for b in (512, 1024)}
+    arenas = []
+
+    def passes():
+        for batch in (512, 512, 1024, 512):
+            eval_generic(prog, inputs[batch],
+                         WeilSemantics(shape, (batch,)))
+            arenas.append(weil._scratch.arena)
+
+    worker = threading.Thread(target=passes)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(arenas) == 4
+    assert arenas[0] is arenas[1]
+    assert arenas[2] is not arenas[1] and arenas[2].size > arenas[1].size
+    assert arenas[3] is arenas[2]
+    # the arena is the worker's own
+    assert all(getattr(weil._scratch, "arena", None) is not a
+               for a in arenas)

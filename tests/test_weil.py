@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from jetweil.errors import (DomainError, IncompatibleShapesError,
                             NumericOverflowError, ShapeTooLargeError)
 from jetweil import weil
-from jetweil.jets import SeedSpec, taylor_eval
-from jetweil.slp import parse_program, random_program
+from jetweil.jets import SeedSpec, WeilSemantics, taylor_eval
+from jetweil.slp import eval_generic, parse_program, random_program
 from jetweil.weil import (DEFAULT_MAX_DIM, PAIR_LIMIT, WeilShape, WeilValue,
                           make_shape, multi_factorial, weil_add, weil_const,
                           weil_mul, weil_neg, weil_pow_int, weil_recip,
@@ -1065,15 +1065,29 @@ def test_level_tables_are_bounds_checked():
                          3)
 
 
+def _batched_work(shape, rng, batch):
+    """_batched_kernels, then the outputs of a whole batched pass of a
+    random program, which recycles its arrays through the thread's arena
+    where a value has at least ARENA_FLOOR bytes."""
+    prog = random_program(seed=batch, depth=16, n_inputs=2)
+    inputs = [_jet(shape, rng, rng.uniform(0.5, 2.0, size=batch),
+                   batch=(batch,)) for _ in range(2)]
+    kernels = _batched_kernels(shape, rng, batch)
+    return kernels + eval_generic(prog, inputs, WeilSemantics(shape, (batch,)))
+
+
 def test_threads_lift_like_serial():
-    # each thread keeps its own scratch: threads (more than cores) lifting
-    # different batches at once, switching often, give their serial
-    # results bit for bit
+    # each thread keeps its own scratch and arena: threads (more than cores)
+    # lifting different batches and running whole passes at once, switching
+    # often, give their serial results bit for bit; the first two cases
+    # recycle through the arena, the last two do not
     import sys
     import threading
     cases = [(make_shape((1,) * 6), 700), (make_shape((2, 2, 2)), 900),
              (make_shape((1,) * 4), 300), (make_shape((3, 3)), 500)]
-    serial = [_batched_kernels(shape, np.random.default_rng(i), batch)
+    assert [shape.dim * batch * 8 >= weil.ARENA_FLOOR
+            for shape, batch in cases] == [True, True, False, False]
+    serial = [_batched_work(shape, np.random.default_rng(i), batch)
               for i, (shape, batch) in enumerate(cases)]
     results = [[] for _ in cases]
     start = threading.Barrier(len(cases))
@@ -1082,7 +1096,7 @@ def test_threads_lift_like_serial():
         shape, batch = cases[i]
         start.wait(timeout=60)
         for _ in range(5):
-            results[i].append(_batched_kernels(
+            results[i].append(_batched_work(
                 shape, np.random.default_rng(i), batch))
 
     threads = [threading.Thread(target=work, args=(i,))
