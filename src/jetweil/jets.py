@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import (NumpyKernels, WeilShape, WeilValue, arena_views,
-                   cap_tuple, float_kernels, make_shape)
+from .weil import (ArenaKernels, NumpyKernels, WeilShape, WeilValue,
+                   arena_views, cap_tuple, float_kernels, make_shape)
 
 
 class WeilSemantics:
@@ -40,11 +40,9 @@ class WeilSemantics:
 
     A pass of numpy values of at least ``weil.ARENA_FLOOR`` bytes recycles
     their arrays: ``recycling``, which ``eval_generic`` calls first, returns
-    a semantics whose kernels take each result array from ``free``, a list
-    of views into the thread's arena (``weil.arena_views``), and whose
-    ``release`` puts a dropped value's view back on it.  The arena holds
-    ``Program.peak_live`` values less the inputs, so no node that is not an
-    output finds the list empty.
+    a ``RecyclingSemantics`` on ``weil.ArenaKernels``, whose free views of
+    the thread's arena (``weil.arena_views``) number ``Program.peak_live``
+    less the inputs, so no node that is not an output finds them used up.
     """
 
     def __init__(self, shape: WeilShape, batch_shape: tuple[int, ...] = ()):
@@ -56,24 +54,29 @@ class WeilSemantics:
     def apply(self, node: Node, args: Sequence) -> WeilValue | list[float]:
         return PRIMITIVES[node.op].lift(self.kernels, args, node.const)
 
-    def recycling(self, prog: Program) -> WeilSemantics | None:
+    def recycling(self, prog: Program) -> RecyclingSemantics | None:
+        """The semantics of a recycling pass of prog, or None: a pass on
+        Python lists, or of values below the floor, recycles nothing."""
         kernels = self.kernels
-        if not isinstance(kernels, NumpyKernels):  # a pass on Python lists
+        if type(kernels) is not NumpyKernels:  # Python lists, or recycling
             return None
         free = arena_views((kernels.shape.dim,) + kernels.batch_shape,
                            prog.peak_live - prog.n_inputs)
         if not free:
             return None
-        pooled = WeilSemantics(kernels.shape, kernels.batch_shape)
-        pooled.kernels = NumpyKernels(kernels.shape, kernels.batch_shape, free)
-        pooled.arena = free[0].base
-        return pooled
+        return RecyclingSemantics(ArenaKernels(
+            kernels.shape, kernels.batch_shape, free=free, arena=free[0].base))
+
+
+class RecyclingSemantics(WeilSemantics):
+    """The semantics of one recycling pass, on ``weil.ArenaKernels``;
+    ``release`` hands them back each value the pass drops."""
+
+    def __init__(self, kernels: ArenaKernels):
+        self.kernels = kernels
 
     def release(self, value: WeilValue) -> None:
-        """On a semantics from ``recycling``: put a dropped value's array
-        back on the free list if it is a view into the arena."""
-        if value.coeffs.base is self.arena:
-            self.kernels.free.append(value.coeffs)
+        self.kernels.release(value)
 
 
 @dataclass(frozen=True)

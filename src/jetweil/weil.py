@@ -84,15 +84,18 @@ they too went back to the OS and faulted in again at the next node.  A pass
 whose values have at least ``ARENA_FLOOR`` bytes recycles them through a
 fourth buffer per thread, the arena (``arena_views``): one flat float64
 array carved into ``Program.peak_live`` values less the inputs, the most
-node values a pass holds at once.  It lives until the thread ends, is kept
-for the thread's next pass, and is replaced only when a pass needs a larger
-one.  ``jets.WeilSemantics`` keeps the pass's free list of its views; the
-kernels that make a node's value (``weil_const``, ``weil_add``, ``weil_sub``,
-``weil_neg``, both batched products and the batched lifts) write it into a
-free view of its shape, else into a new array, and each value goes back on
-the list when the pass drops it.  No output and no input is a view into the
-arena: output nodes run without the free list, inputs are never released,
-and a value is released only after its last reader has run.
+node values a pass holds at once.  Up to ``ARENA_LIMIT`` values it lives
+until the thread ends, is kept for the thread's next pass, and is replaced
+only when a pass needs a larger one; a larger pass carves an array of its
+own, which goes when the pass does.  The pass's ``ArenaKernels`` hold the
+free views: the kernels that make a node's value (``weil_const``,
+``weil_add``, ``weil_sub``, ``weil_neg``, both batched products and the
+batched lifts) write it into a free view of its shape, else into a new
+array, and each value goes back on the list when the pass drops it.  No
+output and no input is a view into the arena: output nodes run on plain
+``NumpyKernels``, inputs are never released, and a value is released only
+after its last reader has run.  Passes below the floor run the plain
+kernels, as all passes did before the arena.
 """
 from __future__ import annotations
 
@@ -157,30 +160,39 @@ TILE_GATHER = 1 << 16
 # 512 KiB ran a pass in 0.51-0.59 s against 0.66 s unrecycled (medians of
 # three processes each), within their spread of each other.
 ARENA_FLOOR = 1 << 17
+# Most values (16 MiB) of an arena that a thread keeps between passes.  A
+# pass that needs more carves its views out of an array of its own, which
+# goes when the pass does.  The taylor-batched schedule's largest pass
+# needs 12 MiB, criterion 5's 9 MiB.
+ARENA_LIMIT = 1 << 21
 
 _scratch = threading.local()
 
 
 def arena_views(value_shape: tuple[int, ...],
                 n: int) -> list[np.ndarray] | None:
-    """n arrays of value_shape, disjoint views into the calling thread's
-    arena, for one recycling pass; None where a value has fewer than
-    ARENA_FLOOR bytes.  The arena is one flat float64 array, kept for the
-    thread's next pass and replaced only when a pass needs a larger one."""
+    """n arrays of value_shape, disjoint views into one flat float64 array
+    (their ``base``), for one recycling pass; None where a value has fewer
+    than ARENA_FLOOR bytes.  Up to ARENA_LIMIT values the array is the
+    calling thread's arena, kept for its next pass and replaced only when a
+    pass needs a larger one; past it the array is new and kept by no one."""
     size = math.prod(value_shape)
     if 8 * size < ARENA_FLOOR:
         return None
-    arena = getattr(_scratch, "arena", None)
-    if arena is None or arena.size < n * size:
-        arena = _scratch.arena = np.empty(n * size)
+    if n * size > ARENA_LIMIT:
+        arena = np.empty(n * size)
+    else:
+        arena = getattr(_scratch, "arena", None)
+        if arena is None or arena.size < n * size:
+            arena = _scratch.arena = np.empty(n * size)
     return [arena[i:i + size].reshape(value_shape)
             for i in range(0, n * size, size)]
 
 
 def _recycled(free: list | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The last view on ``free``, a recycling pass's free list, taken off
-    it for a result of ``shape`` if it has that shape; else None.  Its
-    values are stale: the kernel writes every one of them."""
+    """The last view on ``free`` (``ArenaKernels.free``), taken off it for
+    a result of ``shape`` if it has that shape; else None.  Its values are
+    stale: the kernel writes every one of them."""
     if free and free[-1].shape == shape:
         return free.pop()
     return None
@@ -365,13 +377,14 @@ def _result(shape: WeilShape, coeffs: np.ndarray) -> WeilValue:
     return value
 
 
-# Each kernel that makes a node's value takes ``free``, a recycling pass's
-# free list (``arena_views``), and writes its result into a view from it
-# where one has the result's shape.
+# The kernels that make a node's value take ``_free``, the free list of a
+# recycling pass (``ArenaKernels``), and write their result into a view
+# from it where one has the result's shape; else into a new array.
 
-def weil_const(shape: WeilShape, value, free: list | None = None) -> WeilValue:
+def weil_const(shape: WeilShape, value, *,
+               _free: list | None = None) -> WeilValue:
     value = np.asarray(value, dtype=float)
-    coeffs = _zeros((shape.dim,) + value.shape, free)
+    coeffs = _zeros((shape.dim,) + value.shape, _free)
     coeffs[0] = value
     return _result(shape, coeffs)
 
@@ -383,7 +396,7 @@ def _check_shapes(a: WeilValue, b: WeilValue) -> WeilShape:
     return a.shape
 
 
-def _elementwise_out(free: list | None, a: WeilValue,
+def _elementwise_out(free: list, a: WeilValue,
                      b: WeilValue | None = None) -> np.ndarray | None:
     """``out`` of an elementwise kernel on a (and b): a recycled view where
     the operands have one shape, else None (a new array, broadcast)."""
@@ -392,21 +405,29 @@ def _elementwise_out(free: list | None, a: WeilValue,
     return None
 
 
-def weil_add(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
+def weil_add(a: WeilValue, b: WeilValue, *,
+             _free: list | None = None) -> WeilValue:
     shape = _check_shapes(a, b)
+    if _free is None:
+        return _result(shape, a.coeffs + b.coeffs)
     return _result(shape, np.add(a.coeffs, b.coeffs,
-                                 out=_elementwise_out(free, a, b)))
+                                 out=_elementwise_out(_free, a, b)))
 
 
-def weil_sub(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
+def weil_sub(a: WeilValue, b: WeilValue, *,
+             _free: list | None = None) -> WeilValue:
     shape = _check_shapes(a, b)
+    if _free is None:
+        return _result(shape, a.coeffs - b.coeffs)
     return _result(shape, np.subtract(a.coeffs, b.coeffs,
-                                      out=_elementwise_out(free, a, b)))
+                                      out=_elementwise_out(_free, a, b)))
 
 
-def weil_neg(a: WeilValue, free: list | None = None) -> WeilValue:
+def weil_neg(a: WeilValue, *, _free: list | None = None) -> WeilValue:
+    if _free is None:
+        return _result(a.shape, -a.coeffs)
     return _result(a.shape, np.negative(a.coeffs,
-                                        out=_elementwise_out(free, a)))
+                                        out=_elementwise_out(_free, a)))
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +468,8 @@ def _nonzero_rows(w: WeilValue) -> np.ndarray:
                           .any(axis=1))
 
 
-def weil_mul(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
+def weil_mul(a: WeilValue, b: WeilValue, *,
+             _free: list | None = None) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
     Two unbatched operands use the pair table while it has at most
@@ -479,7 +501,7 @@ def weil_mul(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
             * a.coeffs[0].size <= GATHER_LIMIT):
         ca = a.coeffs.reshape(shape.dim, -1)
         cb = b.coeffs.reshape(ca.shape)
-        result = _empty(a.coeffs.shape, free)
+        result = _empty(a.coeffs.shape, _free)
         out = result.reshape(ca.shape)
         for targets, conv in groups:
             out[targets] = conv(ca, cb)[0]
@@ -490,7 +512,7 @@ def weil_mul(a: WeilValue, b: WeilValue, free: list | None = None) -> WeilValue:
     ta = a.coeffs
     tb = b.coeffs.reshape(tshape + b.coeffs.shape[1:])
     batch = np.broadcast_shapes(ta.shape[1:], b.coeffs.shape[1:])
-    result = _zeros((shape.dim,) + batch, free)
+    result = _zeros((shape.dim,) + batch, _free)
     out = result.reshape(tshape + batch)
     scratch = _scratch_buffer(0, out.size)
     table = _slice_table(shape)
@@ -766,8 +788,8 @@ def _require(cond, message: str, primal):
         raise DomainError(message, value=bad)
 
 
-# The lifts both kernel sets share: k is a ``NumpyKernels`` or a
-# ``FloatKernels``, x a value of its representation.
+# The lifts both kernel sets share: k is ``NumpyKernels``, an
+# ``ArenaKernels`` or a ``FloatKernels``, x a value of its representation.
 
 def _lift_unary(k, kind: str, x, exponent: float | None = None):
     """Lift a smooth scalar primitive by its graded recurrence, after its
@@ -843,32 +865,28 @@ class NumpyKernels:
     """The lift kernels on ``WeilValue``s of one shape and batch shape.
     Each kernel is looked up in this module's globals when it is called, so
     rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift.
-    ``free`` is a recycling pass's free list (``arena_views``) or None: the
-    kernels that make a node's value take their result arrays from it, the
-    products inside an integer power do not.  ``weil_unary``, ``weil_recip``
-    and ``weil_pow_int`` run the shared lifts on a kernel set too."""
+    ``weil_unary``, ``weil_recip`` and ``weil_pow_int`` run the shared lifts
+    on the class itself."""
 
     shape: WeilShape
     batch_shape: tuple[int, ...] = ()
-    free: list | None = None
 
     def const(self, c: float) -> WeilValue:
-        return weil_const(self.shape, np.full(self.batch_shape, float(c)),
-                          self.free)
+        return weil_const(self.shape, np.full(self.batch_shape, float(c)))
 
-    add = lambda self, a, b: weil_add(a, b, self.free)
-    sub = lambda self, a, b: weil_sub(a, b, self.free)
-    neg = lambda self, a: weil_neg(a, self.free)
-    mul = lambda self, a, b: weil_mul(a, b, self.free)
-    unary = (lambda self, kind, w, exponent=None:
-             weil_unary(kind, w, exponent, self.free))
-    recip = lambda self, w: weil_recip(w, self.free)
-    pow_int = lambda self, w, n: weil_pow_int(w, n)
+    add = staticmethod(lambda a, b: weil_add(a, b))
+    sub = staticmethod(lambda a, b: weil_sub(a, b))
+    neg = staticmethod(lambda a: weil_neg(a))
+    mul = staticmethod(lambda a, b: weil_mul(a, b))
+    unary = staticmethod(lambda kind, w, exponent=None:
+                         weil_unary(kind, w, exponent))
+    recip = staticmethod(lambda w: weil_recip(w))
+    pow_int = staticmethod(lambda w, n: weil_pow_int(w, n))
 
     # the hooks of the shared lifts
     primal = operator.attrgetter("primal")
     const_jets = staticmethod(lambda w: ~np.any(w.coeffs[1:], axis=0))
-    graded = lambda self, kind, w, r=0.0: _graded(kind, w, r, self.free)
+    graded = staticmethod(_graded)
 
     @staticmethod
     def like(w: WeilValue, c) -> WeilValue:
@@ -876,31 +894,51 @@ class NumpyKernels:
         return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
 
 
-@lru_cache(maxsize=None)
-def _plain_kernels(shape: WeilShape) -> NumpyKernels:
-    """The kernel set without a free list on which the shared lifts run."""
-    return NumpyKernels(shape)
+@dataclass(frozen=True, slots=True, kw_only=True)
+class ArenaKernels(NumpyKernels):
+    """``NumpyKernels`` of one recycling pass.  ``free`` holds the views of
+    ``arena`` that no live value uses (``arena_views``): const, add, sub,
+    neg, mul and the batched lifts take their result from it, the products
+    inside an integer power do not, and ``release`` puts a dropped value's
+    view back on it."""
+
+    free: list[np.ndarray]
+    arena: np.ndarray
+
+    def const(self, c: float) -> WeilValue:
+        return weil_const(self.shape, np.full(self.batch_shape, float(c)),
+                          _free=self.free)
+
+    add = lambda self, a, b: weil_add(a, b, _free=self.free)
+    sub = lambda self, a, b: weil_sub(a, b, _free=self.free)
+    neg = lambda self, a: weil_neg(a, _free=self.free)
+    mul = lambda self, a, b: weil_mul(a, b, _free=self.free)
+    unary = (lambda self, kind, w, exponent=None:
+             weil_unary(kind, w, exponent, _kernels=self))
+    recip = lambda self, w: weil_recip(w, _kernels=self)
+    graded = lambda self, kind, w, r=0.0: _graded(kind, w, r, self.free)
+
+    def release(self, value: WeilValue) -> None:
+        """Put the array of a value the pass has dropped back on ``free`` if
+        it is a view into the arena."""
+        if value.coeffs.base is self.arena:
+            self.free.append(value.coeffs)
 
 
-def _lift_kernels(w: WeilValue, free: list | None) -> NumpyKernels:
-    return (_plain_kernels(w.shape) if free is None
-            else NumpyKernels(w.shape, w.batch_shape, free))
-
-
-def weil_recip(w: WeilValue, free: list | None = None) -> WeilValue:
+def weil_recip(w: WeilValue, *, _kernels=NumpyKernels) -> WeilValue:
     """Multiplicative inverse, the power -1."""
-    return _lift_recip(_lift_kernels(w, free), w)
+    return _lift_recip(_kernels, w)
 
 
 def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
     """Exact non-negative integer power by binary exponentiation."""
-    return _lift_pow_int(_plain_kernels(w.shape), w, n)
+    return _lift_pow_int(NumpyKernels, w, n)
 
 
-def weil_unary(kind: str, w: WeilValue, exponent: float | None = None,
-               free: list | None = None) -> WeilValue:
+def weil_unary(kind: str, w: WeilValue, exponent: float | None = None, *,
+               _kernels=NumpyKernels) -> WeilValue:
     """Lift a smooth scalar primitive by its graded recurrence."""
-    return _lift_unary(_lift_kernels(w, free), kind, w, exponent)
+    return _lift_unary(_kernels, kind, w, exponent)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -527,3 +528,35 @@ def test_arena_is_kept_for_the_next_pass():
     # the arena is the worker's own
     assert all(getattr(weil._scratch, "arena", None) is not a
                for a in arenas)
+
+
+def test_pass_past_the_arena_limit_keeps_no_arena(monkeypatch):
+    # a pass that needs more than ARENA_LIMIT values recycles through an
+    # array of its own: the thread's arena stays as it was, the pass's
+    # array goes when the pass does, and the bits are those of a pass that
+    # recycles nothing
+    prog = random_program(seed=78, depth=20, n_inputs=2)
+    shape = make_shape((1,) * 6)
+    rng = np.random.default_rng(8)
+    small, large = (_arena_inputs(shape, b, 2, rng)[0] for b in (512, 1024))
+    eval_generic(prog, small, WeilSemantics(shape, (512,)))
+    kept = weil._scratch.arena
+    n = prog.peak_live - prog.n_inputs
+    monkeypatch.setattr(weil, "ARENA_LIMIT", n * shape.dim * 1024 - 1)
+    bases = []
+    views = jets.arena_views
+
+    def spy(value_shape, n):
+        free = views(value_shape, n)
+        bases.append(weakref.ref(free[0].base))
+        return free
+
+    with monkeypatch.context() as m:
+        m.setattr(jets, "arena_views", spy)
+        outs = eval_generic(prog, large, WeilSemantics(shape, (1024,)))
+    assert len(bases) == 1 and bases[0]() is None
+    assert weil._scratch.arena is kept
+    monkeypatch.setattr(weil, "ARENA_FLOOR", math.inf)
+    fresh = eval_generic(prog, large, WeilSemantics(shape, (1024,)))
+    assert ([o.coeffs.tobytes() for o in outs]
+            == [f.coeffs.tobytes() for f in fresh])
