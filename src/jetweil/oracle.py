@@ -8,9 +8,13 @@ the one-pass lifted evaluation is compared against.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -386,6 +390,47 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
             ScheduleDiagnostics(max_cond, max_resid, max_cond > 1e8))
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles (in ``numpy.libs``), or None where it bundles none."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                       .glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{name}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block's LAPACK calls on one OpenBLAS thread.  The fits solve
+    systems of at most a few hundred rows, where the thread pool only
+    costs: on a 2-core host the 140 x 70 lstsq of p = k = 4 took 62 ms on
+    two threads and 1.3 ms on one, and the woken worker kept spinning for
+    some 0.1 s after it, taking 4 ms time slices from whatever the process
+    ran next.  The thread count is the process's, so BLAS calls in other
+    threads meanwhile run on one thread too."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _global_fit(ray_data, center, p: int, k: int, s: float):
     """Joint multivariate Hermite least squares over every issued pass."""
     gammas = [g for g in itertools.product(range(k + 1), repeat=p)
@@ -411,8 +456,9 @@ def _global_fit(ray_data, center, p: int, k: int, s: float):
             rows.extend(monomial_rows(c, float(tau)))
             rhs.extend((val, slope))
     a_mat = np.array(rows)
-    sol, *_ = np.linalg.lstsq(a_mat, np.array(rhs), rcond=None)
-    cond = float(np.linalg.cond(a_mat))
+    with _one_blas_thread():
+        sol, *_ = np.linalg.lstsq(a_mat, np.array(rhs), rcond=None)
+        cond = float(np.linalg.cond(a_mat))
     return ({g: b * multi_factorial(g) / s ** sum(g)
              for g, b in zip(gammas, sol)}, cond)
 
@@ -421,8 +467,9 @@ def _solve_polarization(a_mat: np.ndarray, rhs: np.ndarray):
     if a_mat.size == 0 or a_mat.shape[0] < a_mat.shape[1]:
         raise ValueError("polarization system is underdetermined; "
                          "not enough usable rays")
-    sol, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    cond = float(np.linalg.cond(a_mat))
+    with _one_blas_thread():
+        sol, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+        cond = float(np.linalg.cond(a_mat))
     resid = float(np.linalg.norm(a_mat @ sol - rhs))
     return sol, cond, resid
 

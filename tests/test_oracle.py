@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -252,3 +253,40 @@ def test_schedule_k4_count_and_rough_accuracy():
     # k >= 4 recovery is best-effort: counted exactly, accuracy degraded
     assert gap <= 1e-1
     assert diag.max_condition > 0
+
+
+def test_fits_run_on_one_blas_thread(monkeypatch):
+    # the per-ray (k = 3) and the joint (k = 4) fits solve on one OpenBLAS
+    # thread, with the same table, and the thread count comes back after
+    from jetweil import oracle
+    threads = oracle._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, set_ = threads
+    prog = random_program(seed=404, depth=8, n_inputs=4)
+    x = [0.1, 0.2, 0.3, 0.4]
+    dirs = np.eye(4).tolist()
+    before = get()
+    set_(2)
+    try:
+        seen = []
+        lstsq = np.linalg.lstsq
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return lstsq(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "lstsq", spy)
+            tables = [nested_jvp_schedule(prog, x, dirs, k)[0]
+                      for k in (3, 4)]
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_one_blas_thread", contextlib.nullcontext)
+            again = [nested_jvp_schedule(prog, x, dirs, k)[0]
+                     for k in (3, 4)]
+        assert all(np.array_equal(a.raw, b.raw)
+                   for a, b in zip(tables, again))
+    finally:
+        set_(before)
