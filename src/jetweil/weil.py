@@ -94,8 +94,8 @@ batched lifts) write it into a free view of its shape, else into a new
 array, and each value goes back on the list when the pass drops it.  No
 output and no input is a view into the arena: output nodes run on plain
 ``NumpyKernels``, inputs are never released, and a value is released only
-after its last reader has run.  Passes below the floor run the plain
-kernels, as all passes did before the arena.
+after its last reader has run.  Passes below the floor run on plain
+``NumpyKernels``.
 """
 from __future__ import annotations
 
