@@ -144,30 +144,33 @@ def run_weil_bench(prog: Program, family: str,
                    dims: Sequence[int] = DEFAULT_DIMS,
                    repetitions: int = 5, warmup: int = 2,
                    batch: int = 2048, seed: int = 0) -> BenchReport:
-    """Time one lifted pass per cap vector; caps are [1]*p with 2^p = dim."""
+    """Time one lifted pass per cap vector; caps are [1]*p with 2^p = dim.
+    The dims are timed interleaved: ``warmup`` rounds, then ``repetitions``
+    rounds of one pass per dim, so that a burst of host load falls on every
+    dim alike."""
     if len(set(dims)) < 5:
         raise ValueError("cap schedule must yield at least 5 distinct dims")
-    runs = []
     rng = random.Random(seed)
+    cells = []
     for dim in dims:
         p = int(dim).bit_length() - 1
         if 2 ** p != dim:
             raise ValueError(f"benchmark dims must be powers of two, got {dim}")
         shape = make_shape((1,) * p)
-        inputs = _batched_seed(prog, shape, batch, rng)
-        sem = WeilSemantics(shape, batch_shape=(batch,))
-        times = []
-        for rep in range(warmup + repetitions):
+        cells.append((shape, _batched_seed(prog, shape, batch, rng),
+                      WeilSemantics(shape, batch_shape=(batch,)), []))
+    for rep in range(warmup + repetitions):
+        for _, inputs, sem, times in cells:
             t0 = time.perf_counter()
             eval_generic(prog, inputs, sem)
             t1 = time.perf_counter()
             if rep >= warmup:
                 times.append(t1 - t0)
-        runs.append(BenchRun(
-            dim=dim, caps=shape.caps,
-            t_min=min(times), t_median=float(np.median(times)),
-            repetitions=repetitions,
-            peak_coeff_bytes=prog.peak_live * dim * batch * 8))
+    runs = [BenchRun(dim=shape.dim, caps=shape.caps,
+                     t_min=min(times), t_median=float(np.median(times)),
+                     repetitions=repetitions,
+                     peak_coeff_bytes=prog.peak_live * shape.dim * batch * 8)
+            for shape, _, _, times in cells]
     slope, intercept = fit_slope([r.dim for r in runs],
                                  [r.t_median for r in runs])
     return BenchReport(

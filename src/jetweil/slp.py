@@ -481,7 +481,8 @@ def eval_generic(prog: Program, inputs: Sequence, semantics):
     nodes may reuse its memory.  Output nodes run on the first semantics,
     so that each output has memory of its own, and inputs are never
     released.  ``jets.WeilSemantics`` recycles the arrays of a batched pass
-    this way.
+    this way: its second semantics is a ``WeilSemantics`` too, whose
+    ``weil.NumpyKernels`` hold the pass's free list.
     """
     if len(inputs) != prog.n_inputs:
         raise DimensionMismatchError(

@@ -87,15 +87,15 @@ array carved into ``Program.peak_live`` values less the inputs, the most
 node values a pass holds at once.  Up to ``ARENA_LIMIT`` values it lives
 until the thread ends, is kept for the thread's next pass, and is replaced
 only when a pass needs a larger one; a larger pass carves an array of its
-own, which goes when the pass does.  The pass's ``ArenaKernels`` hold the
+own, which goes when the pass does.  The pass's ``NumpyKernels`` hold the
 free views: the kernels that make a node's value (``weil_const``,
 ``weil_add``, ``weil_sub``, ``weil_neg``, both batched products and the
 batched lifts) write it into a free view of its shape, else into a new
 array, and each value goes back on the list when the pass drops it.  No
-output and no input is a view into the arena: output nodes run on plain
-``NumpyKernels``, inputs are never released, and a value is released only
-after its last reader has run.  Passes below the floor run on plain
-``NumpyKernels``.
+output and no input is a view into the arena: output nodes run on
+``NumpyKernels`` without a free list, inputs are never released, and a
+value is released only after its last reader has run.  Passes below the
+floor run on kernels without a free list.
 """
 from __future__ import annotations
 
@@ -190,7 +190,7 @@ def arena_views(value_shape: tuple[int, ...],
 
 
 def _recycled(free: list | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The last view on ``free`` (``ArenaKernels.free``), taken off it for
+    """The last view on ``free`` (``NumpyKernels.free``), taken off it for
     a result of ``shape`` if it has that shape; else None.  Its values are
     stale: the kernel writes every one of them."""
     if free and free[-1].shape == shape:
@@ -378,7 +378,7 @@ def _result(shape: WeilShape, coeffs: np.ndarray) -> WeilValue:
 
 
 # The kernels that make a node's value take ``_free``, the free list of a
-# recycling pass (``ArenaKernels``), and write their result into a view
+# recycling pass (``NumpyKernels.free``), and write their result into a view
 # from it where one has the result's shape; else into a new array.
 
 def weil_const(shape: WeilShape, value, *,
@@ -396,7 +396,7 @@ def _check_shapes(a: WeilValue, b: WeilValue) -> WeilShape:
     return a.shape
 
 
-def _elementwise_out(free: list, a: WeilValue,
+def _elementwise_out(free: list | None, a: WeilValue,
                      b: WeilValue | None = None) -> np.ndarray | None:
     """``out`` of an elementwise kernel on a (and b): a recycled view where
     the operands have one shape, else None (a new array, broadcast)."""
@@ -408,8 +408,6 @@ def _elementwise_out(free: list, a: WeilValue,
 def weil_add(a: WeilValue, b: WeilValue, *,
              _free: list | None = None) -> WeilValue:
     shape = _check_shapes(a, b)
-    if _free is None:
-        return _result(shape, a.coeffs + b.coeffs)
     return _result(shape, np.add(a.coeffs, b.coeffs,
                                  out=_elementwise_out(_free, a, b)))
 
@@ -417,15 +415,11 @@ def weil_add(a: WeilValue, b: WeilValue, *,
 def weil_sub(a: WeilValue, b: WeilValue, *,
              _free: list | None = None) -> WeilValue:
     shape = _check_shapes(a, b)
-    if _free is None:
-        return _result(shape, a.coeffs - b.coeffs)
     return _result(shape, np.subtract(a.coeffs, b.coeffs,
                                       out=_elementwise_out(_free, a, b)))
 
 
 def weil_neg(a: WeilValue, *, _free: list | None = None) -> WeilValue:
-    if _free is None:
-        return _result(a.shape, -a.coeffs)
     return _result(a.shape, np.negative(a.coeffs,
                                         out=_elementwise_out(_free, a)))
 
@@ -788,8 +782,8 @@ def _require(cond, message: str, primal):
         raise DomainError(message, value=bad)
 
 
-# The lifts both kernel sets share: k is ``NumpyKernels``, an
-# ``ArenaKernels`` or a ``FloatKernels``, x a value of its representation.
+# The lifts both kernel sets share: k is a ``NumpyKernels`` or a
+# ``FloatKernels``, x a value of its representation.
 
 def _lift_unary(k, kind: str, x, exponent: float | None = None):
     """Lift a smooth scalar primitive by its graded recurrence, after its
@@ -865,45 +859,18 @@ class NumpyKernels:
     """The lift kernels on ``WeilValue``s of one shape and batch shape.
     Each kernel is looked up in this module's globals when it is called, so
     rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift.
-    ``weil_unary``, ``weil_recip`` and ``weil_pow_int`` run the shared lifts
-    on the class itself."""
+    ``weil_unary`` and ``weil_recip`` run the shared lifts on this object.
+
+    In a recycling pass ``free`` holds the views of ``arena`` that no live
+    value uses (``arena_views``): const, add, sub, neg, mul and the batched
+    lifts take their result from it, the products inside an integer power
+    do not, and ``release`` puts a dropped value's view back on it.  Both
+    are None otherwise, and every kernel allocates its result."""
 
     shape: WeilShape
     batch_shape: tuple[int, ...] = ()
-
-    def const(self, c: float) -> WeilValue:
-        return weil_const(self.shape, np.full(self.batch_shape, float(c)))
-
-    add = staticmethod(lambda a, b: weil_add(a, b))
-    sub = staticmethod(lambda a, b: weil_sub(a, b))
-    neg = staticmethod(lambda a: weil_neg(a))
-    mul = staticmethod(lambda a, b: weil_mul(a, b))
-    unary = staticmethod(lambda kind, w, exponent=None:
-                         weil_unary(kind, w, exponent))
-    recip = staticmethod(lambda w: weil_recip(w))
-    pow_int = staticmethod(lambda w, n: weil_pow_int(w, n))
-
-    # the hooks of the shared lifts
-    primal = operator.attrgetter("primal")
-    const_jets = staticmethod(lambda w: ~np.any(w.coeffs[1:], axis=0))
-    graded = staticmethod(_graded)
-
-    @staticmethod
-    def like(w: WeilValue, c) -> WeilValue:
-        """The constant jet c, of w's shape and batch."""
-        return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class ArenaKernels(NumpyKernels):
-    """``NumpyKernels`` of one recycling pass.  ``free`` holds the views of
-    ``arena`` that no live value uses (``arena_views``): const, add, sub,
-    neg, mul and the batched lifts take their result from it, the products
-    inside an integer power do not, and ``release`` puts a dropped value's
-    view back on it."""
-
-    free: list[np.ndarray]
-    arena: np.ndarray
+    free: list[np.ndarray] | None = None
+    arena: np.ndarray | None = None
 
     def const(self, c: float) -> WeilValue:
         return weil_const(self.shape, np.full(self.batch_shape, float(c)),
@@ -916,27 +883,42 @@ class ArenaKernels(NumpyKernels):
     unary = (lambda self, kind, w, exponent=None:
              weil_unary(kind, w, exponent, _kernels=self))
     recip = lambda self, w: weil_recip(w, _kernels=self)
+    pow_int = staticmethod(lambda w, n: weil_pow_int(w, n))
+
+    # the hooks of the shared lifts
+    primal = operator.attrgetter("primal")
+    const_jets = staticmethod(lambda w: ~np.any(w.coeffs[1:], axis=0))
     graded = lambda self, kind, w, r=0.0: _graded(kind, w, r, self.free)
+
+    @staticmethod
+    def like(w: WeilValue, c) -> WeilValue:
+        """The constant jet c, of w's shape and batch."""
+        return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
 
     def release(self, value: WeilValue) -> None:
         """Put the array of a value the pass has dropped back on ``free`` if
-        it is a view into the arena."""
-        if value.coeffs.base is self.arena:
+        it is a view into the arena; nothing without a free list."""
+        if self.free is not None and value.coeffs.base is self.arena:
             self.free.append(value.coeffs)
 
 
-def weil_recip(w: WeilValue, *, _kernels=NumpyKernels) -> WeilValue:
+# The kernels of the lifts called without a kernel set: the shared lifts
+# read their operands' shapes, never the kernels'.
+_plain = NumpyKernels(None)
+
+
+def weil_recip(w: WeilValue, *, _kernels=_plain) -> WeilValue:
     """Multiplicative inverse, the power -1."""
     return _lift_recip(_kernels, w)
 
 
 def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
     """Exact non-negative integer power by binary exponentiation."""
-    return _lift_pow_int(NumpyKernels, w, n)
+    return _lift_pow_int(_plain, w, n)
 
 
 def weil_unary(kind: str, w: WeilValue, exponent: float | None = None, *,
-               _kernels=NumpyKernels) -> WeilValue:
+               _kernels=_plain) -> WeilValue:
     """Lift a smooth scalar primitive by its graded recurrence."""
     return _lift_unary(_kernels, kind, w, exponent)
 

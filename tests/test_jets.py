@@ -16,7 +16,7 @@ from jetweil.jets import (SeedSpec, WeilSemantics, basis_seed,
                           tail_bound, taylor_eval)
 from jetweil.modes import compose_programs, jvp, pairing_residual
 from jetweil.oracle import SparsePoly
-from jetweil.slp import (PrimitiveKind, Program, eval_generic,
+from jetweil.slp import (Node, PrimitiveKind, Program, eval_generic,
                          parse_program, random_program)
 from jetweil import jets, weil
 from jetweil.weil import WeilValue, make_shape, multi_factorial
@@ -417,6 +417,26 @@ def _poison_arena(monkeypatch):
     monkeypatch.setattr(jets, "arena_views", poisoned)
 
 
+# the lifts that a recycled pass runs through its own kernel set, besides
+# the exp, sin, cos and tanh that safe random programs draw: each on
+# b = x x + 1, in its domain in every column, and none an output
+LIFTS_ON_B = parse_program("""input x y
+c = const 1
+s = mul x x
+b = add s c
+l = log b
+q = sqrt b
+r = recip b
+p = pow b 3
+h = pow b 0.5
+u = add l q
+v = sub r p
+w = mul u v
+m = mul h y
+z = add w m
+output z
+""")
+
 # (caps, a batch size at or above weil.ARENA_FLOOR bytes a value, one below)
 ARENA_CASES = [((1,) * 6, 256, 128), ((2, 2, 2), 607, 300), ((3,), 4096, 5)]
 
@@ -430,8 +450,8 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
     assert shape.dim * above * 8 >= weil.ARENA_FLOOR > shape.dim * below * 8
     rng = np.random.default_rng(sum(caps) * 31 + len(caps))
     progs = []
-    for k in range(8):
-        prog = random_program(seed=600 + k, depth=14, n_inputs=2)
+    for prog in [random_program(seed=600 + k, depth=14, n_inputs=2)
+                 for k in range(8)] + [LIFTS_ON_B]:
         # an input and an earlier node are outputs too
         progs.append(Program(prog.n_inputs, prog.nodes,
                              (prog.n_slots - 1, 0, prog.n_inputs + 1)))
@@ -439,6 +459,12 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
     for batch in (above, below):
         for prog in progs:
             inputs, specs, cols = _arena_inputs(shape, batch, 2, rng)
+            if prog.nodes == LIFTS_ON_B.nodes:
+                # x is constant in the columns of specs[0], and so is b:
+                # sqrt meets a batch mixing constant jets with others
+                specs[0] = SeedSpec(specs[0].base, tuple(
+                    (0.0,) + d[1:] for d in specs[0].directions), caps)
+                inputs[0].coeffs[1:, cols == 0] = 0.0
             with monkeypatch.context() as m:
                 m.setattr(weil, "ARENA_FLOOR", math.inf)
                 fresh = eval_generic(prog, inputs,
@@ -455,6 +481,39 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
                     assert np.array_equal(out.coeffs[graded][:, cols == i],
                                           np.repeat(raw[:, o:o + 1],
                                                     (cols == i).sum(), 1))
+
+
+def test_plain_kernels_hand_out_no_arena_memory():
+    # after a recycling pass on the thread, the kernels called without a
+    # kernel set, and a semantics that does not recycle, allocate every
+    # result; a recycling semantics makes no second one, and release on a
+    # plain one keeps nothing, though a fresh array's base is None like its
+    # kernels' arena
+    prog = random_program(seed=79, depth=20, n_inputs=2)
+    shape = make_shape((1,) * 6)
+    inputs = _arena_inputs(shape, 512, 2, np.random.default_rng(9))[0]
+    sem = WeilSemantics(shape, (512,))
+    pooled = sem.recycling(prog)
+    assert pooled is not None and pooled.kernels.free
+    assert pooled.recycling(prog) is None
+    eval_generic(prog, inputs, sem)
+    arena = weil._scratch.arena
+    a, b = inputs
+    assert 8 * a.coeffs.size >= weil.ARENA_FLOOR
+    results = [weil.weil_add(a, b), weil.weil_sub(a, b), weil.weil_neg(a),
+               weil.weil_mul(a, b), weil.weil_unary("sin", a),
+               weil.weil_recip(weil.weil_unary("exp", b)),
+               weil.weil_pow_int(a, 3),
+               sem.apply(Node(PrimitiveKind.MUL, (0, 1)), inputs),
+               sem.apply(Node(PrimitiveKind.TANH, (0,)), inputs[:1]),
+               sem.constant(2.0)]
+    for value in results:
+        assert value.coeffs.shape == a.coeffs.shape
+        assert not np.shares_memory(value.coeffs, arena)
+    assert results[0].coeffs.base is None and sem.kernels.arena is None
+    for value in results:
+        sem.release(value)
+    assert sem.kernels.free is None
 
 
 def test_recycled_outputs_own_their_memory():
