@@ -86,7 +86,12 @@ def bench_program(family: str, q: int = 500, n_inputs: int = 2,
     """Fixed-size generated program for one of the two benchmark families.
 
     "linear" draws from add/sub/neg/const, the family whose lifted cost is
-    linear in dim W; "mul" is dominated by full coefficient products.
+    linear in dim W; "mul" is dominated by full coefficient products.  Its
+    slots carry majorants of sum |c_alpha| / 64**|alpha| (submultiplicative;
+    below 1 for ``_batched_seed``'s inputs in up to 6 directions), and a node
+    whose majorant would pass 1e40 multiplies a by the slot of the least one
+    instead, so every coefficient stays below 1e40 * 64**6.  x - x, whose 0
+    every product it reaches would keep, is x + x.
     """
     if family == "linear":
         table = _LINEAR_TABLE
@@ -96,6 +101,7 @@ def bench_program(family: str, q: int = 500, n_inputs: int = 2,
         raise ValueError(f"unknown benchmark family {family!r}")
     rng = random.Random(seed)
     nodes: list[Node] = []
+    bound = [0.8 + 6 / 64] * n_inputs  # the mul family's majorants
 
     def pick() -> int:
         n = n_inputs + len(nodes)
@@ -115,7 +121,18 @@ def bench_program(family: str, q: int = 500, n_inputs: int = 2,
         elif op is PrimitiveKind.NEG:
             nodes.append(Node(op, (pick(),)))
         else:
-            nodes.append(Node(op, (pick(), pick())))
+            a, b = pick(), pick()
+            if family == "mul":
+                if op is PrimitiveKind.SUB and a == b:
+                    op = PrimitiveKind.ADD
+                m = (bound[a] * bound[b] if op is PrimitiveKind.MUL
+                     else bound[a] + bound[b])
+                if m > 1e40:
+                    op = PrimitiveKind.MUL
+                    b = min(range(len(bound)), key=bound.__getitem__)
+                    m = bound[a] * bound[b]
+                bound.append(m)
+            nodes.append(Node(op, (a, b)))
     return Program(n_inputs=n_inputs, nodes=tuple(nodes),
                    outputs=(n_inputs + q - 1,))
 

@@ -787,8 +787,8 @@ def _require(cond, message: str, primal):
 
 def _lift_unary(k, kind: str, x, exponent: float | None = None):
     """Lift a smooth scalar primitive by its graded recurrence, after its
-    domain check.  pow by a non-negative integer goes to ``pow_int``, and
-    sqrt of a constant jet (which may sit on the boundary 0) is a constant."""
+    domain check, the tape's: sqrt needs a positive primal, constant jet or
+    not.  pow by a non-negative integer goes to ``pow_int``."""
     if kind == "pow":
         if exponent is None:
             raise ValueError("pow lift needs an exponent")
@@ -806,15 +806,8 @@ def _lift_unary(k, kind: str, x, exponent: float | None = None):
         primal = k.primal(x)
         _require(primal > 0, "log requires a positive primal", primal)
     elif kind == "sqrt":
-        primal, const = k.primal(x), k.const_jets(x)
-        varying = const ^ True  # elementwise not; ~ is bitwise on a Python bool
-        _require(varying | (primal >= 0), "sqrt of a negative primal", primal)
-        _require(const | (primal > 0), "sqrt lift requires a positive primal",
-                 primal)
-        if np.all(const):
-            return k.like(x, np.sqrt(primal))
-        if np.any(const):  # only a batch mixes constant jets with others
-            return _sqrt_columns(x, const)
+        primal = k.primal(x)
+        _require(primal > 0, "sqrt lift requires a positive primal", primal)
         return k.graded("pow", x, 0.5)
     return k.graded(kind, x)
 
@@ -840,18 +833,6 @@ def _lift_pow_int(k, x, n: int):
         if n:
             x = mul(x, x)
     return result
-
-
-def _sqrt_columns(w: WeilValue, const: np.ndarray) -> WeilValue:
-    """sqrt of a batch mixing constant jets with others: sqrt(c0) for the
-    constant columns, the pow 1/2 recurrence over the rest."""
-    cols = w.coeffs.reshape(w.shape.dim, -1)
-    const = const.reshape(-1)
-    out = np.zeros_like(cols)
-    out[0, const] = np.sqrt(cols[0, const])
-    out[:, ~const] = _graded("pow", _result(w.shape, cols[:, ~const]),
-                             0.5).coeffs
-    return _result(w.shape, out.reshape(w.coeffs.shape))
 
 
 @dataclass(frozen=True, slots=True)
@@ -887,7 +868,6 @@ class NumpyKernels:
 
     # the hooks of the shared lifts
     primal = operator.attrgetter("primal")
-    const_jets = staticmethod(lambda w: ~np.any(w.coeffs[1:], axis=0))
     graded = lambda self, kind, w, r=0.0: _graded(kind, w, r, self.free)
 
     @staticmethod
@@ -938,7 +918,6 @@ class FloatKernels:
 
     unary, recip, pow_int = _lift_unary, _lift_recip, _lift_pow_int
     primal = operator.itemgetter(0)
-    const_jets = staticmethod(lambda x: not any(x[1:]))
 
     def const(self, c: float) -> list[float]:
         x = [0.0] * len(self.degrees)

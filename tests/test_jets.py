@@ -461,7 +461,8 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
             inputs, specs, cols = _arena_inputs(shape, batch, 2, rng)
             if prog.nodes == LIFTS_ON_B.nodes:
                 # x is constant in the columns of specs[0], and so is b:
-                # sqrt meets a batch mixing constant jets with others
+                # every lift meets a batch mixing constant jets, at b >= 1,
+                # with others, and runs its one recurrence over all of them
                 specs[0] = SeedSpec(specs[0].base, tuple(
                     (0.0,) + d[1:] for d in specs[0].directions), caps)
                 inputs[0].coeffs[1:, cols == 0] = 0.0

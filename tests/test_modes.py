@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,13 +9,14 @@ from counting import counting, rule_calls
 from jetweil.cli import main
 from jetweil.errors import (DimensionMismatchError, DomainError,
                             NumericOverflowError)
-from jetweil.jets import SeedSpec, taylor_eval
+from jetweil.jets import SeedSpec, WeilSemantics, seed, taylor_eval
 from jetweil.modes import (Tape, compose_programs, compose_vjp_check,
                            eval_dual, jvp, pairing_residual, record_tape,
                            reverse_sweep, tangent_sweep, vjp)
-from jetweil.slp import (PRIMITIVES, Program, eval_primal, parse_program,
-                         random_program)
+from jetweil.slp import (PRIMITIVES, PrimitiveKind, Program, eval_generic,
+                         eval_primal, parse_program, random_program)
 from jetweil.stability import stability_bound
+from jetweil.weil import WeilValue, make_shape
 
 PROD = parse_program("input a b\nt = mul a b\noutput t")
 IDENTITY = Program(n_inputs=2, nodes=(), outputs=(0, 1))
@@ -350,3 +352,94 @@ def test_non_finite_adjoints_and_tangents_raise():
     with pytest.raises(NumericOverflowError,
                        match="non-finite tangent at input 1"):
         jvp(passthrough, [1.0, 1.0], [0.0, math.inf])
+
+
+def _sqrt_of_zero(prog, x, outcome):
+    """Whether outcome is a DomainError at a sqrt node whose operand's
+    primal at x is 0."""
+    if outcome is None or outcome[0] is not DomainError:
+        return False
+    node = prog.nodes[outcome[1]]
+    if node.op is not PrimitiveKind.SQRT:
+        return False
+    head = Program(prog.n_inputs, prog.nodes[:outcome[1]], node.operands)
+    return eval_primal(head, x) == [0.0]
+
+
+def test_one_domain_rule_across_modes(tmp_path, capsys):
+    # a differential fuzz over unsafe random programs: the derivative modes
+    # (the tape's jvp, vjp and stability_bound, and the lifted pass on the
+    # float kernels at caps (2,) and on numpy at (1,)*6) fail with one class
+    # at one node, or all return; eval_primal, a value mode, agrees with
+    # them except where they fail at a sqrt of primal 0, whose value exists.
+    # Programs on which any mode raises NumericOverflowError are left out:
+    # the lifted pass checks only its outputs for overflow, where eval and
+    # the tape name the node that overflows (see the FOUND in CHANGES.md on
+    # the lifted pass's overflow checks)
+    checked = at_sqrt_of_zero = 0
+    disagree = []
+    for s in range(1000):
+        rng = random.Random(s)
+        prog = random_program(s, depth=rng.randint(3, 30), n_inputs=2,
+                              safe=False)
+        x = [rng.uniform(-3, 3) for _ in range(2)]
+        v = [rng.uniform(-1, 1) for _ in range(2)]
+        dirs = [tuple(rng.uniform(-1, 1) for _ in range(2)) for _ in range(6)]
+        modes = [_outcome(lambda: jvp(prog, x, v)),
+                 _outcome(lambda: vjp(prog, x, [1.0])),
+                 _outcome(lambda: stability_bound(prog, x, [1.0])),
+                 _outcome(lambda: taylor_eval(
+                     prog, SeedSpec(x, dirs[:1], (2,)))),
+                 _outcome(lambda: taylor_eval(
+                     prog, SeedSpec(x, dirs, (1,) * 6)))]
+        value = _outcome(lambda: eval_primal(prog, x))
+        if any(out is not None and out[0] is NumericOverflowError
+               for out in modes + [value]):
+            continue
+        checked += 1
+        if len(set(modes)) > 1:
+            disagree.append((s, modes))
+        elif value != modes[0]:
+            if not _sqrt_of_zero(prog, x, modes[0]):
+                disagree.append((s, modes + [value]))
+            at_sqrt_of_zero += 1
+    assert disagree == []
+    # the overflow exclusion leaves nearly every program, and the sqrt
+    # exception is met
+    assert checked > 990 and at_sqrt_of_zero > 5
+
+    # a batched pass at (1, 1, 1) over four points fails at the least node
+    # at which its columns' batch-1 passes fail with a DomainError
+    shape = make_shape((1, 1, 1))
+    batched_failures = 0
+    for s in range(200):
+        rng = random.Random(s)
+        prog = random_program(s, depth=rng.randint(3, 30), n_inputs=2,
+                              safe=False)
+        specs = [SeedSpec([rng.uniform(-3, 3) for _ in range(2)],
+                          [[rng.uniform(-1, 1) for _ in range(2)]
+                           for _ in range(3)], shape.caps) for _ in range(4)]
+        nodes = [out[1] for out in (_outcome(lambda: taylor_eval(prog, spec))
+                                    for spec in specs)
+                 if out is not None and out[0] is DomainError]
+        inputs = [WeilValue(shape, np.stack(cols, axis=1))
+                  for cols in zip(*([w.coeffs for w in seed(spec)]
+                                    for spec in specs))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(lambda: eval_generic(prog, inputs,
+                                                WeilSemantics(shape, (4,))))
+        assert got == ((DomainError, min(nodes)) if nodes else None), s
+        batched_failures += bool(nodes)
+    assert batched_failures > 100
+
+    # the CLI: eval gives sqrt(0) = 0, and both derivative modes exit 3
+    path = tmp_path / "cancel.slp"
+    path.write_text("input x\nc = sub x x\ny = sqrt c\noutput y\n")
+    codes = []
+    for argv in (["eval"], ["grad"], ["taylor", "--dirs", "1", "--caps", "3"]):
+        codes.append(main([argv[0], str(path), "--x", "1.5", "--json",
+                           *argv[1:]]))
+        out = capsys.readouterr().out
+        if argv[0] == "eval":
+            assert json.loads(out) == {"outputs": [0.0]}
+    assert codes == [0, 3, 3]

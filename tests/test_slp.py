@@ -4,15 +4,18 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetweil.bench import bench_program, run_weil_bench
+from jetweil.bench import _batched_seed, bench_program, run_weil_bench
 from jetweil.errors import (DomainError, NumericOverflowError, ParseError)
+from jetweil.jets import WeilSemantics
 from jetweil.slp import (PRIMITIVES, Node, PrimitiveKind, Program,
                          eval_generic, eval_primal, parse_program,
                          pretty_print, random_program)
+from jetweil.weil import make_shape
 
 SQUARE = "input x\ny = mul x x\noutput y\n"
 SIN_PROD = "input a b\nt = mul a b\ns = sin t\noutput s\n"
@@ -398,6 +401,20 @@ def test_bench_peak_bytes_count_live_values(family, seed):
                             warmup=0, batch=4)
     assert [r.peak_coeff_bytes for r in report.runs] == \
         [held * dim * 4 * 8 for dim in dims]
+
+
+def test_bench_mul_family_stays_finite():
+    # the mul family stays mul-heavy, and every output coefficient of its
+    # default program is finite (with no numpy warning) on the seeded
+    # inputs of a default bench run, up to (1,)*6
+    prog = bench_program("mul", q=500, seed=0)
+    products = sum(node.op is PrimitiveKind.MUL for node in prog.nodes)
+    assert products >= prog.n_nodes // 2
+    for p in (1, 3, 6):
+        shape = make_shape((1,) * p)
+        inputs = _batched_seed(prog, shape, 64, random.Random(0))
+        out, = eval_generic(prog, inputs, WeilSemantics(shape, (64,)))
+        assert np.isfinite(out.coeffs).all()
 
 
 def test_rule_table_covers_every_primitive():

@@ -794,21 +794,22 @@ def _float_lift(kernels, kind, exponent, x):
 def test_batch1_float_kernel_matches_numpy(caps):
     # the float kernels add each coefficient's terms in the order of
     # np.bincount, so they give the numpy kernels' bits (signed zeros
-    # included): every lift of UNARY_CASES over three jets, sqrt of the
-    # constant jet at 0, and every product, sum and difference of the jets,
-    # a jet with zero coefficients and the all -0.0 jet
+    # included): every lift of UNARY_CASES over three jets, sqrt of a
+    # constant jet at a positive primal, and every product, sum and
+    # difference of the jets, a jet with zero coefficients and the all -0.0
+    # jet
     rng = np.random.default_rng(8)
     shape = make_shape(caps)
     with _float_pairs_per_degree(10 ** 9):
         kernels = weil.float_kernels(shape)
     jets = [_jet(shape, rng, primal) for primal in (0.3, 1.7, 40.0)]
-    zero = weil_const(shape, 0.0)
+    zero, two = weil_const(shape, 0.0), weil_const(shape, 2.0)
     numpy_out = [_lift(kind, exponent, w) for w in jets
                  for kind, exponent in UNARY_CASES]
-    numpy_out.append(weil_unary("sqrt", zero))
+    numpy_out.append(weil_unary("sqrt", two))
     float_out = [_float_lift(kernels, kind, exponent, w.coeffs.tolist())
                  for w in jets for kind, exponent in UNARY_CASES]
-    float_out.append(kernels.unary("sqrt", zero.coeffs.tolist()))
+    float_out.append(kernels.unary("sqrt", two.coeffs.tolist()))
     sparse = WeilValue(shape, np.where(rng.random(shape.dim) < 0.5, 0.0,
                                        jets[0].coeffs))
     factors = jets + [sparse, weil_neg(zero)]
@@ -957,8 +958,8 @@ def test_float_pass_matches_numpy_pass(caps):
 EDGE_PROGRAMS = [
     ("y = log x", 0.0, 1.0, "domain"), ("y = log x", -2.0, 1.0, "domain"),
     ("y = log x", 1e-300, 1.0, "overflow"),
-    ("y = sqrt x", 0.0, 1.0, "domain"), ("y = sqrt x", 0.0, 0.0, None),
-    ("y = sqrt x", -1.0, 0.0, "domain"), ("y = sqrt x", -0.0, 0.0, None),
+    ("y = sqrt x", 0.0, 1.0, "domain"), ("y = sqrt x", 0.0, 0.0, "domain"),
+    ("y = sqrt x", -1.0, 0.0, "domain"), ("y = sqrt x", -0.0, 0.0, "domain"),
     ("y = sqrt x", 1e-300, 1.0, "overflow"),
     ("y = recip x", 0.0, 1.0, "domain"), ("y = recip x", -0.0, 0.0, "domain"),
     ("y = recip x", 5e-324, 1.0, "overflow"),
@@ -1002,33 +1003,73 @@ def test_exp_overflow_raises_without_warning(limit):
     assert exc.value.node == 1
 
 
+def _sqrt_lifts(shape):
+    """sqrt of a coefficient list on the numpy kernels and on the float
+    kernels of shape, each returning a list."""
+    with _float_pairs_per_degree(10 ** 9):
+        floats = weil.float_kernels(shape)
+    return [lambda c: weil_unary("sqrt", WeilValue(shape, c)).coeffs.tolist(),
+            lambda c: floats.unary("sqrt", c)]
+
+
+SQRT_MESSAGE = "sqrt lift requires a positive primal"
+
+
 def test_sqrt_of_constant_jet_at_zero():
-    out = weil_unary("sqrt", weil_const(make_shape([3]), 0.0))
-    assert np.array_equal(out.coeffs, np.zeros(4))
-    with pytest.raises(DomainError) as exc:
-        weil_unary("sqrt", weil_const(make_shape([3]), -1.0))
-    assert str(exc.value) == "sqrt of a negative primal"
+    # the tape's rule on both kernel sets: a constant jet at 0 or below is
+    # refused as any jet there is, with one message and its primal as
+    # DomainError.value; at a positive primal it is np.sqrt to the bit,
+    # with zeros above it.  Near float64's top the recurrence's d * x0
+    # overflows to inf, which numpy warns of (taylor_eval silences it), and
+    # its zero sums over inf stay 0.0
+    for caps in [(3,), (2, 2), (1,) * 6]:
+        shape = make_shape(caps)
+        for lift in _sqrt_lifts(shape):
+            for primal in (0.0, -0.0, -1.0, -1e308):
+                with pytest.raises(DomainError) as exc:
+                    lift([primal] + [0.0] * (shape.dim - 1))
+                assert str(exc.value) == SQRT_MESSAGE
+                assert (np.float64(exc.value.value).tobytes()
+                        == np.float64(primal).tobytes())
+            for primal in (5e-324, 1e-300, 0.3, 2.0, 7.0, 1e308,
+                           np.finfo(float).max):
+                want = [float(np.sqrt(primal))] + [0.0] * (shape.dim - 1)
+                with np.errstate(over="ignore"):
+                    got = lift([primal] + [0.0] * (shape.dim - 1))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_sqrt_boundary_decided_per_column():
-    # column 0 is the constant jet at 0, column 1 is not: each column lifts
-    # as it would alone
+    # a batch is refused when any column sits at 0, a constant jet or not:
+    # DomainError.value holds the primals of exactly those columns, in
+    # column order (here 0.0 for column 1 and -0.0 for column 3, both
+    # constant jets); the other columns lift as they would alone
     shape = make_shape([2])
-    w = WeilValue(shape, np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.0]]))
-    out = weil_unary("sqrt", w)
-    for i in range(2):
-        single = weil_unary("sqrt", WeilValue(shape, w.coeffs[:, i]))
-        assert np.array_equal(out.coeffs[:, i], single.coeffs)
-    assert np.array_equal(out.coeffs[:, 0], np.zeros(3))
-    # a non-constant column at 0 and a constant one below 0 still fail
-    with pytest.raises(DomainError, match="requires a positive primal"):
-        weil_unary("sqrt", WeilValue(shape, np.array([[0.0, 0.0],
-                                                      [0.0, 0.5],
-                                                      [0.0, 0.0]])))
-    with pytest.raises(DomainError, match="sqrt of a negative primal"):
-        weil_unary("sqrt", WeilValue(shape, np.array([[-1.0, 1.0],
-                                                      [0.0, 0.5],
-                                                      [0.0, 0.0]])))
+    w = np.array([[4.0, 0.0, 9.0, -0.0, 2.0],
+                  [0.5, 0.0, 0.5, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(DomainError) as exc:
+        weil_unary("sqrt", WeilValue(shape, w))
+    assert str(exc.value) == SQRT_MESSAGE
+    assert exc.value.value.tobytes() == np.array([0.0, -0.0]).tobytes()
+    kept = w[:, [0, 2, 4]]
+    out = weil_unary("sqrt", WeilValue(shape, kept))
+    for i in range(3):
+        single = weil_unary("sqrt", WeilValue(shape, kept[:, i]))
+        assert out.coeffs[:, i].tobytes() == single.coeffs.tobytes()
+    assert out.coeffs[:, 2].tobytes() == np.array([np.sqrt(2.0), 0.0,
+                                                   0.0]).tobytes()
+    # in a program, the batched pass fails at the node where that column's
+    # batch-1 pass fails, with that column's primal
+    prog = parse_program("input x\ny = sqrt x\noutput y\n")
+    with pytest.raises(DomainError) as batch1:
+        taylor_eval(prog, SeedSpec((0.0,), ((0.0,),), (2,)))
+    with pytest.raises(DomainError) as batched:
+        eval_generic(prog, [WeilValue(shape, w[:, :2])],
+                     WeilSemantics(shape, (2,)))
+    assert batched.value.node == batch1.value.node is not None
+    assert str(batched.value) == str(batch1.value) == SQRT_MESSAGE
+    assert batched.value.value.tolist() == [batch1.value.value] == [0.0]
 
 
 def _batched_kernels(shape, rng, batch):
