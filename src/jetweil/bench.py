@@ -76,8 +76,7 @@ _LINEAR_TABLE = [
 
 _MUL_TABLE = [
     (PrimitiveKind.MUL, 0.60),
-    (PrimitiveKind.ADD, 0.30),
-    (PrimitiveKind.SUB, 0.10),
+    (PrimitiveKind.ADD, 0.30),  # and the draws past 0.9
 ]
 
 
@@ -90,8 +89,9 @@ def bench_program(family: str, q: int = 500, n_inputs: int = 2,
     slots carry majorants of sum |c_alpha| / 64**|alpha| (submultiplicative;
     below 1 for ``_batched_seed``'s inputs in up to 6 directions), and a node
     whose majorant would pass 1e40 multiplies a by the slot of the least one
-    instead, so every coefficient stays below 1e40 * 64**6.  x - x, whose 0
-    every product it reaches would keep, is x + x.
+    instead, so every coefficient stays below 1e40 * 64**6.  It has no
+    sub, which can cancel exactly ((x + t) - (t + x)), and every product
+    the 0 reaches keeps it.
     """
     if family == "linear":
         table = _LINEAR_TABLE
@@ -123,8 +123,6 @@ def bench_program(family: str, q: int = 500, n_inputs: int = 2,
         else:
             a, b = pick(), pick()
             if family == "mul":
-                if op is PrimitiveKind.SUB and a == b:
-                    op = PrimitiveKind.ADD
                 m = (bound[a] * bound[b] if op is PrimitiveKind.MUL
                      else bound[a] + bound[b])
                 if m > 1e40:

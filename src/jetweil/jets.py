@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericOverflowError
 from .slp import PRIMITIVES, Node, Program, check_finite, eval_generic
-from .weil import (NumpyKernels, WeilShape, WeilValue, arena_views,
-                   cap_tuple, float_kernels, make_shape)
+from .weil import (NumpyKernels, WeilShape, WeilValue, cap_tuple,
+                   float_kernels, make_shape)
 
 
 class WeilSemantics:
@@ -37,12 +37,6 @@ class WeilSemantics:
     ``weil.NumpyKernels`` of the shape and batch shape, unless
     ``taylor_eval`` has put the shape's ``weil.FloatKernels`` there for a
     pass on Python lists.
-
-    A pass of numpy values of at least ``weil.ARENA_FLOOR`` bytes recycles
-    their arrays: ``recycling``, which ``eval_generic`` calls first, returns
-    a second ``WeilSemantics`` whose ``NumpyKernels`` hold free views of the
-    thread's arena (``weil.arena_views``), ``Program.peak_live`` less the
-    inputs of them, so no node that is not an output finds them used up.
     """
 
     def __init__(self, shape: WeilShape, batch_shape: tuple[int, ...] = ()):
@@ -53,27 +47,6 @@ class WeilSemantics:
 
     def apply(self, node: Node, args: Sequence) -> WeilValue | list[float]:
         return PRIMITIVES[node.op].lift(self.kernels, args, node.const)
-
-    def recycling(self, prog: Program) -> WeilSemantics | None:
-        """The semantics of a recycling pass of prog, or None: a pass on
-        Python lists, or of values below the floor, recycles nothing, and
-        neither does a semantics that recycles already."""
-        kernels = self.kernels
-        if type(kernels) is not NumpyKernels or kernels.free is not None:
-            return None
-        free = arena_views((kernels.shape.dim,) + kernels.batch_shape,
-                           prog.peak_live - prog.n_inputs)
-        if not free:
-            return None
-        pooled = WeilSemantics(kernels.shape)
-        pooled.kernels = NumpyKernels(kernels.shape, kernels.batch_shape,
-                                      free, free[0].base)
-        return pooled
-
-    def release(self, value: WeilValue) -> None:
-        """Hand a value the pass has dropped back to the kernels' free list;
-        nothing where they have none."""
-        self.kernels.release(value)
 
 
 @dataclass(frozen=True)

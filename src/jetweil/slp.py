@@ -472,41 +472,26 @@ def eval_generic(prog: Program, inputs: Sequence, semantics):
     Liveness: the evaluator drops its reference to a node's value right
     after the last node that reads it (``Program.dead_after``), so a lifted
     pass holds only the values still to be read.  Outputs and the caller's
-    inputs are kept.
-
-    Recycling: a semantics may have a ``recycling(prog)`` method, which
-    returns None or a second semantics for this pass.  The second one
-    evaluates every node that is not an output, and its ``release(value)``
-    gets each value of ``dead_after[k]`` as the pass drops it, so that later
-    nodes may reuse its memory.  Output nodes run on the first semantics,
-    so that each output has memory of its own, and inputs are never
-    released.  ``jets.WeilSemantics`` recycles the arrays of a batched pass
-    this way: its second semantics is a ``WeilSemantics`` too, whose
-    ``weil.NumpyKernels`` hold the pass's free list.
+    inputs are kept.  The semantics needs ``constant(c)`` and
+    ``apply(node, args)``.
     """
     if len(inputs) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(inputs)}")
     slots = list(inputs)
-    recycling = getattr(semantics, "recycling", None)
-    pooled = recycling(prog) if recycling is not None else None
-    outputs = set(prog.outputs) if pooled is not None else ()
-    # values go straight into slots: a local would keep a released value
+    # values go straight into slots: a local would keep a dropped value
     # alive while the next node runs
     for k, (node, dead) in enumerate(zip(prog.nodes, prog.dead_after)):
-        sem = semantics if pooled is None or len(slots) in outputs else pooled
         if node.op is PrimitiveKind.CONST:
-            slots.append(sem.constant(node.const))
+            slots.append(semantics.constant(node.const))
         else:
             try:
-                slots.append(sem.apply(
+                slots.append(semantics.apply(
                     node, [slots[r] for r in node.operands]))
             except DomainError as err:
                 err.node = k
                 raise
         for r in dead:
-            if pooled is not None:
-                pooled.release(slots[r])
             slots[r] = None
     return [slots[r] for r in prog.outputs]
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .modes import record_tape, reverse_sweep
 # KAPPA_CAP, the cap of the rules' condition numbers, is re-exported
 from .slp import KAPPA_CAP, PRIMITIVES, UNIT_ROUNDOFF, Node, Program
@@ -84,8 +82,9 @@ def stability_bound(prog: Program, x: Sequence[float],
     a duplication step of norm sqrt(r).
     """
     tape = record_tape(prog, x)
-    grad = reverse_sweep(tape, omega)
-    observed = float(np.linalg.norm(grad))
+    # hypot cannot overflow on the way, where np.linalg.norm's dot product
+    # does past about 1.3e154
+    observed = math.hypot(*reverse_sweep(tape, omega))
 
     rows: list[StabilityRow] = []
     product = 1.0
@@ -109,7 +108,7 @@ def stability_bound(prog: Program, x: Sequence[float],
         product *= (1.0 + delta) * eff
         delta_sum += delta
         rows.append(StabilityRow("fan", slot, eff, eff, 1.0, delta, False))
-    bound = product * float(np.linalg.norm(omega))
+    bound = product * math.hypot(*omega)
     return StabilityReport(rows=tuple(rows), product_bound=bound,
                            observed_norm=observed,
                            first_order_error=delta_sum)

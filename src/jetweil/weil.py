@@ -47,7 +47,7 @@ through numpy, as the pair table's one ``np.bincount``.
 All of them add each coefficient's terms from 0.0 in ascending order of
 the first factor's index (the descending visit of a second factor's rows
 does exactly that), so batched, unbatched and float results agree bit for
-bit.  A gather of two columns or more multiplies into its scratch and
+bit.  A gather of two columns or more multiplies the gathered pairs and
 then adds along the pair axis, which numpy folds in order when that axis
 is not the innermost; a lone column goes to ``np.bincount``, since numpy
 would reduce it pairwise.  The multiply and the add stay two calls: a
@@ -64,44 +64,26 @@ per-shape ``lru_cache`` hashes in C.  ``WeilValue(shape, coeffs)`` checks its
 rows; the kernels build their results unchecked (``_result``), since every
 kernel makes a float array of ``shape.dim`` rows by construction.
 
-Scratch: the batched temporaries of the slice loop and of the gathers, and
-the operands of a lift's tile (x, D x, y and two more, each with its zero
-row), go into three float64 buffers that each thread keeps for reuse
-(``threading.local``, since library callers may lift from threads).
-Each buffer holds ``GATHER_LIMIT`` values, 4 MiB; a larger temporary is
-allocated afresh.  Fresh temporaries of this size go back to the OS when
-freed (malloc maps them, or trims them off the top of its heap), so every
-call page-faulted them in again, which at B = 2048 cost more than the
-arithmetic.  The scratch holds temporaries only: no
-returned array is a view into it.  The gathers run ``np.take`` with
-``mode="clip"``, because the default ``mode="raise"`` always copies through
-a temporary ``out``; the index check moves to ``_level_conv``, which checks
+Memory: at B = 2048 a node value or a batched temporary takes hundreds of
+KiB.  By default glibc's malloc maps each block of 128 KiB and up afresh and
+returns it to the OS when it is freed (or trims it off the top of its heap),
+so every kernel call faulted its pages in again, which cost more than the
+arithmetic.  On import on Linux with glibc this module therefore sets two
+of malloc's parameters with ``mallopt``: ``M_MMAP_THRESHOLD`` to 32 MiB, its
+largest value on 64-bit, and ``M_TRIM_THRESHOLD`` to 16 MiB.  Setting either
+one turns off glibc's dynamic threshold, so both are set.  Freed node values
+and temporaries then stay in malloc's heap and are reused without faulting.
+They are set once per process; a host program may call ``mallopt`` again
+after the import.  Elsewhere nothing is set.  The gathers run ``np.take``
+with ``mode="clip"``, which checks no index per call; ``_level_conv`` checks
 each table once, when it is built.
-
-Arena: the node values themselves die as a pass goes on
-(``slp.eval_generic`` drops each after its last reader), and at B = 2048
-they too went back to the OS and faulted in again at the next node.  A pass
-whose values have at least ``ARENA_FLOOR`` bytes recycles them through a
-fourth buffer per thread, the arena (``arena_views``): one flat float64
-array carved into ``Program.peak_live`` values less the inputs, the most
-node values a pass holds at once.  Up to ``ARENA_LIMIT`` values it lives
-until the thread ends, is kept for the thread's next pass, and is replaced
-only when a pass needs a larger one; a larger pass carves an array of its
-own, which goes when the pass does.  The pass's ``NumpyKernels`` hold the
-free views: the kernels that make a node's value (``weil_const``,
-``weil_add``, ``weil_sub``, ``weil_neg``, both batched products and the
-batched lifts) write it into a free view of its shape, else into a new
-array, and each value goes back on the list when the pass drops it.  No
-output and no input is a view into the arena: output nodes run on
-``NumpyKernels`` without a free list, inputs are never released, and a
-value is released only after its last reader has run.  Passes below the
-floor run on kernels without a free list.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
-import threading
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -114,10 +96,9 @@ DEFAULT_MAX_DIM = 1 << 20
 # Largest pair table weil_mul builds; three intp index arrays, 24 MiB at most.
 PAIR_LIMIT = 1 << 20
 # Most pairs times batch columns a batched product gathers (4 MiB of
-# float64 per factor), and the size of each scratch buffer.  Past it the
-# gather copies more than the slice loop costs: a dense (1,)*6 product (729
-# pairs) ran 3.58 ms gathered against the loop's 3.05 at B = 2048, and
-# 0.19 against 0.54 ms at B = 128.
+# float64 per factor).  Past it the gather copies more than the slice loop
+# costs: a dense (1,)*6 product (729 pairs) ran 3.58 ms gathered against
+# the loop's 3.05 at B = 2048, and 0.19 against 0.54 ms at B = 128.
 GATHER_LIMIT = 1 << 19
 # Most pairs (beta != 0) per total degree at which an unbatched pass runs
 # on Python floats: the numpy recurrence costs a few calls per degree, the
@@ -141,7 +122,7 @@ FLOAT_MUL_PAIRS = 64
 # (2, 2) or any (c,), nor on dense (1,)*6 (729 pairs) at B = 2048.
 GATHER_ROWS = 0.5
 # Most products one level of a batched lift gathers at a time (512 KiB of
-# float64 in each of the two gather buffers): a lift runs over column tiles
+# float64 in each of its two gathers): a lift runs over column tiles
 # TILE_GATHER // widest wide, widest being its widest level's padded pairs,
 # so that a tile's gathers and operands stay in a 2 MiB L2.  On a 2-core
 # Xeon, best of three single lifts at B = 2048: 2**16 ran sin at (1,)*6 in
@@ -150,79 +131,27 @@ GATHER_ROWS = 0.5
 # ops_per_s read 198, 202 and 205 at 2**15, 2**16 and 2**17, against 176
 # untiled (medians of three 12 s runs each).
 TILE_GATHER = 1 << 16
-# Fewest bytes of a node value (dim * batch columns * 8) that a pass
-# recycles through the arena.  malloc serves smaller blocks from its heap and
-# reuses them when freed, without faulting pages in, so there the free
-# list's few calls per node are pure cost: on a 2-core Xeon, a linear
-# q = 500 pass took 4.08 ms recycled against 3.54 at (1,), B = 2048 (32 KiB
-# values), and 5.52 against 5.15 ms at (1, 1) (64 KiB), medians of 25
-# interleaved passes.  Over the taylor-batched schedule, floors of 0 to
-# 512 KiB ran a pass in 0.51-0.59 s against 0.66 s unrecycled (medians of
-# three processes each), within their spread of each other.
-ARENA_FLOOR = 1 << 17
-# Most values (16 MiB) of an arena that a thread keeps between passes.  A
-# pass that needs more carves its views out of an array of its own, which
-# goes when the pass does.  The taylor-batched schedule's largest pass
-# needs 12 MiB, criterion 5's 9 MiB.
-ARENA_LIMIT = 1 << 21
-
-_scratch = threading.local()
+# malloc's parameters set at import (see the module docstring), glibc's
+# numbers for them: blocks up to 32 MiB come from the heap, and the heap
+# gives memory back to the OS only past 16 MiB free at its top.  A
+# taylor-batched pass needs up to 12 MiB of live node values, criterion 5's
+# 9 MiB.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
 
-def arena_views(value_shape: tuple[int, ...],
-                n: int) -> list[np.ndarray] | None:
-    """n arrays of value_shape, disjoint views into one flat float64 array
-    (their ``base``), for one recycling pass; None where a value has fewer
-    than ARENA_FLOOR bytes.  Up to ARENA_LIMIT values the array is the
-    calling thread's arena, kept for its next pass and replaced only when a
-    pass needs a larger one; past it the array is new and kept by no one."""
-    size = math.prod(value_shape)
-    if 8 * size < ARENA_FLOOR:
-        return None
-    if n * size > ARENA_LIMIT:
-        arena = np.empty(n * size)
-    else:
-        arena = getattr(_scratch, "arena", None)
-        if arena is None or arena.size < n * size:
-            arena = _scratch.arena = np.empty(n * size)
-    return [arena[i:i + size].reshape(value_shape)
-            for i in range(0, n * size, size)]
-
-
-def _recycled(free: list | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The last view on ``free`` (``NumpyKernels.free``), taken off it for
-    a result of ``shape`` if it has that shape; else None.  Its values are
-    stale: the kernel writes every one of them."""
-    if free and free[-1].shape == shape:
-        return free.pop()
-    return None
-
-
-def _empty(shape: tuple[int, ...], free: list | None) -> np.ndarray:
-    out = _recycled(free, shape)
-    return np.empty(shape) if out is None else out
-
-
-def _zeros(shape: tuple[int, ...], free: list | None) -> np.ndarray:
-    out = _recycled(free, shape)
-    if out is None:
-        return np.zeros(shape)
-    out.fill(0.0)
-    return out
-
-
-def _scratch_buffer(which: int, n: int) -> np.ndarray:
-    """Flat float64 scratch buffer ``which`` of the calling thread, of at
-    least n values; a fresh array past GATHER_LIMIT values.  Buffers 0 and 1
-    take the gathers and the slice loop's products, 2 the operands of a
-    lift's tile."""
-    if n > GATHER_LIMIT:
-        return np.empty(n)
+def _set_malloc_thresholds() -> None:
+    """Set malloc's mmap and trim thresholds, on glibc only."""
     try:
-        return _scratch.bufs[which]
-    except AttributeError:
-        _scratch.bufs = tuple(np.empty(GATHER_LIMIT) for _ in range(3))
-        return _scratch.bufs[which]
+        glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no such name here
+        return
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(M_TRIM_THRESHOLD, 16 << 20)
+
+
+_set_malloc_thresholds()
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,14 +306,9 @@ def _result(shape: WeilShape, coeffs: np.ndarray) -> WeilValue:
     return value
 
 
-# The kernels that make a node's value take ``_free``, the free list of a
-# recycling pass (``NumpyKernels.free``), and write their result into a view
-# from it where one has the result's shape; else into a new array.
-
-def weil_const(shape: WeilShape, value, *,
-               _free: list | None = None) -> WeilValue:
+def weil_const(shape: WeilShape, value) -> WeilValue:
     value = np.asarray(value, dtype=float)
-    coeffs = _zeros((shape.dim,) + value.shape, _free)
+    coeffs = np.zeros((shape.dim,) + value.shape)
     coeffs[0] = value
     return _result(shape, coeffs)
 
@@ -396,32 +320,18 @@ def _check_shapes(a: WeilValue, b: WeilValue) -> WeilShape:
     return a.shape
 
 
-def _elementwise_out(free: list | None, a: WeilValue,
-                     b: WeilValue | None = None) -> np.ndarray | None:
-    """``out`` of an elementwise kernel on a (and b): a recycled view where
-    the operands have one shape, else None (a new array, broadcast)."""
-    if b is None or a.coeffs.shape == b.coeffs.shape:
-        return _recycled(free, a.coeffs.shape)
-    return None
-
-
-def weil_add(a: WeilValue, b: WeilValue, *,
-             _free: list | None = None) -> WeilValue:
+def weil_add(a: WeilValue, b: WeilValue) -> WeilValue:
     shape = _check_shapes(a, b)
-    return _result(shape, np.add(a.coeffs, b.coeffs,
-                                 out=_elementwise_out(_free, a, b)))
+    return _result(shape, np.add(a.coeffs, b.coeffs))
 
 
-def weil_sub(a: WeilValue, b: WeilValue, *,
-             _free: list | None = None) -> WeilValue:
+def weil_sub(a: WeilValue, b: WeilValue) -> WeilValue:
     shape = _check_shapes(a, b)
-    return _result(shape, np.subtract(a.coeffs, b.coeffs,
-                                      out=_elementwise_out(_free, a, b)))
+    return _result(shape, np.subtract(a.coeffs, b.coeffs))
 
 
-def weil_neg(a: WeilValue, *, _free: list | None = None) -> WeilValue:
-    return _result(a.shape, np.negative(a.coeffs,
-                                        out=_elementwise_out(_free, a)))
+def weil_neg(a: WeilValue) -> WeilValue:
+    return _result(a.shape, np.negative(a.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -462,8 +372,7 @@ def _nonzero_rows(w: WeilValue) -> np.ndarray:
                           .any(axis=1))
 
 
-def weil_mul(a: WeilValue, b: WeilValue, *,
-             _free: list | None = None) -> WeilValue:
+def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
     Two unbatched operands use the pair table while it has at most
@@ -495,7 +404,7 @@ def weil_mul(a: WeilValue, b: WeilValue, *,
             * a.coeffs[0].size <= GATHER_LIMIT):
         ca = a.coeffs.reshape(shape.dim, -1)
         cb = b.coeffs.reshape(ca.shape)
-        result = _empty(a.coeffs.shape, _free)
+        result = np.empty(a.coeffs.shape)
         out = result.reshape(ca.shape)
         for targets, conv in groups:
             out[targets] = conv(ca, cb)[0]
@@ -506,15 +415,13 @@ def weil_mul(a: WeilValue, b: WeilValue, *,
     ta = a.coeffs
     tb = b.coeffs.reshape(tshape + b.coeffs.shape[1:])
     batch = np.broadcast_shapes(ta.shape[1:], b.coeffs.shape[1:])
-    result = _zeros((shape.dim,) + batch, _free)
+    result = np.zeros((shape.dim,) + batch)
     out = result.reshape(tshape + batch)
-    scratch = _scratch_buffer(0, out.size)
     table = _slice_table(shape)
     for ia in rows_a:
         dst, src = table[ia]
-        part, acc = tb[src], out[dst]  # `out[dst] += t` re-assigns the view
-        np.add(acc, np.multiply(ta[ia], part, out=scratch[:acc.size]
-                                .reshape(acc.shape)), out=acc)
+        acc = out[dst]  # `out[dst] += t` re-assigns the view
+        acc += ta[ia] * tb[src]
     return _result(shape, result)
 
 
@@ -617,17 +524,16 @@ def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
     ``axis``, the tables' pair axis, is 0); a is gathered once for all of
     them.  Unbatched, one ``np.bincount`` over the pairs (i, j) of the rows
     ``pos``, into a new array; batched, the gathers of a and b multiplied
-    into the scratch and added along the pair axis by ``np.add.reduce``,
-    into the arrays of ``out`` (one per b) where given.  Both add each
+    and added along the pair axis by ``np.add.reduce``, into the arrays of
+    ``out`` (one per b) where given.  Both add each
     target's pairs in table order, from 0.0, so a batch column matches its
     unbatched lift exactly.  A lone column goes to ``np.bincount``, since
     numpy would reduce it pairwise.  Pairs first, each add spans every
     target and column of a lift's narrow tile; targets first, each target's
     sum over a product's full batch stays in cache.
 
-    The gathers run unchecked into the thread's scratch, so the index
-    tables are checked here, once: every entry lies in 0..dim, the rows of
-    an operand with its zero row.
+    The gathers run unchecked, so the index tables are checked here, once:
+    every entry lies in 0..dim, the rows of an operand with its zero row.
     """
     for table in (I, J):
         if table.min() < 0 or table.max() > dim:
@@ -644,14 +550,11 @@ def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
             for x in conv(a[:, 0], *[b[:, 0] for b in bs]):
                 sums.append(x[:, None])
         else:
-            n, gather = I.size * a.shape[1], I.shape + a.shape[1:]
-            ga = a.take(I, 0, _scratch_buffer(0, n)[:n].reshape(gather),
-                        "clip")
-            gb = _scratch_buffer(1, n)[:n].reshape(gather)
+            ga = a.take(I, 0, mode="clip")
             for b, o in zip(bs, out or [None] * len(bs)):
-                sums.append(np.add.reduce(
-                    np.multiply(ga, b.take(J, 0, gb, "clip"), out=gb),
-                    axis=axis, initial=0.0, out=o))
+                gb = b.take(J, 0, mode="clip")
+                sums.append(np.add.reduce(np.multiply(ga, gb, out=gb),
+                                          axis=axis, initial=0.0, out=o))
         return sums
     return conv
 
@@ -671,14 +574,12 @@ def _box_levels(shape: WeilShape):
             shape.dim, 0)
 
 
-def _graded(kind: str, w: WeilValue, r: float = 0.0,
-            free: list | None = None) -> WeilValue:
+def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     """Lift a unary primitive: D is a derivation, and coefficient alpha of
     D y = f'(x) D x gives y_alpha from lower degrees of y through one
     ``conv``.  A batch runs in column tiles TILE_GATHER // widest wide, so
     that each level's gathers stay in cache; an unbatched value is one
-    tile.  A batched result takes a view from ``free``.  Domain checks are
-    the caller's."""
+    tile.  Domain checks are the caller's."""
     shape = w.shape
     plan = _levels(shape)
     # past PAIR_LIMIT the widest level is the top alpha's box
@@ -688,7 +589,7 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0,
         return _result(shape, _lift_tile(kind, shape, w.coeffs, r,
                                          levels).take(back))
     coeffs = w.coeffs.reshape(shape.dim, -1)
-    result = _empty(w.coeffs.shape, free)
+    result = np.empty(w.coeffs.shape)
     out = result.reshape(coeffs.shape)
     width = max(1, TILE_GATHER // widest)
     for lo in range(0, coeffs.shape[1], width):
@@ -705,15 +606,14 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
     [lo, hi) of y.  Returns y in graded rows, with a zero row after them."""
     order, _, deg = _graded_rows(shape)
     # five operands, each with a zero row after its dim rows, which the
-    # padding gathers: a tile's in scratch, where their other rows hold
-    # stale values and each recurrence writes a row before it reads it; an
-    # unbatched value's fresh, which costs fewer calls
+    # padding gathers: a tile's other rows are left unset, since each
+    # recurrence writes a row before it reads it; an unbatched value's are
+    # zeroed, which costs fewer calls
     rows = (5, shape.dim + 1) + coeffs.shape[1:]
     if coeffs.ndim == 1:
         operands = np.zeros(rows)
     else:
-        n = math.prod(rows)
-        operands = _scratch_buffer(2, n)[:n].reshape(rows)
+        operands = np.empty(rows)
         operands[:, -1] = 0.0
     x, dx, y, p, q = operands
     coeffs.take(order, 0, x[:-1], "clip")
@@ -840,27 +740,18 @@ class NumpyKernels:
     """The lift kernels on ``WeilValue``s of one shape and batch shape.
     Each kernel is looked up in this module's globals when it is called, so
     rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift.
-    ``weil_unary`` and ``weil_recip`` run the shared lifts on this object.
-
-    In a recycling pass ``free`` holds the views of ``arena`` that no live
-    value uses (``arena_views``): const, add, sub, neg, mul and the batched
-    lifts take their result from it, the products inside an integer power
-    do not, and ``release`` puts a dropped value's view back on it.  Both
-    are None otherwise, and every kernel allocates its result."""
+    ``weil_unary`` and ``weil_recip`` run the shared lifts on this object."""
 
     shape: WeilShape
     batch_shape: tuple[int, ...] = ()
-    free: list[np.ndarray] | None = None
-    arena: np.ndarray | None = None
 
     def const(self, c: float) -> WeilValue:
-        return weil_const(self.shape, np.full(self.batch_shape, float(c)),
-                          _free=self.free)
+        return weil_const(self.shape, np.full(self.batch_shape, float(c)))
 
-    add = lambda self, a, b: weil_add(a, b, _free=self.free)
-    sub = lambda self, a, b: weil_sub(a, b, _free=self.free)
-    neg = lambda self, a: weil_neg(a, _free=self.free)
-    mul = lambda self, a, b: weil_mul(a, b, _free=self.free)
+    add = lambda self, a, b: weil_add(a, b)
+    sub = lambda self, a, b: weil_sub(a, b)
+    neg = lambda self, a: weil_neg(a)
+    mul = lambda self, a, b: weil_mul(a, b)
     unary = (lambda self, kind, w, exponent=None:
              weil_unary(kind, w, exponent, _kernels=self))
     recip = lambda self, w: weil_recip(w, _kernels=self)
@@ -868,18 +759,12 @@ class NumpyKernels:
 
     # the hooks of the shared lifts
     primal = operator.attrgetter("primal")
-    graded = lambda self, kind, w, r=0.0: _graded(kind, w, r, self.free)
+    graded = staticmethod(_graded)
 
     @staticmethod
     def like(w: WeilValue, c) -> WeilValue:
         """The constant jet c, of w's shape and batch."""
         return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
-
-    def release(self, value: WeilValue) -> None:
-        """Put the array of a value the pass has dropped back on ``free`` if
-        it is a view into the arena; nothing without a free list."""
-        if self.free is not None and value.coeffs.base is self.arena:
-            self.free.append(value.coeffs)
 
 
 # The kernels of the lifts called without a kernel set: the shared lifts

@@ -1,8 +1,8 @@
 import contextlib
 import math
+import os
 import random
-import threading
-import weakref
+import sys
 from unittest import mock
 
 import numpy as np
@@ -387,7 +387,7 @@ def test_table_json_shape():
     assert alphas == sorted(alphas, key=lambda a: (sum(a), a))
 
 
-# -- recycled arrays of a batched pass ----------------------------------------
+# -- batched passes over memory that earlier values freed ---------------------
 
 def _arena_inputs(shape, batch, n_inputs, rng, n_specs=7):
     """(inputs, specs, cols): n_specs SeedSpecs drawn from rng, and batched
@@ -404,22 +404,9 @@ def _arena_inputs(shape, batch, n_inputs, rng, n_specs=7):
     return [weil.WeilValue(shape, c) for c in coeffs], specs, cols
 
 
-def _poison_arena(monkeypatch):
-    """Fill the arena with NaN before every recycling pass."""
-    views = jets.arena_views
-
-    def poisoned(value_shape, n):
-        free = views(value_shape, n)
-        if free:
-            free[0].base.fill(np.nan)
-        return free
-
-    monkeypatch.setattr(jets, "arena_views", poisoned)
-
-
-# the lifts that a recycled pass runs through its own kernel set, besides
-# the exp, sin, cos and tanh that safe random programs draw: each on
-# b = x x + 1, in its domain in every column, and none an output
+# the lifts of a batched pass besides the exp, sin, cos and tanh that safe
+# random programs draw: each on b = x x + 1, in its domain in every column,
+# and none an output
 LIFTS_ON_B = parse_program("""input x y
 c = const 1
 s = mul x x
@@ -437,17 +424,17 @@ z = add w m
 output z
 """)
 
-# (caps, a batch size at or above weil.ARENA_FLOOR bytes a value, one below)
-ARENA_CASES = [((1,) * 6, 256, 128), ((2, 2, 2), 607, 300), ((3,), 4096, 5)]
+# (caps, a batch size whose values take 128 KiB or more, from which glibc's
+# malloc maps a block of its own unless told otherwise, and one below)
+BATCH_CASES = [((1,) * 6, 256, 128), ((2, 2, 2), 607, 300), ((3,), 4096, 5)]
 
 
-@pytest.mark.parametrize("caps, above, below", ARENA_CASES)
-def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
-    # passes over an arena of NaNs give the bits of passes that recycle
-    # nothing, and every column the table of its unbatched pass: a kernel
-    # that read a recycled view before writing it would leave NaN
+@pytest.mark.parametrize("caps, large, small", BATCH_CASES)
+def test_recycled_passes_keep_their_bits(caps, large, small):
+    # every column of a batched pass, whose kernels write into memory that
+    # earlier values freed, is the table of its unbatched pass
     shape = make_shape(caps)
-    assert shape.dim * above * 8 >= weil.ARENA_FLOOR > shape.dim * below * 8
+    assert shape.dim * large * 8 >= 1 << 17 > shape.dim * small * 8
     rng = np.random.default_rng(sum(caps) * 31 + len(caps))
     progs = []
     for prog in [random_program(seed=600 + k, depth=14, n_inputs=2)
@@ -456,7 +443,7 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
         progs.append(Program(prog.n_inputs, prog.nodes,
                              (prog.n_slots - 1, 0, prog.n_inputs + 1)))
     graded = shape.graded()[0]
-    for batch in (above, below):
+    for batch in (large, small):
         for prog in progs:
             inputs, specs, cols = _arena_inputs(shape, batch, 2, rng)
             if prog.nodes == LIFTS_ON_B.nodes:
@@ -466,16 +453,7 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
                 specs[0] = SeedSpec(specs[0].base, tuple(
                     (0.0,) + d[1:] for d in specs[0].directions), caps)
                 inputs[0].coeffs[1:, cols == 0] = 0.0
-            with monkeypatch.context() as m:
-                m.setattr(weil, "ARENA_FLOOR", math.inf)
-                fresh = eval_generic(prog, inputs,
-                                     WeilSemantics(shape, (batch,)))
-            with monkeypatch.context() as m:
-                _poison_arena(m)
-                outs = eval_generic(prog, inputs,
-                                    WeilSemantics(shape, (batch,)))
-            for got, want in zip(outs, fresh):
-                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            outs = eval_generic(prog, inputs, WeilSemantics(shape, (batch,)))
             for i, spec in enumerate(specs):
                 raw = taylor_eval(prog, spec).raw
                 for o, out in enumerate(outs):
@@ -484,43 +462,10 @@ def test_recycled_passes_keep_their_bits(monkeypatch, caps, above, below):
                                                     (cols == i).sum(), 1))
 
 
-def test_plain_kernels_hand_out_no_arena_memory():
-    # after a recycling pass on the thread, the kernels called without a
-    # kernel set, and a semantics that does not recycle, allocate every
-    # result; a recycling semantics makes no second one, and release on a
-    # plain one keeps nothing, though a fresh array's base is None like its
-    # kernels' arena
-    prog = random_program(seed=79, depth=20, n_inputs=2)
-    shape = make_shape((1,) * 6)
-    inputs = _arena_inputs(shape, 512, 2, np.random.default_rng(9))[0]
-    sem = WeilSemantics(shape, (512,))
-    pooled = sem.recycling(prog)
-    assert pooled is not None and pooled.kernels.free
-    assert pooled.recycling(prog) is None
-    eval_generic(prog, inputs, sem)
-    arena = weil._scratch.arena
-    a, b = inputs
-    assert 8 * a.coeffs.size >= weil.ARENA_FLOOR
-    results = [weil.weil_add(a, b), weil.weil_sub(a, b), weil.weil_neg(a),
-               weil.weil_mul(a, b), weil.weil_unary("sin", a),
-               weil.weil_recip(weil.weil_unary("exp", b)),
-               weil.weil_pow_int(a, 3),
-               sem.apply(Node(PrimitiveKind.MUL, (0, 1)), inputs),
-               sem.apply(Node(PrimitiveKind.TANH, (0,)), inputs[:1]),
-               sem.constant(2.0)]
-    for value in results:
-        assert value.coeffs.shape == a.coeffs.shape
-        assert not np.shares_memory(value.coeffs, arena)
-    assert results[0].coeffs.base is None and sem.kernels.arena is None
-    for value in results:
-        sem.release(value)
-    assert sem.kernels.free is None
-
-
 def test_recycled_outputs_own_their_memory():
     # t is an output and a later operand, c a constant output and x an
-    # input output: none is in the arena, and later passes at other shapes
-    # and batch sizes leave every output as it was
+    # input output: later passes at other shapes and batch sizes, which
+    # reuse the memory this pass freed, leave every output as it was
     prog = parse_program("input x y\nt = mul x y\nu = sin t\nc = const 2\n"
                          "v = add u t\nw = mul v v\nz = tanh w\n"
                          "output z t c x\n")
@@ -528,8 +473,6 @@ def test_recycled_outputs_own_their_memory():
     rng = np.random.default_rng(3)
     inputs = _arena_inputs(shape, 600, 2, rng)[0]
     outs = eval_generic(prog, inputs, WeilSemantics(shape, (600,)))
-    arena = weil._scratch.arena
-    assert arena.size >= (prog.peak_live - prog.n_inputs) * shape.dim * 600
     assert outs[3] is inputs[0]
     copies = [out.coeffs.copy() for out in outs]
     for caps, batch in [((2, 2, 2), 700), ((1,) * 6, 2048), ((1,) * 6, 600),
@@ -539,8 +482,6 @@ def test_recycled_outputs_own_their_memory():
                      WeilSemantics(other, (batch,)))
     for out, copy in zip(outs, copies):
         assert out.coeffs.tobytes() == copy.tobytes()
-        for buf in (arena, weil._scratch.arena):
-            assert not np.shares_memory(out.coeffs, buf)
 
 
 def test_recycled_pass_after_a_domain_error():
@@ -563,60 +504,29 @@ def test_recycled_pass_after_a_domain_error():
     assert after[0].coeffs.tobytes() == before[0].coeffs.tobytes()
 
 
-def test_arena_is_kept_for_the_next_pass():
-    # in a thread of its own, which starts without an arena: a pass of the
-    # same size keeps the arena object, one that needs more replaces it
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _glibc(),
+                    reason="weil sets malloc's thresholds only on Linux "
+                           "with glibc, and the fault count is glibc's")
+def test_repeated_large_pass_faults_in_no_pages():
+    # at (1,)*6, B = 2048 a node value takes 520 KiB: with malloc's default
+    # thresholds each one was mapped afresh and unmapped when the pass
+    # dropped it, some 2,600 minor faults a pass; with the thresholds weil
+    # sets, the third pass reuses what the first two freed
+    import resource
     prog = random_program(seed=77, depth=20, n_inputs=2)
     shape = make_shape((1,) * 6)
-    inputs = {b: _arena_inputs(shape, b, 2, np.random.default_rng(b))[0]
-              for b in (512, 1024)}
-    arenas = []
-
-    def passes():
-        for batch in (512, 512, 1024, 512):
-            eval_generic(prog, inputs[batch],
-                         WeilSemantics(shape, (batch,)))
-            arenas.append(weil._scratch.arena)
-
-    worker = threading.Thread(target=passes)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive() and len(arenas) == 4
-    assert arenas[0] is arenas[1]
-    assert arenas[2] is not arenas[1] and arenas[2].size > arenas[1].size
-    assert arenas[3] is arenas[2]
-    # the arena is the worker's own
-    assert all(getattr(weil._scratch, "arena", None) is not a
-               for a in arenas)
-
-
-def test_pass_past_the_arena_limit_keeps_no_arena(monkeypatch):
-    # a pass that needs more than ARENA_LIMIT values recycles through an
-    # array of its own: the thread's arena stays as it was, the pass's
-    # array goes when the pass does, and the bits are those of a pass that
-    # recycles nothing
-    prog = random_program(seed=78, depth=20, n_inputs=2)
-    shape = make_shape((1,) * 6)
-    rng = np.random.default_rng(8)
-    small, large = (_arena_inputs(shape, b, 2, rng)[0] for b in (512, 1024))
-    eval_generic(prog, small, WeilSemantics(shape, (512,)))
-    kept = weil._scratch.arena
-    n = prog.peak_live - prog.n_inputs
-    monkeypatch.setattr(weil, "ARENA_LIMIT", n * shape.dim * 1024 - 1)
-    bases = []
-    views = jets.arena_views
-
-    def spy(value_shape, n):
-        free = views(value_shape, n)
-        bases.append(weakref.ref(free[0].base))
-        return free
-
-    with monkeypatch.context() as m:
-        m.setattr(jets, "arena_views", spy)
-        outs = eval_generic(prog, large, WeilSemantics(shape, (1024,)))
-    assert len(bases) == 1 and bases[0]() is None
-    assert weil._scratch.arena is kept
-    monkeypatch.setattr(weil, "ARENA_FLOOR", math.inf)
-    fresh = eval_generic(prog, large, WeilSemantics(shape, (1024,)))
-    assert ([o.coeffs.tobytes() for o in outs]
-            == [f.coeffs.tobytes() for f in fresh])
+    inputs = _arena_inputs(shape, 2048, 2, np.random.default_rng(6))[0]
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        eval_generic(prog, inputs, WeilSemantics(shape, (2048,)))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert faults[2] <= 50, faults

@@ -417,6 +417,25 @@ def test_bench_mul_family_stays_finite():
         assert np.isfinite(out.coeffs).all()
 
 
+def test_bench_mul_family_cancels_no_node():
+    # no sum or difference of two values that are not 0 is 0 in every
+    # column: such a cancellation's 0 is kept by every product it reaches,
+    # whose rows the kernels then skip.  (A product may still underflow to
+    # 0; bench_program("mul", seed=7) does.)  Every node is an output, so
+    # the pass keeps them all
+    shape = make_shape((1, 1, 1))
+    for seed in range(10):
+        prog = bench_program("mul", q=500, seed=seed)
+        every = Program(prog.n_inputs, prog.nodes,
+                        tuple(range(prog.n_inputs, prog.n_slots)))
+        slots = _batched_seed(prog, shape, 8, random.Random(seed))
+        slots += eval_generic(every, slots, WeilSemantics(shape, (8,)))
+        for k, node in enumerate(prog.nodes, prog.n_inputs):
+            if node.op is not PrimitiveKind.MUL and all(
+                    slots[r].coeffs.any() for r in node.operands):
+                assert slots[k].coeffs.any(), (seed, k)
+
+
 def test_rule_table_covers_every_primitive():
     # div is desugared by the parser and never reaches an evaluator
     assert set(PRIMITIVES) == set(PrimitiveKind) - {PrimitiveKind.DIV}

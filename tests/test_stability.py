@@ -75,6 +75,19 @@ def test_identity_program_bound():
     assert report.first_order_error == 0.0
 
 
+def test_norms_of_finite_gradients_past_1e154_stay_finite():
+    # exp x at 700: a gradient of 1.01e304, whose square overflows; and a
+    # covector of two 1e200 through the identity
+    report = stability_bound(parse_program("input x\ny = exp x\noutput y"),
+                             [700.0], [1.0])
+    assert report.observed_norm == math.exp(700.0)
+    assert report.observed_norm <= report.product_bound < math.inf
+    prog = Program(n_inputs=2, nodes=(), outputs=(0, 1))
+    report = stability_bound(prog, [1.0, 2.0], [1e200, -1e200])
+    assert report.observed_norm == report.product_bound == math.hypot(1e200,
+                                                                      1e200)
+
+
 def test_square_program_bound():
     # x*x at 3: mul step sqrt(18), fan-out duplication step sqrt(2)
     prog = parse_program("input x\ny = mul x x\noutput y")
