@@ -18,8 +18,8 @@ from .oracle import (ScheduleCount, SparsePoly, finite_difference,
                      nested_jvp_schedule, symbolic_eval, symbolic_partial)
 from .slp import (Node, PrimitiveKind, Program, eval_generic, eval_primal,
                   parse_program, pretty_print, random_program)
-from .stability import (StabilityReport, adjoint_lipschitz,
-                        condition_estimate, stability_bound)
+from .stability import (StabilityReport, condition_estimate,
+                        stability_bound)
 from .weil import (WeilShape, WeilValue, make_shape, weil_add, weil_mul,
                    weil_recip, weil_unary)
 

@@ -1,11 +1,11 @@
 """First-order forward (pushforward) and reverse (pullback) engines.
 
 ``record_tape`` linearizes the program once, with one ``linear`` rule call
-(``slp.PRIMITIVES``) per node; ``tangent_sweep`` and ``reverse_sweep`` run
-that tape forward and back without calling a rule.  ``pairing_residual``
-probes the duality between the two on one tape, which ``vjp_and_pairing``
-also takes the gradient from; ``compose_vjp_check`` probes functoriality
-under syntactic composition.
+(``slp.PRIMITIVES``) per live node (``Program.live``); ``tangent_sweep``
+and ``reverse_sweep`` run that tape forward and back without calling a
+rule.  ``pairing_residual`` probes the duality between the two on one tape,
+which ``vjp_and_pairing`` also takes the gradient from; ``compose_vjp_check``
+probes functoriality under syntactic composition.
 """
 from __future__ import annotations
 
@@ -23,16 +23,17 @@ from .slp import (PRIMITIVES, Node, Program, check_finite, eval_primal,
 @dataclass
 class Tape:
     """The primal of every slot, and each node's partials in its operands:
-    the linear map every sweep runs through, both ways."""
+    the linear map every sweep runs through, both ways.  A node no output
+    reads has None for both, and every sweep skips it."""
 
     program: Program
-    primals: list[float]
-    partials: list[tuple[float, ...]]
+    primals: list[float | None]
+    partials: list[tuple[float, ...] | None]
 
 
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
-    """The tape at x.  Raises, through ``node_error``, at the first node in
-    forward order whose value or partials fail."""
+    """The tape at x.  Raises, through ``node_error``, at the first live
+    node in forward order whose value or partials fail."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
@@ -40,7 +41,11 @@ def record_tape(prog: Program, x: Sequence[float]) -> Tape:
     partials = []
     # unrolled by arity, here and in the sweeps: cheaper than a zip per node
     try:
-        for k, node in enumerate(prog.nodes):
+        for k, (node, live) in enumerate(zip(prog.nodes, prog.live)):
+            if not live:
+                vals.append(None)
+                partials.append(None)
+                continue
             ops = node.operands
             if len(ops) == 2:
                 args = [vals[ops[0]], vals[ops[1]]]
@@ -65,7 +70,9 @@ def tangent_sweep(tape: Tape, v: Sequence[float]) -> list[float]:
     for parts, node in zip(tape.partials, prog.nodes):
         # a left fold from 0.0: sum()'s bits, signed zeros included
         ops = node.operands
-        if len(ops) == 2:
+        if parts is None:
+            dots.append(None)
+        elif len(ops) == 2:
             dots.append(0.0 + parts[0] * dots[ops[0]]
                         + parts[1] * dots[ops[1]])
         else:
@@ -89,6 +96,8 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
     slot = prog.n_slots
     for parts, node in zip(reversed(tape.partials), reversed(prog.nodes)):
         slot -= 1
+        if parts is None:
+            continue
         u_bar, ops = adj[slot], node.operands
         if ops:
             adj[ops[0]] += parts[0] * u_bar
@@ -102,9 +111,13 @@ def _tangent_exponent(tape: Tape, v: Sequence[float]) -> int:
     tangent of the sweep along v * 2**-m below 2**1023: with |a| < 2**e(a)
     (``math.frexp``), a node's tangent is below 2**(max e(p) + e(d) + 1)
     over its partials p and operand tangents d, the 1 for a sum of two.
-    A zero counts as below 1, which only loosens the bound."""
+    A zero counts as below 1, which only loosens the bound, and so does a
+    node no output reads, whose tangent the sweep never makes."""
     exps = [math.frexp(a)[1] for a in v]
     for parts, node in zip(tape.partials, tape.program.nodes):
+        if parts is None:
+            exps.append(0)
+            continue
         ops = node.operands
         exps.append(max((math.frexp(p)[1] + exps[op]
                          for p, op in zip(parts, ops)), default=0)

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import (DomainError, DimensionMismatchError, NumericOverflowError,
@@ -291,32 +292,48 @@ class Program:
         return self.n_inputs + len(self.nodes)
 
     @cached_property
-    def dead_after(self) -> tuple[tuple[int, ...], ...]:
-        """For each node k, the node slots no later node or output reads.
+    def _liveness(self) -> tuple[tuple[bool, ...],
+                                 tuple[tuple[int, ...], ...]]:
+        """``live`` and ``dead_after``, from one backward walk."""
+        nodes, n = self.nodes, self.n_inputs
+        read = set(self.outputs)
+        live = [False] * len(nodes)
+        dead: list[tuple[int, ...]] = [()] * len(nodes)
+        for k in range(len(nodes) - 1, -1, -1):
+            if n + k in read:
+                live[k] = True
+                for r in nodes[k].operands:
+                    if r not in read:
+                        read.add(r)
+                        if r >= n:
+                            dead[k] += (r,)
+        return tuple(live), tuple(dead)
 
-        A slot nothing reads dies at the node that makes it.  Input slots
-        are never listed: they belong to the caller.  Cached on the program,
-        so the table lives exactly as long as the program does.
+    @property
+    def live(self) -> tuple[bool, ...]:
+        """For each node, whether some output reads it, directly or through
+        later nodes.  Every mode skips a node that is not live: it computes
+        nothing there, so a domain error or overflow there raises nowhere.
+        Cached on the program, with ``dead_after``."""
+        return self._liveness[0]
+
+    @property
+    def dead_after(self) -> tuple[tuple[int, ...], ...]:
+        """For each node k, the node slots no later live node or output
+        reads, so that they can be released once node k is done.
+
+        A node that is not live holds no value, so it releases nothing and
+        is released by no one.  Input slots are never listed: they belong
+        to the caller.
         """
-        last = {}
-        for k, node in enumerate(self.nodes):
-            last[self.n_inputs + k] = k
-            for ref in node.operands:
-                last[ref] = k
-        for ref in self.outputs:
-            last.pop(ref, None)
-        dead: list[list[int]] = [[] for _ in self.nodes]
-        for ref, k in last.items():
-            if ref >= self.n_inputs:
-                dead[k].append(ref)
-        return tuple(map(tuple, dead))
+        return self._liveness[1]
 
     @cached_property
     def peak_live(self) -> int:
         """Most values eval_generic holds at once: the inputs, and each
-        node's value until its last reader is done (``dead_after``)."""
+        live node's value until its last reader is done (``dead_after``)."""
         live = peak = self.n_inputs
-        for dead in self.dead_after:
+        for dead in compress(self.dead_after, self.live):
             live += 1
             peak = max(peak, live)
             live -= len(dead)
@@ -467,12 +484,15 @@ def pretty_print(prog: Program) -> str:
 
 
 def eval_generic(prog: Program, inputs: Sequence, semantics):
-    """Evaluate nodes in topological order under the supplied semantics.
+    """Evaluate the live nodes in topological order under the supplied
+    semantics.
 
-    Liveness: the evaluator drops its reference to a node's value right
-    after the last node that reads it (``Program.dead_after``), so a lifted
-    pass holds only the values still to be read.  Outputs and the caller's
-    inputs are kept.  The semantics needs ``constant(c)`` and
+    Liveness: a node no output reads (``Program.live``) is not evaluated,
+    and its slot holds None, so a domain error or overflow there does not
+    raise.  The evaluator drops its reference to a node's value right
+    after the last live node that reads it (``Program.dead_after``), so a
+    lifted pass holds only the values still to be read.  Outputs and the
+    caller's inputs are kept.  The semantics needs ``constant(c)`` and
     ``apply(node, args)``.
     """
     if len(inputs) != prog.n_inputs:
@@ -481,8 +501,11 @@ def eval_generic(prog: Program, inputs: Sequence, semantics):
     slots = list(inputs)
     # values go straight into slots: a local would keep a dropped value
     # alive while the next node runs
-    for k, (node, dead) in enumerate(zip(prog.nodes, prog.dead_after)):
-        if node.op is PrimitiveKind.CONST:
+    for k, (node, live, dead) in enumerate(
+            zip(prog.nodes, prog.live, prog.dead_after)):
+        if not live:
+            slots.append(None)
+        elif node.op is PrimitiveKind.CONST:
             slots.append(semantics.constant(node.const))
         else:
             try:
@@ -521,13 +544,17 @@ def check_finite(prog: Program, values: list[float], slots: Sequence[int],
 
 
 def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
-    """The outputs, by the checked value rules alone."""
+    """The outputs, by the checked value rules alone.  Only the live nodes
+    are evaluated (``Program.live``); a node no output reads gets None."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
     slots = [float(v) for v in x]
     try:
-        for k, node in enumerate(prog.nodes):
+        for k, (node, live) in enumerate(zip(prog.nodes, prog.live)):
+            if not live:
+                slots.append(None)
+                continue
             value = PRIMITIVES[node.op].value(
                 [slots[r] for r in node.operands], node.const)
             if not math.isfinite(value):

@@ -12,22 +12,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 from .modes import record_tape, reverse_sweep
 # KAPPA_CAP, the cap of the rules' condition numbers, is re-exported
 from .slp import KAPPA_CAP, PRIMITIVES, UNIT_ROUNDOFF, Node, Program
-
-
-def adjoint_lipschitz(node: Node, primal_operands: Sequence[float]) -> float:
-    """Operator norm of the local adjoint map: the 2-norm of the partials.
-
-    Raises DomainError where the partials do not exist (``log`` at -1,
-    ``sqrt`` at 0) and OverflowError where they overflow.
-    """
-    return math.hypot(*PRIMITIVES[node.op].linear(primal_operands,
-                                                  node.const)[1])
 
 
 def condition_estimate(node: Node,
@@ -66,7 +56,10 @@ class StabilityReport:
 
 
 def _fanout_counts(prog: Program) -> Counter:
-    uses = Counter(chain.from_iterable(node.operands for node in prog.nodes))
+    """The reads of each slot by live nodes and outputs: a node no output
+    reads sends back an adjoint of 0, so its reads duplicate nothing."""
+    uses = Counter(chain.from_iterable(
+        node.operands for node in compress(prog.nodes, prog.live)))
     uses.update(prog.outputs)
     return uses
 
@@ -79,7 +72,8 @@ def stability_bound(prog: Program, x: Sequence[float],
     Each primitive contributes max(local adjoint norm, 1): the sweep step
     acts as identity on every other live adjoint, so sub-unit local norms
     cannot shrink the whole state.  Each slot read r >= 2 times contributes
-    a duplication step of norm sqrt(r).
+    a duplication step of norm sqrt(r).  Only live nodes (``Program.live``)
+    have rows: the sweep skips the others.
     """
     tape = record_tape(prog, x)
     # hypot cannot overflow on the way, where np.linalg.norm's dot product
@@ -89,7 +83,10 @@ def stability_bound(prog: Program, x: Sequence[float],
     rows: list[StabilityRow] = []
     product = 1.0
     delta_sum = 0.0
+    live = prog.live
     for k in range(prog.n_nodes - 1, -1, -1):
+        if not live[k]:
+            continue
         node = prog.nodes[k]
         args = [tape.primals[r] for r in node.operands]
         local = math.hypot(*tape.partials[k])

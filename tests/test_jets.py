@@ -227,7 +227,8 @@ def test_single_pass_counters():
     with counting() as snapshot:
         taylor_eval(prog, basis_seed([0.1, 0.2, 0.3], 2))
         counters = snapshot()
-    assert counters["lifted_primitives"] == prog.n_nodes
+    # one lift per node an output reads
+    assert counters["lifted_primitives"] == sum(prog.live)
     assert counters["tape_allocations"] == 0
 
 

@@ -143,7 +143,8 @@ def test_one_tape_swept_both_ways():
 def test_sweeps_make_no_rule_call():
     prog = random_program(seed=4, depth=40, n_inputs=3)
     x, v, w = [0.1, -0.2, 0.3], [1.0, 0.5, -0.5], [1.0]
-    n = prog.n_nodes
+    # one linear rule call per live node, and one kappa call per live row
+    n = sum(prog.live)
     with rule_calls() as calls:
         tape = record_tape(prog, x)
         assert calls() == {"value": 0, "linear": n, "kappa": 0}
@@ -308,6 +309,49 @@ def test_domain_edges_agree_across_modes(rhs, x, error, primal_error,
         assert (out == "") == (error is not None)
 
 
+@pytest.mark.parametrize("rhs, x, error", [
+    ("log u", -1.0, DomainError),
+    ("sqrt u", -4.0, DomainError),
+    ("recip u", 0.0, DomainError),
+    ("exp u", 1000.0, NumericOverflowError),
+], ids=["log-neg", "sqrt-neg", "recip-0", "exp-overflow"])
+def test_dead_node_fails_in_no_mode(rhs, x, error, tmp_path, capsys):
+    # y, node 2, fails at x; while no output reads it no mode evaluates it,
+    # and every mode returns.  Once y is an output, every mode fails there
+    body = f"input x\nc = const 0\nu = add x c\ny = {rhs}\nz = sin x\n"
+    shape = make_shape((1, 1, 1))
+    batch = [WeilValue(shape, np.stack([w.coeffs] * 2, axis=1))
+             for w in seed(SeedSpec((x,), ((1.0,), (0.5,), (-1.0,)),
+                                    shape.caps))]
+    path = tmp_path / "dead.slp"
+    for outputs, expected in (("z", None), ("z y", (error, 2))):
+        text = body + f"output {outputs}\n"
+        prog = parse_program(text)
+        omega = [1.0] * prog.n_outputs
+        calls = [
+            lambda: eval_primal(prog, [x]), lambda: jvp(prog, [x], [1.0]),
+            lambda: vjp(prog, [x], omega),
+            lambda: stability_bound(prog, [x], omega),
+            lambda: taylor_eval(prog, SeedSpec((x,), ((1.0,),), (2,))),
+            lambda: taylor_eval(prog, SeedSpec((x,), ((1.0,),) * 6,
+                                               (1,) * 6))]
+        if expected is None or error is DomainError:
+            # a batched pass leaves overflow to its caller (README)
+            calls.append(lambda: eval_generic(prog, batch,
+                                              WeilSemantics(shape, (2,))))
+        assert [_outcome(call) for call in calls] == [expected] * len(calls)
+        path.write_text(text)
+        omega_arg = ",".join(["1"] * prog.n_outputs)
+        for argv in (["eval"], ["grad", "--omega", omega_arg],
+                     ["grad", "--omega", omega_arg, "--check"],
+                     ["taylor", "--dirs", "1", "--caps", "3"]):
+            code = main([argv[0], str(path), "--x", repr(x), "--json",
+                         *argv[1:]])
+            out = capsys.readouterr().out
+            assert (code, out == "") == ((0, False) if expected is None
+                                         else (3, True)), argv
+
+
 @pytest.mark.parametrize("first, x, error, message", [
     ("sqrt x", 0.0, DomainError, "sqrt derivative needs a positive argument"),
     ("recip x", 1e-170, NumericOverflowError, "overflow at node 0 (recip)"),
@@ -412,7 +456,7 @@ def test_one_domain_rule_across_modes(tmp_path, capsys):
     # at which its columns' batch-1 passes fail with a DomainError
     shape = make_shape((1, 1, 1))
     batched_failures = 0
-    for s in range(200):
+    for s in range(300):
         rng = random.Random(s)
         prog = random_program(s, depth=rng.randint(3, 30), n_inputs=2,
                               safe=False)

@@ -352,17 +352,46 @@ class _WeakSemantics:
 
 
 # t is an output and a later operand, x an input returned as an output, u
-# squares t through one slot, and d is never read
+# squares t through one slot, and d and e are read by no output, e after v's
+# last live reader w
 LIVENESS = ("input x y\nt = mul x y\nu = mul t t\nv = sin t\nw = cos v\n"
-            "d = neg x\noutput t u w x\n")
+            "d = neg x\ne = exp v\noutput t u w x\n")
 
 
 def test_dead_after_table():
     prog = parse_program(LIVENESS)
-    # slots: x 0, y 1, t 2, u 3, v 4, w 5, d 6; v dies at w, d where it is
-    # made; inputs are never released
-    assert prog.dead_after == ((), (), (), (4,), (6,))
+    # slots: x 0, y 1, t 2, u 3, v 4, w 5, d 6, e 7; d and e hold no value,
+    # and v dies at w, not at e; inputs are never released
+    assert prog.live == (True, True, True, True, False, False)
+    assert prog.dead_after == ((), (), (), (4,), (), ())
     assert prog.dead_after is prog.dead_after
+    sem = _WeakSemantics()
+    eval_generic(prog, [_Box(1.5), _Box(-0.25)], sem)
+    assert len(sem.refs) == sum(prog.live)
+    # x, y, t, u, v and w once w is made; d and e are never counted
+    assert prog.peak_live == 6
+    dims = (2, 4, 8, 16, 32)
+    report = run_weil_bench(prog, "liveness", dims=dims, repetitions=1,
+                            warmup=0, batch=4)
+    assert [r.peak_coeff_bytes for r in report.runs] == \
+        [6 * dim * 4 * 8 for dim in dims]
+
+
+def test_live_nodes_are_those_the_outputs_reach():
+    # a node is live when a search back from the outputs through operands
+    # reaches its slot
+    for seed in range(40):
+        prog = random_program(seed, depth=30, n_inputs=3, safe=seed % 2 == 0)
+        prog = Program(prog.n_inputs, prog.nodes,
+                       (prog.n_slots - 1, prog.n_slots // 2))
+        reached, todo = set(), list(prog.outputs)
+        while todo:
+            slot = todo.pop()
+            if slot >= prog.n_inputs and slot not in reached:
+                reached.add(slot)
+                todo += prog.nodes[slot - prog.n_inputs].operands
+        assert prog.live == tuple(prog.n_inputs + k in reached
+                                  for k in range(prog.n_nodes))
 
 
 def test_eval_generic_releases_dead_slots():

@@ -4,30 +4,28 @@ import random
 import numpy as np
 import pytest
 
-from jetweil.errors import DomainError
 from jetweil.slp import Node, PrimitiveKind, Program, parse_program, \
     random_program
-from jetweil.stability import (KAPPA_CAP, UNIT_ROUNDOFF, adjoint_lipschitz,
-                               condition_estimate, stability_bound)
+from jetweil.stability import (KAPPA_CAP, UNIT_ROUNDOFF, condition_estimate,
+                               stability_bound)
 from jetweil.modes import vjp
 
 
-def test_adjoint_lipschitz_examples():
-    mul = Node(PrimitiveKind.MUL, (0, 1))
-    assert adjoint_lipschitz(mul, [3.0, 4.0]) == pytest.approx(5.0)
-    sin = Node(PrimitiveKind.SIN, (0,))
-    assert adjoint_lipschitz(sin, [0.0]) == pytest.approx(1.0)
-    add = Node(PrimitiveKind.ADD, (0, 1))
-    assert adjoint_lipschitz(add, [1.0, 1.0]) == pytest.approx(math.sqrt(2))
-
-
-def test_adjoint_lipschitz_unary_rules():
-    assert adjoint_lipschitz(Node(PrimitiveKind.EXP, (0,)),
-                             [1.0]) == pytest.approx(math.e)
-    assert adjoint_lipschitz(Node(PrimitiveKind.NEG, (0,)), [7.0]) == 1.0
-    assert adjoint_lipschitz(Node(PrimitiveKind.CONST, (), 2.0), []) == 0.0
-    assert adjoint_lipschitz(Node(PrimitiveKind.RECIP, (0,)),
-                             [2.0]) == pytest.approx(0.25)
+@pytest.mark.parametrize("rhs, x, norm", [
+    ("mul x y", [3.0, 4.0], 5.0),
+    ("sin x", [0.0, 0.0], 1.0),
+    ("add x y", [1.0, 1.0], math.sqrt(2)),
+    ("exp x", [1.0, 0.0], math.e),
+    ("neg x", [7.0, 0.0], 1.0),
+    ("const 2", [0.0, 0.0], 0.0),
+    ("recip x", [2.0, 0.0], 0.25),
+], ids=["mul", "sin", "add", "exp", "neg", "const", "recip"])
+def test_primitive_row_holds_the_partials_norm(rhs, x, norm):
+    # a primitive row's local norm is the 2-norm of its node's partials
+    prog = parse_program(f"input x y\nz = {rhs}\noutput z")
+    row = stability_bound(prog, x, [1.0]).rows[0]
+    assert (row.kind, row.node) == ("primitive", 0)
+    assert row.local_norm == pytest.approx(norm)
 
 
 def test_condition_examples():
@@ -46,17 +44,6 @@ def test_condition_cap_and_flag():
     add = Node(PrimitiveKind.ADD, (0, 1))
     kappa, capped = condition_estimate(add, [1.0, -1.0])
     assert capped and kappa == KAPPA_CAP
-
-
-@pytest.mark.parametrize("node,x", [
-    (Node(PrimitiveKind.LOG, (0,)), -1.0),
-    (Node(PrimitiveKind.SQRT, (0,)), 0.0),
-    (Node(PrimitiveKind.POW_CONST, (0,), 0.5), 0.0),
-])
-def test_adjoint_lipschitz_outside_domain_raises(node, x):
-    # the norm comes from the partial rules, so their domain checks apply
-    with pytest.raises(DomainError):
-        adjoint_lipschitz(node, [x])
 
 
 def test_pow_zero_at_zero_bound():
@@ -86,6 +73,15 @@ def test_norms_of_finite_gradients_past_1e154_stay_finite():
     report = stability_bound(prog, [1.0, 2.0], [1e200, -1e200])
     assert report.observed_norm == report.product_bound == math.hypot(1e200,
                                                                       1e200)
+
+
+def test_rows_cover_live_nodes_only():
+    # no output reads d: it has no row, and its reads of x make no fan-out
+    # row; its adjoint is 0, so the bound still holds
+    prog = parse_program("input x\ny = sin x\nd = mul x x\noutput y")
+    report = stability_bound(prog, [0.5], [1.0])
+    assert [(r.kind, r.node) for r in report.rows] == [("primitive", 0)]
+    assert report.observed_norm <= report.product_bound
 
 
 def test_square_program_bound():
