@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -51,20 +51,7 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "program_id": self.program_id,
-            "family": self.family,
-            "q": self.q,
-            "mode": self.mode,
-            "runs": [{"dim": r.dim, "caps": list(r.caps),
-                      "t_min": r.t_min, "t_median": r.t_median,
-                      "repetitions": r.repetitions,
-                      "peak_coeff_bytes": r.peak_coeff_bytes}
-                     for r in self.runs],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
 
 _LINEAR_TABLE = [

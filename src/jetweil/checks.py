@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .jets import (SeedSpec, basis_seed, coefficient_envelope,
                    directional_taylor, tail_bound, taylor_eval)
@@ -33,11 +33,7 @@ class CheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite, "count": self.count,
-            "tolerance": self.tolerance, "max_residual": self.max_residual,
-            "violations": self.violations, "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_duality(count: int = 1000, seed: int = 0) -> CheckResult:

@@ -17,7 +17,7 @@ give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -220,12 +220,7 @@ class EnvelopeReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "rows": [{"alpha": list(r.alpha), "coeff_norm": r.coeff_norm,
-                      "bound": r.bound, "violated": r.violated}
-                     for r in self.rows],
-        }
+        return asdict(self)
 
 
 def check_envelope_args(directions: Sequence[Sequence[float]],

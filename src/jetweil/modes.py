@@ -1,8 +1,9 @@
 """First-order forward (pushforward) and reverse (pullback) engines.
 
 ``record_tape`` linearizes the program once, with one ``linear`` rule call
-(``slp.PRIMITIVES``) per live node (``Program.live``); ``tangent_sweep``
-and ``reverse_sweep`` run that tape forward and back without calling a
+(``slp.PRIMITIVES``) per live node, in the forward walk ``eval_primal``
+takes with the ``value`` rules; ``tangent_sweep`` and ``reverse_sweep``
+run that tape forward and back along ``Program.steps`` without calling a
 rule.  ``pairing_residual`` probes the duality between the two on one tape,
 which ``vjp_and_pairing`` also takes the gradient from; ``compose_vjp_check``
 probes functoriality under syntactic composition.
@@ -15,16 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
-from .slp import (PRIMITIVES, Node, Program, check_finite, eval_primal,
-                  node_error)
+from .errors import DimensionMismatchError
+from .slp import Node, Program, _forward_walk, check_finite, eval_primal
 
 
 @dataclass
 class Tape:
     """The primal of every slot, and each node's partials in its operands:
-    the linear map every sweep runs through, both ways.  A node no output
-    reads has None for both, and every sweep skips it."""
+    the linear map every sweep runs through, both ways, along
+    ``Program.steps``.  A node no output reads has None for both."""
 
     program: Program
     primals: list[float | None]
@@ -34,49 +34,24 @@ class Tape:
 def record_tape(prog: Program, x: Sequence[float]) -> Tape:
     """The tape at x.  Raises, through ``node_error``, at the first live
     node in forward order whose value or partials fail."""
-    if len(x) != prog.n_inputs:
-        raise DimensionMismatchError(
-            f"program takes {prog.n_inputs} inputs, got {len(x)}")
-    vals = [float(a) for a in x]
-    partials = []
-    # unrolled by arity, here and in the sweeps: cheaper than a zip per node
-    try:
-        for k, (node, live) in enumerate(zip(prog.nodes, prog.live)):
-            if not live:
-                vals.append(None)
-                partials.append(None)
-                continue
-            ops = node.operands
-            if len(ops) == 2:
-                args = [vals[ops[0]], vals[ops[1]]]
-            else:
-                args = [vals[ops[0]]] if ops else ()
-            value, parts = PRIMITIVES[node.op].linear(args, node.const)
-            if not math.isfinite(value):
-                raise OverflowError
-            vals.append(value)
-            partials.append(parts)
-    except (DomainError, OverflowError) as err:
-        raise node_error(err, node, k) from None
-    return Tape(program=prog, primals=vals, partials=partials)
+    return Tape(prog, *_forward_walk(prog, x, True))
 
 
 def tangent_sweep(tape: Tape, v: Sequence[float]) -> list[float]:
     """Push one tangent forward along the tape; returns output tangents."""
-    prog = tape.program
+    prog, partials = tape.program, tape.partials
     if len(v) != prog.n_inputs:
         raise DimensionMismatchError("point/tangent length mismatch")
-    dots = [float(a) for a in v]
-    for parts, node in zip(tape.partials, prog.nodes):
+    n = prog.n_inputs
+    dots = [float(a) for a in v] + [None] * prog.n_nodes
+    for k, node, _ in prog.steps:
         # a left fold from 0.0: sum()'s bits, signed zeros included
-        ops = node.operands
-        if parts is None:
-            dots.append(None)
-        elif len(ops) == 2:
-            dots.append(0.0 + parts[0] * dots[ops[0]]
-                        + parts[1] * dots[ops[1]])
+        parts, ops = partials[k], node.operands
+        if len(ops) == 2:
+            dots[n + k] = (0.0 + parts[0] * dots[ops[0]]
+                           + parts[1] * dots[ops[1]])
         else:
-            dots.append(0.0 + parts[0] * dots[ops[0]] if ops else 0.0)
+            dots[n + k] = 0.0 + parts[0] * dots[ops[0]] if ops else 0.0
     return [dots[r] for r in prog.outputs]
 
 
@@ -86,24 +61,21 @@ def reverse_sweep(tape: Tape, omega: Sequence[float]) -> list[float]:
     The adjoints are accumulated in a fresh list, so a tape can be swept
     with any number of covectors.
     """
-    prog = tape.program
+    prog, partials = tape.program, tape.partials
     if len(omega) != prog.n_outputs:
         raise DimensionMismatchError(
             f"covector length {len(omega)} != {prog.n_outputs} outputs")
-    adj = [0.0] * len(tape.primals)
+    n = prog.n_inputs
+    adj = [0.0] * prog.n_slots
     for w, r in zip(omega, prog.outputs):
         adj[r] += float(w)
-    slot = prog.n_slots
-    for parts, node in zip(reversed(tape.partials), reversed(prog.nodes)):
-        slot -= 1
-        if parts is None:
-            continue
-        u_bar, ops = adj[slot], node.operands
+    for k, node, _ in reversed(prog.steps):
+        parts, ops, u_bar = partials[k], node.operands, adj[n + k]
         if ops:
             adj[ops[0]] += parts[0] * u_bar
             if len(ops) == 2:
                 adj[ops[1]] += parts[1] * u_bar
-    return adj[:prog.n_inputs]
+    return adj[:n]
 
 
 def _tangent_exponent(tape: Tape, v: Sequence[float]) -> int:
@@ -113,15 +85,14 @@ def _tangent_exponent(tape: Tape, v: Sequence[float]) -> int:
     over its partials p and operand tangents d, the 1 for a sum of two.
     A zero counts as below 1, which only loosens the bound, and so does a
     node no output reads, whose tangent the sweep never makes."""
-    exps = [math.frexp(a)[1] for a in v]
-    for parts, node in zip(tape.partials, tape.program.nodes):
-        if parts is None:
-            exps.append(0)
-            continue
+    prog = tape.program
+    n = prog.n_inputs
+    exps = [math.frexp(a)[1] for a in v] + [0] * prog.n_nodes
+    for k, node, _ in prog.steps:
         ops = node.operands
-        exps.append(max((math.frexp(p)[1] + exps[op]
-                         for p, op in zip(parts, ops)), default=0)
-                    + (len(ops) == 2))
+        exps[n + k] = max((math.frexp(p)[1] + exps[op]
+                           for p, op in zip(tape.partials[k], ops)),
+                          default=0) + (len(ops) == 2)
     return max(0, max(exps) - 1023)
 
 

@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import (DomainError, DimensionMismatchError, NumericOverflowError,
@@ -161,8 +160,7 @@ def _pow_linear(a, e):
     x = a[0]
     if e == 0:
         return y, (0.0,)
-    if x == 0 and e < 1:
-        raise DomainError("power derivative singular at zero", x)
+    # x = 0 gets here only with an integer e >= 1: _pow_value refused the rest
     return y, (e * x ** (e - 1),)
 
 
@@ -292,48 +290,50 @@ class Program:
         return self.n_inputs + len(self.nodes)
 
     @cached_property
-    def _liveness(self) -> tuple[tuple[bool, ...],
-                                 tuple[tuple[int, ...], ...]]:
-        """``live`` and ``dead_after``, from one backward walk."""
+    def _liveness(self) -> tuple[tuple[bool, ...], tuple[tuple, ...]]:
+        """``live`` and ``steps``, from one backward walk."""
         nodes, n = self.nodes, self.n_inputs
         read = set(self.outputs)
         live = [False] * len(nodes)
-        dead: list[tuple[int, ...]] = [()] * len(nodes)
+        steps = []
         for k in range(len(nodes) - 1, -1, -1):
             if n + k in read:
                 live[k] = True
+                dead = ()
                 for r in nodes[k].operands:
                     if r not in read:
                         read.add(r)
                         if r >= n:
-                            dead[k] += (r,)
-        return tuple(live), tuple(dead)
+                            dead += (r,)
+                steps.append((k, nodes[k], dead))
+        steps.reverse()
+        return tuple(live), tuple(steps)
 
     @property
     def live(self) -> tuple[bool, ...]:
         """For each node, whether some output reads it, directly or through
-        later nodes.  Every mode skips a node that is not live: it computes
-        nothing there, so a domain error or overflow there raises nowhere.
-        Cached on the program, with ``dead_after``."""
+        later nodes.  Cached on the program, with ``steps``."""
         return self._liveness[0]
 
     @property
-    def dead_after(self) -> tuple[tuple[int, ...], ...]:
-        """For each node k, the node slots no later live node or output
-        reads, so that they can be released once node k is done.
+    def steps(self) -> tuple[tuple[int, Node, tuple[int, ...]], ...]:
+        """``(k, node, dead)`` for each live node k, in forward order: the
+        nodes every mode walks.  A node that is not live is in no step, so
+        no mode computes it, and a domain error or overflow there raises
+        nowhere; its slot holds None.
 
-        A node that is not live holds no value, so it releases nothing and
-        is released by no one.  Input slots are never listed: they belong
-        to the caller.
+        ``dead`` lists the node slots no later live node or output reads,
+        so that they can be released once node k is done.  Input slots are
+        never listed: they belong to the caller.
         """
         return self._liveness[1]
 
     @cached_property
     def peak_live(self) -> int:
         """Most values eval_generic holds at once: the inputs, and each
-        live node's value until its last reader is done (``dead_after``)."""
+        live node's value until its last reader is done (``steps``)."""
         live = peak = self.n_inputs
-        for dead in compress(self.dead_after, self.live):
+        for _, _, dead in self.steps:
             live += 1
             peak = max(peak, live)
             live -= len(dead)
@@ -484,33 +484,28 @@ def pretty_print(prog: Program) -> str:
 
 
 def eval_generic(prog: Program, inputs: Sequence, semantics):
-    """Evaluate the live nodes in topological order under the supplied
-    semantics.
+    """Evaluate the live nodes (``Program.steps``) in topological order
+    under the supplied semantics; a node no output reads keeps None.
 
-    Liveness: a node no output reads (``Program.live``) is not evaluated,
-    and its slot holds None, so a domain error or overflow there does not
-    raise.  The evaluator drops its reference to a node's value right
-    after the last live node that reads it (``Program.dead_after``), so a
-    lifted pass holds only the values still to be read.  Outputs and the
-    caller's inputs are kept.  The semantics needs ``constant(c)`` and
-    ``apply(node, args)``.
+    The evaluator drops its reference to a node's value right after the
+    last live node that reads it, so a lifted pass holds only the values
+    still to be read.  Outputs and the caller's inputs are kept.  The
+    semantics needs ``constant(c)`` and ``apply(node, args)``.
     """
     if len(inputs) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(inputs)}")
-    slots = list(inputs)
+    n = prog.n_inputs
+    slots = list(inputs) + [None] * prog.n_nodes
     # values go straight into slots: a local would keep a dropped value
     # alive while the next node runs
-    for k, (node, live, dead) in enumerate(
-            zip(prog.nodes, prog.live, prog.dead_after)):
-        if not live:
-            slots.append(None)
-        elif node.op is PrimitiveKind.CONST:
-            slots.append(semantics.constant(node.const))
+    for k, node, dead in prog.steps:
+        if node.op is PrimitiveKind.CONST:
+            slots[n + k] = semantics.constant(node.const)
         else:
             try:
-                slots.append(semantics.apply(
-                    node, [slots[r] for r in node.operands]))
+                slots[n + k] = semantics.apply(
+                    node, [slots[r] for r in node.operands])
             except DomainError as err:
                 err.node = k
                 raise
@@ -543,26 +538,44 @@ def check_finite(prog: Program, values: list[float], slots: Sequence[int],
     return values
 
 
-def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
-    """The outputs, by the checked value rules alone.  Only the live nodes
-    are evaluated (``Program.live``); a node no output reads gets None."""
+def _forward_walk(prog: Program, x: Sequence[float],
+                  linear: bool) -> tuple[list, list | None]:
+    """The checked forward walk of the live nodes at x: ``(values,
+    partials)``, with the ``value`` rules and no partials, or with the
+    ``linear`` rules and each node's partials, by node index.  A node no
+    output reads has None in both.  Raises, through ``node_error``, at the
+    first node whose value (or partials) fail."""
     if len(x) != prog.n_inputs:
         raise DimensionMismatchError(
             f"program takes {prog.n_inputs} inputs, got {len(x)}")
-    slots = [float(v) for v in x]
+    n = prog.n_inputs
+    vals = [float(a) for a in x] + [None] * prog.n_nodes
+    partials = [None] * prog.n_nodes if linear else None
+    # unrolled by arity, here and in the sweeps: cheaper than a zip per node
     try:
-        for k, (node, live) in enumerate(zip(prog.nodes, prog.live)):
-            if not live:
-                slots.append(None)
-                continue
-            value = PRIMITIVES[node.op].value(
-                [slots[r] for r in node.operands], node.const)
+        for k, node, _ in prog.steps:
+            ops = node.operands
+            if len(ops) == 2:
+                args = [vals[ops[0]], vals[ops[1]]]
+            else:
+                args = [vals[ops[0]]] if ops else ()
+            rule = PRIMITIVES[node.op]
+            if linear:
+                value, partials[k] = rule.linear(args, node.const)
+            else:
+                value = rule.value(args, node.const)
             if not math.isfinite(value):
                 raise OverflowError
-            slots.append(value)
+            vals[n + k] = value
     except (DomainError, OverflowError) as err:
         raise node_error(err, node, k) from None
-    return [slots[r] for r in prog.outputs]
+    return vals, partials
+
+
+def eval_primal(prog: Program, x: Sequence[float]) -> list[float]:
+    """The outputs, by the checked value rules alone, at the live nodes."""
+    vals = _forward_walk(prog, x, False)[0]
+    return [vals[r] for r in prog.outputs]
 
 
 _SAFE_WEIGHTS = [

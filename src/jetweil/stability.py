@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .modes import record_tape, reverse_sweep
@@ -59,7 +59,7 @@ def _fanout_counts(prog: Program) -> Counter:
     """The reads of each slot by live nodes and outputs: a node no output
     reads sends back an adjoint of 0, so its reads duplicate nothing."""
     uses = Counter(chain.from_iterable(
-        node.operands for node in compress(prog.nodes, prog.live)))
+        node.operands for _, node, _ in prog.steps))
     uses.update(prog.outputs)
     return uses
 
@@ -72,7 +72,7 @@ def stability_bound(prog: Program, x: Sequence[float],
     Each primitive contributes max(local adjoint norm, 1): the sweep step
     acts as identity on every other live adjoint, so sub-unit local norms
     cannot shrink the whole state.  Each slot read r >= 2 times contributes
-    a duplication step of norm sqrt(r).  Only live nodes (``Program.live``)
+    a duplication step of norm sqrt(r).  Only live nodes (``Program.steps``)
     have rows: the sweep skips the others.
     """
     tape = record_tape(prog, x)
@@ -83,11 +83,7 @@ def stability_bound(prog: Program, x: Sequence[float],
     rows: list[StabilityRow] = []
     product = 1.0
     delta_sum = 0.0
-    live = prog.live
-    for k in range(prog.n_nodes - 1, -1, -1):
-        if not live[k]:
-            continue
-        node = prog.nodes[k]
+    for k, node, _ in reversed(prog.steps):
         args = [tape.primals[r] for r in node.operands]
         local = math.hypot(*tape.partials[k])
         kappa, capped = condition_estimate(node, args)

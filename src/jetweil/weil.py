@@ -739,8 +739,7 @@ def _lift_pow_int(k, x, n: int):
 class NumpyKernels:
     """The lift kernels on ``WeilValue``s of one shape and batch shape.
     Each kernel is looked up in this module's globals when it is called, so
-    rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift.
-    ``weil_unary`` and ``weil_recip`` run the shared lifts on this object."""
+    rebinding ``weil_mul``, ``weil_unary``, ... here reaches every lift."""
 
     shape: WeilShape
     batch_shape: tuple[int, ...] = ()
@@ -752,9 +751,8 @@ class NumpyKernels:
     sub = lambda self, a, b: weil_sub(a, b)
     neg = lambda self, a: weil_neg(a)
     mul = lambda self, a, b: weil_mul(a, b)
-    unary = (lambda self, kind, w, exponent=None:
-             weil_unary(kind, w, exponent, _kernels=self))
-    recip = lambda self, w: weil_recip(w, _kernels=self)
+    unary = lambda self, kind, w, exponent=None: weil_unary(kind, w, exponent)
+    recip = lambda self, w: weil_recip(w)
     pow_int = staticmethod(lambda w, n: weil_pow_int(w, n))
 
     # the hooks of the shared lifts
@@ -767,14 +765,14 @@ class NumpyKernels:
         return weil_const(w.shape, np.broadcast_to(c, w.batch_shape))
 
 
-# The kernels of the lifts called without a kernel set: the shared lifts
-# read their operands' shapes, never the kernels'.
+# The kernels every numpy lift runs on: the shared lifts read their
+# operands' shapes, never the kernels'.
 _plain = NumpyKernels(None)
 
 
-def weil_recip(w: WeilValue, *, _kernels=_plain) -> WeilValue:
+def weil_recip(w: WeilValue) -> WeilValue:
     """Multiplicative inverse, the power -1."""
-    return _lift_recip(_kernels, w)
+    return _lift_recip(_plain, w)
 
 
 def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
@@ -782,10 +780,10 @@ def weil_pow_int(w: WeilValue, n: int) -> WeilValue:
     return _lift_pow_int(_plain, w, n)
 
 
-def weil_unary(kind: str, w: WeilValue, exponent: float | None = None, *,
-               _kernels=_plain) -> WeilValue:
+def weil_unary(kind: str, w: WeilValue,
+               exponent: float | None = None) -> WeilValue:
     """Lift a smooth scalar primitive by its graded recurrence."""
-    return _lift_unary(_kernels, kind, w, exponent)
+    return _lift_unary(_plain, kind, w, exponent)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

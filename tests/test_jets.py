@@ -390,7 +390,7 @@ def test_table_json_shape():
 
 # -- batched passes over memory that earlier values freed ---------------------
 
-def _arena_inputs(shape, batch, n_inputs, rng, n_specs=7):
+def _seeded_batch_inputs(shape, batch, n_inputs, rng, n_specs=7):
     """(inputs, specs, cols): n_specs SeedSpecs drawn from rng, and batched
     seeded inputs whose column j holds the seed of specs[cols[j]]."""
     specs = [SeedSpec(tuple(rng.uniform(-1.0, 1.0, n_inputs)),
@@ -431,7 +431,7 @@ BATCH_CASES = [((1,) * 6, 256, 128), ((2, 2, 2), 607, 300), ((3,), 4096, 5)]
 
 
 @pytest.mark.parametrize("caps, large, small", BATCH_CASES)
-def test_recycled_passes_keep_their_bits(caps, large, small):
+def test_batched_pass_columns_match_unbatched_passes(caps, large, small):
     # every column of a batched pass, whose kernels write into memory that
     # earlier values freed, is the table of its unbatched pass
     shape = make_shape(caps)
@@ -446,7 +446,7 @@ def test_recycled_passes_keep_their_bits(caps, large, small):
     graded = shape.graded()[0]
     for batch in (large, small):
         for prog in progs:
-            inputs, specs, cols = _arena_inputs(shape, batch, 2, rng)
+            inputs, specs, cols = _seeded_batch_inputs(shape, batch, 2, rng)
             if prog.nodes == LIFTS_ON_B.nodes:
                 # x is constant in the columns of specs[0], and so is b:
                 # every lift meets a batch mixing constant jets, at b >= 1,
@@ -463,7 +463,7 @@ def test_recycled_passes_keep_their_bits(caps, large, small):
                                                     (cols == i).sum(), 1))
 
 
-def test_recycled_outputs_own_their_memory():
+def test_batched_outputs_outlive_later_passes():
     # t is an output and a later operand, c a constant output and x an
     # input output: later passes at other shapes and batch sizes, which
     # reuse the memory this pass freed, leave every output as it was
@@ -472,27 +472,27 @@ def test_recycled_outputs_own_their_memory():
                          "output z t c x\n")
     shape = make_shape((1,) * 6)
     rng = np.random.default_rng(3)
-    inputs = _arena_inputs(shape, 600, 2, rng)[0]
+    inputs = _seeded_batch_inputs(shape, 600, 2, rng)[0]
     outs = eval_generic(prog, inputs, WeilSemantics(shape, (600,)))
     assert outs[3] is inputs[0]
     copies = [out.coeffs.copy() for out in outs]
     for caps, batch in [((2, 2, 2), 700), ((1,) * 6, 2048), ((1,) * 6, 600),
                         ((1,) * 5, 128)]:
         other = make_shape(caps)
-        eval_generic(prog, _arena_inputs(other, batch, 2, rng)[0],
+        eval_generic(prog, _seeded_batch_inputs(other, batch, 2, rng)[0],
                      WeilSemantics(other, (batch,)))
     for out, copy in zip(outs, copies):
         assert out.coeffs.tobytes() == copy.tobytes()
 
 
-def test_recycled_pass_after_a_domain_error():
-    # log of a column <= 0 fails at node 3 mid-pass, with views of the
-    # arena taken; the next pass gives the bits of the one before
+def test_batched_pass_after_a_domain_error_keeps_its_bits():
+    # log of a column <= 0 fails at node 3 mid-pass, after the values of
+    # nodes 0 to 2 were made; the next pass gives the bits of the one before
     prog = parse_program("input x y\na = mul x y\nb = sin a\nd = neg b\n"
                          "l = log x\ne = add d l\noutput e\n")
     shape = make_shape((1,) * 6)
     rng = np.random.default_rng(5)
-    inputs = _arena_inputs(shape, 512, 2, rng)[0]
+    inputs = _seeded_batch_inputs(shape, 512, 2, rng)[0]
     inputs[0].coeffs[0] = np.abs(inputs[0].coeffs[0]) + 0.5
     before = eval_generic(prog, inputs, WeilSemantics(shape, (512,)))
     bad = [weil.WeilValue(shape, inputs[0].coeffs.copy()), inputs[1]]
@@ -523,7 +523,7 @@ def test_repeated_large_pass_faults_in_no_pages():
     import resource
     prog = random_program(seed=77, depth=20, n_inputs=2)
     shape = make_shape((1,) * 6)
-    inputs = _arena_inputs(shape, 2048, 2, np.random.default_rng(6))[0]
+    inputs = _seeded_batch_inputs(shape, 2048, 2, np.random.default_rng(6))[0]
     faults = []
     for _ in range(3):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -193,7 +193,7 @@ def test_parser_builds_what_checked_constructors_build():
         assert list(map(hash, parsed.nodes)) == list(map(hash, nodes))
         assert all(type(n) is Node for n in parsed.nodes)
         assert parsed.names == checked.names
-        assert parsed.dead_after == checked.dead_after
+        assert parsed.steps == checked.steps
 
 
 def test_eval_primal_examples():
@@ -363,8 +363,9 @@ def test_dead_after_table():
     # slots: x 0, y 1, t 2, u 3, v 4, w 5, d 6, e 7; d and e hold no value,
     # and v dies at w, not at e; inputs are never released
     assert prog.live == (True, True, True, True, False, False)
-    assert prog.dead_after == ((), (), (), (4,), (), ())
-    assert prog.dead_after is prog.dead_after
+    assert prog.steps == tuple((k, prog.nodes[k], dead) for k, dead in
+                               [(0, ()), (1, ()), (2, ()), (3, (4,))])
+    assert prog.steps is prog.steps
     sem = _WeakSemantics()
     eval_generic(prog, [_Box(1.5), _Box(-0.25)], sem)
     assert len(sem.refs) == sum(prog.live)

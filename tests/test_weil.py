@@ -302,10 +302,10 @@ def test_dense_product_groups_against_loop(caps, batch):
 
 @pytest.mark.parametrize("batch", [1, 7, 9])
 def test_dense_product_groups_past_gather_limit(monkeypatch, batch):
-    # Past a small GATHER_LIMIT each group gathers into fresh arrays, not
-    # the scratch, and a lone column goes to np.bincount; each still matches
-    # its unbatched product.  weil_mul itself then takes the slice loop,
-    # since the pairs times the columns exceed GATHER_LIMIT.
+    # Each group's conv, given no out arrays, sums into new ones, and a lone
+    # column goes to np.bincount; each still matches its unbatched product.
+    # Past a small GATHER_LIMIT weil_mul itself takes the slice loop, since
+    # the pairs times the columns exceed GATHER_LIMIT.
     monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
     weil._product_groups.cache_clear()
     try:
@@ -348,10 +348,10 @@ def test_negative_zero_products_as_bincount(caps, batch):
 def test_batched_fold_without_fused_multiply_add(batch):
     # Rounding each product before adding it gives
     # -(1 + 2**-29) + (1 + 2**-29) = 0; a fused multiply-add would keep the
-    # 2**-60 that rounding a1 * a1 drops.  The batched kernels multiply into
-    # scratch and then add, in two numpy calls, so they fold as np.bincount
-    # does on every platform; a one-call sum of products (np.einsum, np.dot)
-    # may fuse the two where the CPU has the instruction.
+    # 2**-60 that rounding a1 * a1 drops.  The batched kernels multiply and
+    # then add, in two numpy calls, so they fold as np.bincount does on
+    # every platform; a one-call sum of products (np.einsum, np.dot) may
+    # fuse the two where the CPU has the instruction.
     a1, a0 = 1.0 + 2.0 ** -30, -(1.0 + 2.0 ** -29)
     assert a1 * a1 + a0 == 0.0
     # the same sums through a product: target e_0 of (1,)*4 has the pairs
@@ -1080,7 +1080,7 @@ def _batched_kernels(shape, rng, batch):
             weil_unary("log", a)]
 
 
-def test_batched_results_do_not_alias_scratch():
+def test_batched_results_outlive_later_kernel_calls():
     # results outlive later kernel calls of other shapes and batches, which
     # reuse the memory of their freed temporaries, and stay exactly as they
     # were
