@@ -155,22 +155,27 @@ def symbolic_partial(poly: SparsePoly, alpha: Sequence[int],
 
 def _check_lengths(n: int, x, vectors, what: str = "direction") -> None:
     """DimensionMismatchError unless the point and each vector have length n,
-    worded as ``eval_primal`` and ``SeedSpec`` word it."""
+    worded as ``eval_primal`` and ``SeedSpec`` word it; ValueError for an
+    alpha with a negative entry."""
     if len(x) != n:
         raise DimensionMismatchError(f"program takes {n} inputs, got {len(x)}")
     for v in vectors:
         if len(v) != n:
             raise DimensionMismatchError(
                 f"{what} length {len(v)} != input dimension {n}")
+        if what == "alpha" and min(v, default=0) < 0:
+            raise ValueError(f"alpha entries must be >= 0, got {tuple(v)}")
 
 
-def _central_weights(order: int) -> np.ndarray:
-    """Stencil weights for d^order/dx^order, offsets -order..order, O(h^2)."""
+@lru_cache(maxsize=None)
+def _central_weights(order: int) -> tuple[float, ...]:
+    """Stencil weights for d^order/dx^order, offsets -order..order, O(h^2).
+    They are dyadic, so every one is exact."""
     w = np.array([1.0])
     base = np.array([0.5, 0.0, -0.5])  # offsets +1, 0, -1 before flipping
     for _ in range(order):
         w = np.convolve(w, base)
-    return w[::-1]  # ascending offsets -order..order
+    return tuple(w[::-1].tolist())  # ascending offsets -order..order
 
 
 def finite_difference(prog: Program, x: Sequence[float],
@@ -186,12 +191,16 @@ def finite_difference(prog: Program, x: Sequence[float],
     if order > 4:
         raise UnsupportedOrderError(
             f"stencil order {order} > 4 is numerically useless in 64-bit")
+    # h ** order divides the sum: past underflow it would be a 0.0
+    if h is not None and not (0 < h < math.inf and min(h, 1) ** order > 0):
+        raise ValueError("h must be a positive finite number, with "
+                         f"h ** {order} > 0, got {h!r}")
     axes = [i for i, a in enumerate(alpha) if a > 0]
     if h is None:
         h = (2.0 ** -52) ** (1.0 / (order + 2)) * (
             1.0 + max((abs(float(x[i])) for i in axes), default=0.0))
     weight_sets = [_central_weights(alpha[i]) for i in axes]
-    total = np.zeros(len(prog.outputs))
+    total = [0.0] * len(prog.outputs)
     for offsets in itertools.product(*(range(-alpha[i], alpha[i] + 1)
                                        for i in axes)):
         weight = 1.0
@@ -202,8 +211,9 @@ def finite_difference(prog: Program, x: Sequence[float],
         point = list(map(float, x))
         for off, i in zip(offsets, axes):
             point[i] += off * h
-        total += weight * np.asarray(eval_primal(prog, point))
-    return total / h ** order
+        total = [t + weight * y
+                 for t, y in zip(total, eval_primal(prog, point))]
+    return np.array([t / h ** order for t in total])
 
 
 @dataclass(frozen=True)
@@ -239,8 +249,68 @@ def _ray_set(p: int, k: int) -> list[tuple[float, ...]]:
     return out
 
 
-def _fit_double(vals: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Closed-form cubic Hermite at tau = +1, -1 split by parity.
+@lru_cache(maxsize=None)
+def _pass_plan(p: int, k: int):
+    """What depends on (p, k) alone: whether the layout is double, the
+    center passes' alphas, each ray as (c, its nodes tau), and each fit as
+    (unknowns, matrix, its condition number, order): a polarization system
+    per order up to k = 3, from k = 4 the joint fit (order None)."""
+    rays = _ray_set(p, k)
+    units = [tuple(int(i == j) for i in range(p)) for j in range(p)]
+    double = k == p > 1
+    if double:
+        center, taus = [], [(1.0, -1.0)] * len(rays)
+    else:
+        # 1 + p passes at x (the value and the p first derivatives), then
+        # the rest round-robin over the rays, at nodes +1, -1, +2, ... along
+        # each: one or more per ray from k = 2 on, no ray at all at k = 1
+        center = [(0,) * p] + units
+        remaining = math.comb(p + k, k) - len(center)
+        nodes = [float((-1) ** i * (i // 2 + 1)) for i in range(remaining)]
+        rays = rays[:remaining]
+        taus = [nodes[:len(range(r, remaining, len(rays)))]
+                for r in range(len(rays))]
+    fits = []
+    if k >= 4:
+        gammas = [g for g in itertools.product(range(k + 1), repeat=p)
+                  if sum(g) <= k]
+
+        def monomial_rows(c, tau):
+            val_row, slope_row = [], []
+            for g in gammas:
+                cg = math.prod(cj ** gj for cj, gj in zip(c, g))
+                d = sum(g)
+                val_row.append(tau ** d * cg)
+                slope_row.append(d * tau ** (d - 1) * cg if d > 0 else 0.0)
+            return val_row, slope_row
+
+        # a center pass gives the value row at x (alpha = 0) or the slope
+        # row along one direction (alpha = e_j), both at tau = 0; a ray node
+        # gives both rows
+        rows = [monomial_rows(alpha, 0.0)[sum(alpha)] for alpha in center]
+        for c, tau in zip(rays, taus):
+            for t in tau:
+                rows.extend(monomial_rows(c, t))
+        fits.append((gammas, rows, None))
+    else:
+        # R = C(p+k-1, k) rays, at least as many as the monomials of any
+        # order <= k
+        for order in range(1 if double else 2, k + 1):
+            monos = units if order == 1 else [
+                a for a in itertools.product(range(order + 1), repeat=p)
+                if sum(a) == order]
+            fits.append((monos, [[math.factorial(order) / multi_factorial(a)
+                                  * math.prod(cj ** aj for cj, aj in zip(c, a))
+                                  for a in monos] for c in rays], order))
+    with _one_blas_thread():
+        fits = [(unknowns, np.array(rows), float(np.linalg.cond(rows)), order)
+                for unknowns, rows, order in fits]
+    return double, center, list(zip(rays, taus)), fits
+
+
+def _fit_double(v0: float, v1: float, s0: float, s1: float):
+    """Closed-form cubic Hermite at tau = +1, -1 split by parity, for one
+    output's values v and tau-slopes s at the two nodes.
 
     Solving the 4x4 system with a generic least-squares routine loses the
     tiny high-order coefficients to solver error relative to the O(|f|)
@@ -248,15 +318,23 @@ def _fit_double(vals: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     the smallest data combination that determines it.  In particular b2
     comes from the slope rows alone.
     """
-    ev = 0.5 * (vals[0] + vals[1])
-    ov = 0.5 * (vals[0] - vals[1])
-    es = 0.5 * (slopes[0] + slopes[1])
-    os_ = 0.5 * (slopes[0] - slopes[1])
+    ev = 0.5 * (v0 + v1)
+    ov = 0.5 * (v0 - v1)
+    es = 0.5 * (s0 + s1)
+    os_ = 0.5 * (s0 - s1)
     b2 = 0.5 * os_
-    b3 = 0.5 * (es - ov)
-    b1 = 0.5 * (3.0 * ov - es)
-    b0 = ev - b2
-    return np.stack([b0, b1, b2, b3])
+    return ev - b2, 0.5 * (3.0 * ov - es), b2, 0.5 * (es - ov)
+
+
+def _fit_center(b0: float, b1: float, tau, vals, slopes):
+    """The cubic along a center-layout ray for one output, b0 and b1 known."""
+    if len(tau) >= 2:
+        # slope rows alone determine b2 and b3 by parity, keeping the
+        # O(|f|) value-row roundoff out of them entirely
+        s0, s1 = slopes[0] - b1, slopes[1] - b1
+        return b0, b1, 0.25 * (s0 - s1), (s0 + s1) / 6.0
+    v0, s0 = vals[0] - b0 - tau[0] * b1, slopes[0] - b1
+    return b0, b1, 3.0 * v0 - s0, s0 - 2.0 * v0
 
 
 def nested_jvp_schedule(prog: Program, x: Sequence[float],
@@ -289,99 +367,85 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
         raise ValueError("order k must be >= 1")
     if len(directions) == 0:
         raise ValueError("nested_jvp_schedule needs at least one direction")
-    if step is not None and not 0.0 < step < math.inf:
-        raise ValueError(f"step must be a positive finite number, got {step!r}")
+    # s ** k divides the fits: past underflow it would be a 0.0
+    if step is not None and not (0.0 < step < math.inf
+                                 and min(step, 1.0) ** k > 0.0):
+        raise ValueError("step must be a positive finite number, with "
+                         f"step ** {k} > 0, got {step!r}")
     _check_lengths(prog.n_inputs, x, directions)
     x = [float(v) for v in x]
-    dirs = [np.asarray(d, dtype=float) for d in directions]
+    dirs = [[float(v) for v in d] for d in directions]
     p = len(dirs)
-    budget = math.comb(p + k, k)
-    units = [tuple(int(i == j) for i in range(p)) for j in range(p)]
+    double, center_alphas, rays, fits = _pass_plan(p, k)
     passes = 0
 
-    def ray_pass(point_shift: np.ndarray, tangent: np.ndarray):
+    def ray_pass(point: list[float], tangent: list[float]):
         nonlocal passes
         passes += 1
-        y, dy = eval_dual(prog, [xi + si for xi, si in zip(x, point_shift)],
-                          list(tangent))
-        return np.asarray(y), np.asarray(dy)
+        return eval_dual(prog, point, tangent)
 
-    # the pass plan: the center passes as {alpha: value}, and the nodes tau
-    # of each ray, a ray pass sitting at x + tau * s * w
-    rays = _ray_set(p, k)
-    double = k == p > 1
-    center: dict[tuple[int, ...], np.ndarray] = {}
-    if double:
-        taus = [(1.0, -1.0)] * len(rays)
-    else:
-        zero = np.zeros(len(x))
-        center[(0,) * p] = ray_pass(zero, zero)[0]
-        for u, d in zip(units, dirs):
-            center[u] = ray_pass(zero, d)[1]
-        # the rest round-robin over the rays, at nodes +1, -1, +2, ... along
-        # each: one or more per ray from k = 2 on, no ray at all at k = 1
-        remaining = budget - 1 - p
-        nodes = [float((-1) ** i * (i // 2 + 1)) for i in range(remaining)]
-        rays = rays[:remaining]
-        taus = [nodes[:len(range(r, remaining, len(rays)))]
-                for r in range(len(rays))]
+    # the center passes as {alpha: outputs}; x + 0.0 reads -0.0 as 0.0
+    center: dict[tuple[int, ...], list[float]] = {}
+    if center_alphas:
+        at_x = [xi + 0.0 for xi in x]
+        center[center_alphas[0]] = ray_pass(at_x, [0.0] * len(x))[0]
+        for u, d in zip(center_alphas[1:], dirs):
+            center[u] = ray_pass(at_x, d)[1]
     s = step if step is not None else (
         _DOUBLE_STEP.get(k, 5e-3) if double else _CENTER_STEP.get(k, 2e-3))
-    # one (c, tau, values, slopes) per ray; slopes are derivatives in tau
+    # one (c, tau, values, slopes) per ray, a ray pass sitting at
+    # x + tau * s * w; slopes are derivatives in tau
     ray_data = []
-    for c, tau in zip(rays, taus):
-        w = sum(cj * vj for cj, vj in zip(c, dirs))
-        ys, dys = zip(*[ray_pass(t * s * w, w) for t in tau])
-        ray_data.append((c, np.array(tau), np.array(ys), s * np.array(dys)))
-    assert passes == budget, (passes, budget)
+    for c, taus in rays:
+        w = [0.0] * len(x)
+        for cj, d in zip(c, dirs):
+            w = [wi + cj * vi for wi, vi in zip(w, d)]
+        got = [ray_pass([xi + t * s * wi for xi, wi in zip(x, w)], w)
+               for t in taus]
+        ray_data.append((c, taus, [y for y, _ in got],
+                         [[s * v for v in dy] for _, dy in got]))
+    assert passes == math.comb(p + k, k), passes
 
     max_cond = max_resid = 0.0
     if k >= 4:
         # too few nodes per ray for degree-k fits: one joint multivariate
         # fit instead (count-exact, best-effort accuracy)
-        entries, max_cond = _global_fit(ray_data, center, p, k, s)
+        [(gammas, a_mat, max_cond, _)] = fits
+        entries = _global_fit(ray_data, center, gammas, a_mat, s)
         entries.update(center)
     else:
         entries = dict(center)
         # per-ray univariate fits -> directional derivatives h^(l)(0),
-        # l = 0..k.  Each ray carries one or two nodes; both cases have exact
-        # closed-form solves, which matters because the interesting
-        # coefficients are many orders of magnitude below the value data.
+        # l = 0..k, as ray_derivs[ray][output][l].  Each ray carries one or
+        # two nodes; both cases have exact closed-form solves, which matters
+        # because the interesting coefficients are many orders of magnitude
+        # below the value data.
         ray_derivs = []
-        for c, tau, vals, slopes in ray_data:
+        for c, tau, ys, slopes in ray_data:
             if double:
-                b = _fit_double(vals, slopes)
+                bs = [_fit_double(*a) for a in zip(*ys, *slopes)]
             else:
-                # fold in the exact center data by eliminating b0 and b1
-                b0 = center[(0,) * p]
-                b1 = s * sum(cj * center[u] for cj, u in zip(c, units))
-                vals = vals - b0[None, :] - np.outer(tau, b1)
-                slopes = slopes - b1[None, :]
-                if len(tau) >= 2:
-                    # slope rows alone determine b2 and b3 by parity, keeping
-                    # the O(|f|) value-row roundoff out of them entirely
-                    b2 = 0.25 * (slopes[0] - slopes[1])
-                    b3 = (slopes[0] + slopes[1]) / 6.0
-                else:
-                    b2 = 3.0 * vals[0] - slopes[0]
-                    b3 = slopes[0] - 2.0 * vals[0]
-                b = np.stack([b0, b1, b2, b3])
+                # b1 = s * sum_j c_j * (the derivative along v_j)
+                acc = [0.0] * len(ys[0])
+                for cj, u in zip(c, center_alphas[1:]):
+                    acc = [a + cj * v for a, v in zip(acc, center[u])]
+                bs = [_fit_center(b0, s * a, tau, vals, sls)
+                      for b0, a, vals, sls in zip(center[center_alphas[0]],
+                                                  acc, zip(*ys), zip(*slopes))]
             # b_l = h^(l)(0) s^l / l!
-            ray_derivs.append(np.array([b[l] * math.factorial(l) / s ** l
-                                        for l in range(k + 1)]))
+            ray_derivs.append([[b[l] * math.factorial(l) / s ** l
+                                for l in range(k + 1)] for b in bs])
         # with no pass at x, the value is the rays' mean and order 1 is
-        # polarized from the rays, as orders 2..k are in both layouts
+        # polarized from the rays, as orders 2..k are in both layouts.  The
+        # mean is numpy's sum, whose order (pairwise over one output's
+        # rays) a left fold would not keep
         if double:
-            entries[(0,) * p] = np.mean([d[0] for d in ray_derivs], axis=0)
-        for order in range(1 if double else 2, k + 1):
-            monos = units if order == 1 else [
-                a for a in itertools.product(range(order + 1), repeat=p)
-                if sum(a) == order]
-            rows = [[math.factorial(order) / multi_factorial(a)
-                     * math.prod(cj ** aj for cj, aj in zip(c, a))
-                     for a in monos] for c, *_ in ray_data]
-            sol, cond, resid = _solve_polarization(
-                np.array(rows), np.array([d[order] for d in ray_derivs]))
+            values = np.array([[d[0] for d in r] for r in ray_derivs])
+            entries[(0,) * p] = (np.add.reduce(values, axis=0)
+                                 / len(ray_derivs)).tolist()
+        for monos, a_mat, cond, order in fits:
+            sol, resid = _solve_polarization(
+                a_mat, np.array([[d[order] for d in r] for r in ray_derivs]))
             max_cond = max(max_cond, cond)
             max_resid = max(max_resid, resid)
             entries.update(zip(monos, sol))
@@ -431,47 +495,23 @@ def _one_blas_thread():
         set_(before)
 
 
-def _global_fit(ray_data, center, p: int, k: int, s: float):
+def _global_fit(ray_data, center, gammas, a_mat: np.ndarray, s: float):
     """Joint multivariate Hermite least squares over every issued pass."""
-    gammas = [g for g in itertools.product(range(k + 1), repeat=p)
-              if sum(g) <= k]
-    rows, rhs = [], []
-
-    def monomial_rows(c, tau):
-        val_row, slope_row = [], []
-        for g in gammas:
-            cg = math.prod(cj ** gj for cj, gj in zip(c, g))
-            d = sum(g)
-            val_row.append(tau ** d * cg)
-            slope_row.append(d * tau ** (d - 1) * cg if d > 0 else 0.0)
-        return val_row, slope_row
-
-    # a center pass gives the value row at x (alpha = 0) or the slope row
-    # along one direction (alpha = e_j), both at tau = 0
-    for alpha, y in center.items():
-        rows.append(monomial_rows(alpha, 0.0)[sum(alpha)])
-        rhs.append(s ** sum(alpha) * y)
-    for c, taus, vals, slopes in ray_data:
-        for tau, val, slope in zip(taus, vals, slopes):
-            rows.extend(monomial_rows(c, float(tau)))
-            rhs.extend((val, slope))
-    a_mat = np.array(rows)
+    rhs = [[s ** sum(alpha) * v for v in y] for alpha, y in center.items()]
+    for _, _, ys, slopes in ray_data:
+        for y, slope in zip(ys, slopes):
+            rhs += (y, slope)
     with _one_blas_thread():
         sol, *_ = np.linalg.lstsq(a_mat, np.array(rhs), rcond=None)
-        cond = float(np.linalg.cond(a_mat))
-    return ({g: b * multi_factorial(g) / s ** sum(g)
-             for g, b in zip(gammas, sol)}, cond)
+    return {g: [b * multi_factorial(g) / s ** sum(g) for b in row]
+            for g, row in zip(gammas, sol.tolist())}
 
 
 def _solve_polarization(a_mat: np.ndarray, rhs: np.ndarray):
-    if a_mat.size == 0 or a_mat.shape[0] < a_mat.shape[1]:
-        raise ValueError("polarization system is underdetermined; "
-                         "not enough usable rays")
+    """The mixed derivatives of one order, and the residual's norm."""
     with _one_blas_thread():
         sol, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-        cond = float(np.linalg.cond(a_mat))
-    resid = float(np.linalg.norm(a_mat @ sol - rhs))
-    return sol, cond, resid
+    return sol.tolist(), float(np.linalg.norm(a_mat @ sol - rhs))
 
 
 def _schedule_table(x, dirs, k, entries) -> DerivativeTable:
@@ -482,5 +522,5 @@ def _schedule_table(x, dirs, k, entries) -> DerivativeTable:
     raw = np.array([entries[a] for a in shape.graded()[1][:n]])
     m, e = shape.factorials()
     return DerivativeTable(shape=shape, base=tuple(x),
-                           directions=tuple(tuple(d.tolist()) for d in dirs),
+                           directions=tuple(map(tuple, dirs)),
                            raw=np.ldexp(raw / m[:n, None], -e[:n, None]))

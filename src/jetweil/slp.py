@@ -290,15 +290,22 @@ class Program:
         return self.n_inputs + len(self.nodes)
 
     @cached_property
-    def _liveness(self) -> tuple[tuple[bool, ...], tuple[tuple, ...]]:
-        """``live`` and ``steps``, from one backward walk."""
+    def steps(self) -> tuple[tuple[int, Node, tuple[int, ...]], ...]:
+        """``(k, node, dead)`` for each live node k, in forward order: the
+        nodes every mode walks.  A node is live when some output reads it,
+        directly or through later nodes; any other node is in no step, so no
+        mode computes it, and a domain error or overflow there raises
+        nowhere; its slot holds None.
+
+        ``dead`` lists the node slots no later live node or output reads,
+        so that they can be released once node k is done.  Input slots are
+        never listed: they belong to the caller.
+        """
         nodes, n = self.nodes, self.n_inputs
         read = set(self.outputs)
-        live = [False] * len(nodes)
         steps = []
         for k in range(len(nodes) - 1, -1, -1):
             if n + k in read:
-                live[k] = True
                 dead = ()
                 for r in nodes[k].operands:
                     if r not in read:
@@ -307,26 +314,7 @@ class Program:
                             dead += (r,)
                 steps.append((k, nodes[k], dead))
         steps.reverse()
-        return tuple(live), tuple(steps)
-
-    @property
-    def live(self) -> tuple[bool, ...]:
-        """For each node, whether some output reads it, directly or through
-        later nodes.  Cached on the program, with ``steps``."""
-        return self._liveness[0]
-
-    @property
-    def steps(self) -> tuple[tuple[int, Node, tuple[int, ...]], ...]:
-        """``(k, node, dead)`` for each live node k, in forward order: the
-        nodes every mode walks.  A node that is not live is in no step, so
-        no mode computes it, and a domain error or overflow there raises
-        nowhere; its slot holds None.
-
-        ``dead`` lists the node slots no later live node or output reads,
-        so that they can be released once node k is done.  Input slots are
-        never listed: they belong to the caller.
-        """
-        return self._liveness[1]
+        return tuple(steps)
 
     @cached_property
     def peak_live(self) -> int:

@@ -11,7 +11,7 @@ from jetweil.jets import SeedSpec, taylor_eval
 from jetweil.oracle import (SparsePoly, finite_difference,
                             nested_jvp_schedule, symbolic_eval,
                             symbolic_partial)
-from jetweil.slp import parse_program, random_program
+from jetweil.slp import eval_primal, parse_program, random_program
 
 SQUARE = parse_program("input x\ny = mul x x\noutput y")
 AXIS2 = [(1.0, 0.0), (0.0, 1.0)]
@@ -82,6 +82,28 @@ def test_fd_exp_slope():
     prog = parse_program("input x\ny = exp x\noutput y")
     assert finite_difference(prog, [0.0], (1,), h=1e-5)[0] == pytest.approx(
         1.0, abs=1e-9)
+
+
+def test_fd_is_the_stencil_fold():
+    # the stencil sums weight * f(point) from 0.0 in offset order and divides
+    # once by h**order, on every output alike: at order 1 the weights are
+    # -1/2, +1/2 at -h, +h, at order 2 1/4, -1/2, 1/4 at -2h, 0, +2h
+    one = parse_program("input x y\nt = mul x y\ns = sin t\noutput s")
+    two = parse_program("input x y\nt = mul x y\ns = sin t\n"
+                        "e = exp y\noutput s e")
+    x, y = 0.3, -0.7
+    for prog in (one, two):
+        def f(a, b):
+            return eval_primal(prog, [a, b])
+        h = (2.0 ** -52) ** (1.0 / 3) * (1.0 + abs(x))
+        want = [(0.0 + -0.5 * lo + 0.5 * hi) / h
+                for lo, hi in zip(f(x + -1 * h, y), f(x + 1 * h, y))]
+        assert finite_difference(prog, [x, y], (1, 0)).tolist() == want
+        h = (2.0 ** -52) ** (1.0 / 4) * (1.0 + abs(y))
+        want = [(0.0 + 0.25 * lo + -0.5 * mid + 0.25 * hi) / h ** 2
+                for lo, mid, hi in zip(f(x, y + -2 * h), f(x, y),
+                                       f(x, y + 2 * h))]
+        assert finite_difference(prog, [x, y], (0, 2)).tolist() == want
 
 
 def test_fd_rejects_high_order():
@@ -205,9 +227,15 @@ X2Y = parse_program("input x y\nt = mul x x\nu = mul t y\noutput u")
      DimensionMismatchError, "alpha length 3 != input dimension 2"),
     (lambda: finite_difference(X2Y, [0.1], (0, 1)),
      DimensionMismatchError, "program takes 2 inputs, got 1"),
+    # a negative entry read as a lower order gave a number
+    (lambda: finite_difference(X2Y, [0.1, 0.2], (-1, 0)),
+     ValueError, r"alpha entries must be >= 0, got \(-1, 0\)"),
+    (lambda: symbolic_partial(symbolic_eval(X2Y)[0], (-1, 0), [0.1, 0.2]),
+     ValueError, r"alpha entries must be >= 0, got \(-1, 0\)"),
 ], ids=["schedule-short-direction", "schedule-long-direction",
         "schedule-no-direction", "symbolic-short-point", "symbolic-long-alpha",
-        "fd-long-alpha", "fd-short-point"])
+        "fd-long-alpha", "fd-short-point", "fd-negative-alpha",
+        "symbolic-negative-alpha"])
 def test_oracles_refuse_wrong_lengths(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -226,12 +254,27 @@ def test_schedule_rejects_bad_order():
         nested_jvp_schedule(SQUARE, [1.0], [(1.0,)], 0)
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
-def test_schedule_rejects_bad_step(step):
-    # refused before any pass: a zero step made a NaN table, with a numpy
-    # warning (an error under this suite), and a max_residual of 0.0
+@pytest.mark.parametrize("fd, step", [
+    pytest.param(fd, step, id=f"{'fd-' * fd}{step}")
+    for fd in (False, True)
+    for step in (0.0, -1e-4, math.nan, math.inf, 1e-200)])
+def test_schedule_rejects_bad_step(fd, step, monkeypatch):
+    # refused before any pass: a zero step made a NaN table (and the
+    # stencil a NaN estimate), with a numpy warning (an error under this
+    # suite), and a max_residual of 0.0; a NaN or infinite h failed in the
+    # pass with a NumericOverflowError or a math domain error; and at
+    # 1e-200 the order-2 division is by 1e-200 ** 2 = 0.0
+    from jetweil import oracle
+
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+    monkeypatch.setattr(oracle, "eval_dual", no_pass)
+    monkeypatch.setattr(oracle, "eval_primal", no_pass)
     with pytest.raises(ValueError, match="positive finite"):
-        nested_jvp_schedule(X2Y, [0.1, 0.2], AXIS2, 2, step=step)
+        if fd:
+            finite_difference(X2Y, [0.1, 0.2], (1, 1), h=step)
+        else:
+            nested_jvp_schedule(X2Y, [0.1, 0.2], AXIS2, 2, step=step)
 
 
 def test_fd_default_step_near_overflow():

@@ -358,17 +358,17 @@ LIVENESS = ("input x y\nt = mul x y\nu = mul t t\nv = sin t\nw = cos v\n"
             "d = neg x\ne = exp v\noutput t u w x\n")
 
 
-def test_dead_after_table():
+def test_steps_release_and_peak_live():
     prog = parse_program(LIVENESS)
     # slots: x 0, y 1, t 2, u 3, v 4, w 5, d 6, e 7; d and e hold no value,
     # and v dies at w, not at e; inputs are never released
-    assert prog.live == (True, True, True, True, False, False)
+    assert [k for k, _, _ in prog.steps] == [0, 1, 2, 3]
     assert prog.steps == tuple((k, prog.nodes[k], dead) for k, dead in
                                [(0, ()), (1, ()), (2, ()), (3, (4,))])
     assert prog.steps is prog.steps
     sem = _WeakSemantics()
     eval_generic(prog, [_Box(1.5), _Box(-0.25)], sem)
-    assert len(sem.refs) == sum(prog.live)
+    assert len(sem.refs) == len(prog.steps)
     # x, y, t, u, v and w once w is made; d and e are never counted
     assert prog.peak_live == 6
     dims = (2, 4, 8, 16, 32)
@@ -391,8 +391,8 @@ def test_live_nodes_are_those_the_outputs_reach():
             if slot >= prog.n_inputs and slot not in reached:
                 reached.add(slot)
                 todo += prog.nodes[slot - prog.n_inputs].operands
-        assert prog.live == tuple(prog.n_inputs + k in reached
-                                  for k in range(prog.n_nodes))
+        assert [k for k, _, _ in prog.steps] == sorted(
+            slot - prog.n_inputs for slot in reached)
 
 
 def test_eval_generic_releases_dead_slots():
