@@ -8,13 +8,10 @@ the one-pass lifted evaluation is compared against.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +20,8 @@ from .errors import (DimensionMismatchError, UnsupportedOrderError,
                      UnsupportedPrimitiveError)
 from .jets import DerivativeTable, SeedSpec
 from .modes import eval_dual
-from .slp import Node, PrimitiveKind, Program, eval_generic, eval_primal
+from .slp import (Node, PrimitiveKind, Program, check_finite, eval_generic,
+                  eval_primal)
 from .weil import make_shape, multi_factorial
 
 _POLY_OPS = {PrimitiveKind.ADD, PrimitiveKind.SUB, PrimitiveKind.MUL,
@@ -253,8 +251,14 @@ def _ray_set(p: int, k: int) -> list[tuple[float, ...]]:
 def _pass_plan(p: int, k: int):
     """What depends on (p, k) alone: whether the layout is double, the
     center passes' alphas, each ray as (c, its nodes tau), and each fit as
-    (unknowns, matrix, its condition number, order): a polarization system
-    per order up to k = 3, from k = 4 the joint fit (order None)."""
+    (unknowns, matrix A, weights W, cond(A), order): a polarization system
+    per order up to k = 3, from k = 4 the joint fit (order None).
+
+    W is A's pseudo-inverse, cut at eps * max(A.shape) times the largest
+    singular value as numpy's default least-squares cutoff is, so
+    ``W @ rhs`` is the truncated minimum-norm least-squares solution; the
+    cutoff matters at p = k = 4, where cond(A) is about 1e16.  The SVDs run
+    here alone, once per (p, k) per process, on the process's BLAS threads."""
     rays = _ray_set(p, k)
     units = [tuple(int(i == j) for i in range(p)) for j in range(p)]
     double = k == p > 1
@@ -302,10 +306,12 @@ def _pass_plan(p: int, k: int):
             fits.append((monos, [[math.factorial(order) / multi_factorial(a)
                                   * math.prod(cj ** aj for cj, aj in zip(c, a))
                                   for a in monos] for c in rays], order))
-    with _one_blas_thread():
-        fits = [(unknowns, np.array(rows), float(np.linalg.cond(rows)), order)
-                for unknowns, rows, order in fits]
-    return double, center, list(zip(rays, taus)), fits
+    plan = []
+    for unknowns, rows, order in fits:
+        a_mat = np.array(rows)
+        w = np.linalg.pinv(a_mat, rcond=np.finfo(float).eps * max(a_mat.shape))
+        plan.append((unknowns, a_mat, w, float(np.linalg.cond(a_mat)), order))
+    return double, center, list(zip(rays, taus)), plan
 
 
 def _fit_double(v0: float, v1: float, s0: float, s1: float):
@@ -359,9 +365,18 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
     Up to k = 3 a closed-form fit along each ray gives its directional
     derivatives, and a polarization linear system per order turns them into
     mixed ones; from k = 4 one joint least-squares fit over all passes does.
-    Measured against ``taylor_eval`` on safe programs the worst relative gap
-    is about 1e-8 for the double layout and for the center layout at k = 2,
-    about 1e-3 for the center layout at k = 3, and 1e-1 from k = 4.
+    Each fit applies fixed weights of (p, k) (``_pass_plan``), and the
+    diagnostics report the largest residual norm over the fits.  Measured
+    against ``taylor_eval`` on safe programs the worst relative gap is about
+    1e-8 for the double layout and for the center layout at k = 2, about
+    1e-3 for the center layout at k = 3, 1e-2 at k = 4 and 1 to 10 at
+    k = 5; at p = k = 4 the joint matrix is rank-deficient (cond 1.2e16,
+    ``ill_conditioned``) and the gap reaches 1e9.
+
+    Raises ValueError for k < 1, no direction or a bad ``step``,
+    DimensionMismatchError for a point or direction of the wrong length,
+    and NumericOverflowError when a pass's value or tangent is non-finite,
+    as ``jvp`` does.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -382,7 +397,8 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
     def ray_pass(point: list[float], tangent: list[float]):
         nonlocal passes
         passes += 1
-        return eval_dual(prog, point, tangent)
+        y, dy = eval_dual(prog, point, tangent)
+        return y, check_finite(prog, dy, prog.outputs, "tangent")
 
     # the center passes as {alpha: outputs}; x + 0.0 reads -0.0 as 0.0
     center: dict[tuple[int, ...], list[float]] = {}
@@ -406,15 +422,18 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
                          [[s * v for v in dy] for _, dy in got]))
     assert passes == math.comb(p + k, k), passes
 
-    max_cond = max_resid = 0.0
+    entries = {}
     if k >= 4:
         # too few nodes per ray for degree-k fits: one joint multivariate
-        # fit instead (count-exact, best-effort accuracy)
-        [(gammas, a_mat, max_cond, _)] = fits
-        entries = _global_fit(ray_data, center, gammas, a_mat, s)
-        entries.update(center)
+        # Hermite fit over every pass instead (count-exact, best-effort
+        # accuracy), whose right-hand side is s ** |alpha| * y for each
+        # center pass, then each ray node's values and slopes
+        rhs = [[s ** sum(alpha) * v for v in y] for alpha, y in center.items()]
+        for _, _, ys, slopes in ray_data:
+            for y, slope in zip(ys, slopes):
+                rhs += (y, slope)
+        rhs_of = {None: rhs}
     else:
-        entries = dict(center)
         # per-ray univariate fits -> directional derivatives h^(l)(0),
         # l = 0..k, as ray_derivs[ray][output][l].  Each ray carries one or
         # two nodes; both cases have exact closed-form solves, which matters
@@ -435,6 +454,9 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
             # b_l = h^(l)(0) s^l / l!
             ray_derivs.append([[b[l] * math.factorial(l) / s ** l
                                 for l in range(k + 1)] for b in bs])
+        # the polarization systems' right-hand sides, one per order
+        rhs_of = {order: [[d[order] for d in r] for r in ray_derivs]
+                  for _, _, _, _, order in fits}
         # with no pass at x, the value is the rays' mean and order 1 is
         # polarized from the rays, as orders 2..k are in both layouts.  The
         # mean is numpy's sum, whose order (pairwise over one output's
@@ -443,75 +465,30 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
             values = np.array([[d[0] for d in r] for r in ray_derivs])
             entries[(0,) * p] = (np.add.reduce(values, axis=0)
                                  / len(ray_derivs)).tolist()
-        for monos, a_mat, cond, order in fits:
-            sol, resid = _solve_polarization(
-                a_mat, np.array([[d[order] for d in r] for r in ray_derivs]))
-            max_cond = max(max_cond, cond)
-            max_resid = max(max_resid, resid)
-            entries.update(zip(monos, sol))
-
+    resids = []
+    for unknowns, a_mat, w, _, order in fits:
+        sol, resid = _apply_fit(a_mat, w, rhs_of[order])
+        resids.append(resid)
+        if order is None:
+            sol = [[b * multi_factorial(g) / s ** sum(g) for b in row]
+                   for g, row in zip(unknowns, sol)]
+        entries.update(zip(unknowns, sol))
+    entries.update(center)
+    max_cond = max((cond for _, _, _, cond, _ in fits), default=0.0)
+    # a NaN residual reads NaN, which max() could drop
+    max_resid = (math.nan if any(map(math.isnan, resids))
+                 else max(resids, default=0.0))
     return (_schedule_table(x, dirs, k, entries), ScheduleCount(p, k, passes),
             ScheduleDiagnostics(max_cond, max_resid, max_cond > 1e8))
 
 
-@lru_cache(maxsize=None)
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    bundles (in ``numpy.libs``), or None where it bundles none."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                       .glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{name}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{name}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block's LAPACK calls on one OpenBLAS thread.  The fits solve
-    systems of at most a few hundred rows, where the thread pool only
-    costs: on a 2-core host the 140 x 70 lstsq of p = k = 4 took 62 ms on
-    two threads and 1.3 ms on one, and the woken worker kept spinning for
-    some 0.1 s after it, taking 4 ms time slices from whatever the process
-    ran next.  The thread count is the process's, so BLAS calls in other
-    threads meanwhile run on one thread too."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-def _global_fit(ray_data, center, gammas, a_mat: np.ndarray, s: float):
-    """Joint multivariate Hermite least squares over every issued pass."""
-    rhs = [[s ** sum(alpha) * v for v in y] for alpha, y in center.items()]
-    for _, _, ys, slopes in ray_data:
-        for y, slope in zip(ys, slopes):
-            rhs += (y, slope)
-    with _one_blas_thread():
-        sol, *_ = np.linalg.lstsq(a_mat, np.array(rhs), rcond=None)
-    return {g: [b * multi_factorial(g) / s ** sum(g) for b in row]
-            for g, row in zip(gammas, sol.tolist())}
-
-
-def _solve_polarization(a_mat: np.ndarray, rhs: np.ndarray):
-    """The mixed derivatives of one order, and the residual's norm."""
-    with _one_blas_thread():
-        sol, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    return sol.tolist(), float(np.linalg.norm(a_mat @ sol - rhs))
+def _apply_fit(a_mat: np.ndarray, w: np.ndarray, rhs):
+    """The fit's solution ``W @ rhs`` as rows of floats, and the residual's
+    norm ||A sol - rhs||, scaled by ``math.hypot`` so that no square
+    overflows."""
+    rhs = np.array(rhs)
+    sol = w @ rhs
+    return sol.tolist(), math.hypot(*(a_mat @ sol - rhs).ravel().tolist())
 
 
 def _schedule_table(x, dirs, k, entries) -> DerivativeTable:

@@ -1,12 +1,11 @@
-import contextlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from jetweil.errors import (DimensionMismatchError, UnsupportedOrderError,
-                            UnsupportedPrimitiveError)
+from jetweil.errors import (DimensionMismatchError, NumericOverflowError,
+                            UnsupportedOrderError, UnsupportedPrimitiveError)
 from jetweil.jets import SeedSpec, taylor_eval
 from jetweil.oracle import (SparsePoly, finite_difference,
                             nested_jvp_schedule, symbolic_eval,
@@ -64,6 +63,7 @@ def test_sparse_poly_algebra():
     y = SparsePoly.variable(2, 1)
     p = (x + y) * (x - y)
     assert p.terms == {(2, 0): 1.0, (0, 2): -1.0}
+    assert p.pow_int(2).terms == {(4, 0): 1.0, (2, 2): -2.0, (0, 4): 1.0}
     assert p.pow_int(2).total_degree() == 4
     assert (p - p).terms == {}
 
@@ -298,38 +298,70 @@ def test_schedule_k4_count_and_rough_accuracy():
     assert diag.max_condition > 0
 
 
-def test_fits_run_on_one_blas_thread(monkeypatch):
-    # the per-ray (k = 3) and the joint (k = 4) fits solve on one OpenBLAS
-    # thread, with the same table, and the thread count comes back after
+def test_schedule_joint_fit_reports_its_residual():
+    # the k >= 4 joint fit computed no residual, so max_residual read 0.0
+    prog = parse_program("input x y\nt = mul x y\ns = sin t\noutput s")
+    _, _, diag = nested_jvp_schedule(prog, [0.7, 0.4], AXIS2, 4)
+    assert 0.0 < diag.max_residual < math.inf
+
+
+def test_schedule_nan_residual_reads_nan(monkeypatch):
+    # max() drops a NaN that is not its first argument; the diagnostics
+    # must not, whichever fit it comes from
     from jetweil import oracle
-    threads = oracle._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy bundles no OpenBLAS")
-    get, set_ = threads
+    apply_fit = oracle._apply_fit
+    calls = []
+
+    def nan_first(*args):
+        sol, resid = apply_fit(*args)
+        calls.append(resid)
+        return sol, math.nan if len(calls) == 1 else resid
+
+    monkeypatch.setattr(oracle, "_apply_fit", nan_first)
+    _, _, diag = nested_jvp_schedule(X2Y, [0.3, 0.2], AXIS2, 3)
+    assert len(calls) == 2 and math.isnan(diag.max_residual)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_schedule_tangent_overflow(k):
+    # recip x squared at x = 1.05e-103: the value is finite, its tangent is
+    # not.  From k = 3 the passes at x raise, as jvp does, where unchecked
+    # tangents gave -inf and NaN rows with max_residual 0.0; at k = 2 every
+    # pass sits at x +- 1.2e-5, where all is finite, and the residual's
+    # norm must not overflow, as a dot product of its squares does
+    prog = parse_program("input x y\na = recip x\nb = mul a a\n"
+                         "c = mul b y\noutput c")
+    x = [1.05e-103, 1.0]
+    if k >= 3:
+        with pytest.raises(NumericOverflowError,
+                           match="non-finite tangent at node 2"):
+            nested_jvp_schedule(prog, x, AXIS2, k)
+        return
+    table, _, diag = nested_jvp_schedule(prog, x, AXIS2, k)
+    assert np.isfinite(table.raw).all()
+    assert 0.0 < diag.max_residual < math.inf
+
+
+def test_fit_weights_are_built_once_per_p_k(monkeypatch):
+    # each (p, k)'s weights come from one pinv in _pass_plan; a later call
+    # at the same (p, k) makes no np.linalg call and gives the same bits
+    from jetweil import oracle
     prog = random_program(seed=404, depth=8, n_inputs=4)
     x = [0.1, 0.2, 0.3, 0.4]
     dirs = np.eye(4).tolist()
-    before = get()
-    set_(2)
-    try:
-        seen = []
-        lstsq = np.linalg.lstsq
-
-        def spy(*args, **kwargs):
-            seen.append(get())
-            return lstsq(*args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "lstsq", spy)
-            tables = [nested_jvp_schedule(prog, x, dirs, k)[0]
-                      for k in (3, 4)]
-        assert seen and set(seen) == {1}
-        assert get() == 2
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_one_blas_thread", contextlib.nullcontext)
-            again = [nested_jvp_schedule(prog, x, dirs, k)[0]
-                     for k in (3, 4)]
-        assert all(np.array_equal(a.raw, b.raw)
-                   for a, b in zip(tables, again))
-    finally:
-        set_(before)
+    seen = []
+    for name in ("lstsq", "pinv", "cond", "svd"):
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            seen.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    oracle._pass_plan.cache_clear()
+    for k in (3, 4):   # the per-order (center layout) and the joint fits
+        del seen[:]
+        first = nested_jvp_schedule(prog, x, dirs, k)
+        assert "pinv" in seen and "lstsq" not in seen
+        del seen[:]
+        again = nested_jvp_schedule(prog, x, dirs, k)
+        assert seen == []
+        assert np.array_equal(first[0].raw, again[0].raw)
+        assert first[1:] == again[1:]
