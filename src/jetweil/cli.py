@@ -229,9 +229,16 @@ def cmd_bench(args) -> int:
     return 1 if violation else 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each command: the
+    ``choices`` of the action that ``add_subparsers`` returns."""
     parser = argparse.ArgumentParser(
         prog="jetweil",
         description="higher-order automatic differentiation over "
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--batch", type=int, default=2048)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(fn=cmd_bench)
-    return parser
+    return parser, sub.choices
 
 
 # Options taking a CSV vector, whose value may begin with a minus sign.
@@ -314,11 +321,28 @@ def _attach_negative_vectors(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass where argv
+    starts with a command: the same namespace, or the same exit and text.
+    Any other argv (no command, an unknown one, a top-level -h, or arguments
+    its command does not take) goes to the top-level parser, which reports
+    it."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_negative_vectors(argv))
+        # two routes, one result: a command's own parser where argv starts
+        # with a command, else the top-level parser (see _parse_args)
+        args = _parse_args(_attach_negative_vectors(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

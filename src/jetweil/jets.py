@@ -9,10 +9,10 @@ over a ``weil`` kernel set.
 
 ``taylor_eval`` runs a pass whose shape has ``weil.float_kernels`` on Python
 lists of coefficients: at the small shapes of batch-1 requests, numpy's
-per-call cost outweighs the arithmetic.  The pass builds numpy arrays at its
-boundary, for the table and its finiteness check, and inside it only for
-products past ``weil.FLOAT_MUL_PAIRS`` pairs.  The float and numpy passes
-give the same bits.
+per-call cost outweighs the arithmetic.  The pass seeds its inputs and
+checks its outputs on lists, and builds numpy arrays only for the returned
+table and, inside the pass, for products past ``weil.FLOAT_MUL_PAIRS``
+pairs.  The float and numpy passes give the same bits.
 """
 from __future__ import annotations
 
@@ -79,15 +79,10 @@ class SeedSpec:
 def seed(spec: SeedSpec, max_dim: int | None = None) -> list[WeilValue]:
     """Component-wise seeded values: degree 0 holds x, degree e_j holds v_j."""
     shape = make_shape(spec.caps, max_dim=max_dim)
-    return [WeilValue(shape, row) for row in _seed_rows(spec, shape)]
-
-
-def _seed_rows(spec: SeedSpec, shape: WeilShape) -> np.ndarray:
-    """The seeded inputs' coefficients, one row per input."""
-    coeffs = np.zeros((spec.n, shape.dim))
+    coeffs = np.zeros((spec.n, shape.dim))  # one row per input
     coeffs[:, 0] = spec.base
     coeffs[:, list(shape.strides)] = np.transpose(spec.directions)
-    return coeffs
+    return [WeilValue(shape, row) for row in coeffs]
 
 
 @dataclass
@@ -160,8 +155,10 @@ def taylor_eval(prog: Program, spec: SeedSpec,
     """One lifted pass; entries are alpha! times the output coefficients.
 
     The pass runs on Python floats where the shape has float kernels, else
-    on numpy.  Raises NumericOverflowError, carrying the output's node
-    index, when any output coefficient is non-finite.
+    on numpy.  A float pass seeds its inputs as lists, checks its outputs
+    on them, and builds one numpy array, for the returned table.  Raises
+    NumericOverflowError, carrying the output's node index, when any output
+    coefficient is non-finite.
     """
     shape = make_shape(spec.caps, max_dim=max_dim)
     sem = WeilSemantics(shape)
@@ -170,19 +167,26 @@ def taylor_eval(prog: Program, spec: SeedSpec,
         inputs = seed(spec, max_dim=max_dim)
     else:
         sem.kernels = floats
-        inputs = _seed_rows(spec, shape).tolist()
-    # non-finite outputs raise below, so numpy need not warn about them
+        inputs = [[x] + [0.0] * (shape.dim - 1) for x in spec.base]
+        for stride, d in zip(shape.strides, spec.directions):
+            for row, v in zip(inputs, d):
+                row[stride] = v
+    # non-finite outputs raise below, so numpy need not warn about them (a
+    # float pass takes its primal values from numpy too)
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = eval_generic(prog, inputs, sem)
     if floats is None:
-        outputs = [out.coeffs for out in outputs]
-    coeffs = np.array(outputs)  # one row per output
-    # an output's largest |coefficient| is finite when all of them are
-    check_finite(prog, np.abs(coeffs).max(axis=1).tolist(), prog.outputs,
-                 "output coefficient")
+        coeffs = np.array([out.coeffs for out in outputs])  # row per output
+        # an output's largest |coefficient| is finite when all of them are
+        worst = np.abs(coeffs).max(axis=1).tolist()
+    else:
+        coeffs = outputs
+        worst = [0.0 if all(map(math.isfinite, out)) else math.inf
+                 for out in outputs]
+    check_finite(prog, worst, prog.outputs, "output coefficient")
     return DerivativeTable(shape=shape, base=spec.base,
                            directions=spec.directions,
-                           raw=coeffs.T[shape.graded()[0]])
+                           raw=np.asarray(coeffs).T[shape.graded()[0]])
 
 
 def basis_seed(x: Sequence[float], cap: int) -> SeedSpec:
@@ -243,13 +247,14 @@ def coefficient_envelope(table: DerivativeTable,
     check_envelope_args(table.directions, table.shape.caps, bounds)
     rows = []
     passed = True
-    for alpha, coeff, m, e in zip(table.alphas, table.raw,
-                                  *table.shape.factorials()):
+    ms, es = table.shape.factorials()
+    for alpha, coeff, m, e in zip(table.alphas, table.raw.tolist(),
+                                  ms.tolist(), es.tolist()):
         # hypot cannot overflow on the way, and is |c| for one output
         norm = math.hypot(*coeff)
         if not math.isfinite(norm):
             raise NumericOverflowError(f"norm of coefficient {alpha} overflows")
-        bound = math.ldexp(float(bounds[sum(alpha)]) / m, -int(e))
+        bound = math.ldexp(float(bounds[sum(alpha)]) / m, -e)
         bad = norm > bound * (1.0 + 1e-12)
         passed = passed and not bad
         rows.append(EnvelopeRow(alpha=alpha, coeff_norm=norm,

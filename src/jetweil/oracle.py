@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, UnsupportedOrderError,
-                     UnsupportedPrimitiveError)
+from .errors import (DimensionMismatchError, NumericOverflowError,
+                     UnsupportedOrderError, UnsupportedPrimitiveError)
 from .jets import DerivativeTable, SeedSpec
 from .modes import eval_dual
 from .slp import (Node, PrimitiveKind, Program, check_finite, eval_generic,
@@ -376,7 +376,8 @@ def nested_jvp_schedule(prog: Program, x: Sequence[float],
     Raises ValueError for k < 1, no direction or a bad ``step``,
     DimensionMismatchError for a point or direction of the wrong length,
     and NumericOverflowError when a pass's value or tangent is non-finite,
-    as ``jvp`` does.
+    as ``jvp`` does, or when an entry is: from k = 4 the joint fit's scaling
+    by alpha! / s^|alpha| can overflow after every pass was finite.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -496,7 +497,12 @@ def _schedule_table(x, dirs, k, entries) -> DerivativeTable:
     the graded order of the box (k,)^p."""
     shape = make_shape((k,) * len(dirs))
     n = math.comb(len(dirs) + k, k)
-    raw = np.array([entries[a] for a in shape.graded()[1][:n]])
+    alphas = shape.graded()[1][:n]
+    raw = np.array([entries[a] for a in alphas])
+    if not np.isfinite(raw).all():
+        r, col = np.argwhere(~np.isfinite(raw))[0]
+        raise NumericOverflowError(
+            f"schedule entry {alphas[r]} of output {col} is not finite")
     m, e = shape.factorials()
     return DerivativeTable(shape=shape, base=tuple(x),
                            directions=tuple(map(tuple, dirs)),

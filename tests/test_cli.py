@@ -517,3 +517,98 @@ def test_closed_stdout_exits_2_quietly(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (2, b"")
+
+
+def _top_level(argv):
+    """(exit code, stdout, stderr) of the top-level parser's parse_args on
+    argv, as main rewrites it, where the parse exits."""
+    import contextlib
+    import io
+
+    from jetweil.cli import _attach_negative_vectors, build_parser
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser().parse_args(_attach_negative_vectors(argv))
+        except SystemExit as exc:
+            return 2 if exc.code else 0, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} parsed")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["--help"], ["-x"], ["eval", "-h"], ["grad", "-h"],
+    ["taylor", "-h"], ["check", "-h"], ["bench", "--help"], ["eval"],
+    ["grad", "p.slp"], ["taylor", "p.slp", "--x", "1", "--dirs", "1"],
+    ["check"], ["bench", "--family", "nope"], ["check", "nonsense"],
+    ["eval", "--x", "-0.5,0.3"], ["eval", "p.slp", "--x", "1", "--bogus"],
+    ["taylor", "--bogus", "p.slp"], ["check", "all", "extra"],
+    ["eval", "p.slp", "--x"], ["bench", "--q", "x"],
+], ids=repr)
+def test_command_route_reports_as_the_top_level_parser(capsys, argv):
+    # main parses a command's argv with that command's parser: help, usage
+    # errors and exit codes must be those of the top-level parser
+    assert run_cli(capsys, *argv) == _top_level(argv)
+
+
+def test_command_route_gives_the_top_level_namespace(tmp_path):
+    import argparse
+    from unittest import mock
+
+    from jetweil.cli import _attach_negative_vectors, _parse_args, build_parser
+    path = str(tmp_path / "p.slp")
+    for argv in (["eval", path, "--x", "-0.5,0.3", "--json"],
+                 ["grad", path, "--x=1,2", "--omega=-1", "--check",
+                  "--seed", "3"],
+                 ["taylor", path, "--x=-0.5", "--dirs=-1", "--caps", "3",
+                  "--envelope=1,1,1,1", "--tail=2,0.5", "--max-dim", "9"],
+                 ["check", "all", "--count", "3", "--delta-const", "2"],
+                 ["bench", "--family", "mul", "--dims", "2,4", "--q", "7"]):
+        argv = _attach_negative_vectors(argv)
+        parse = argparse.ArgumentParser.parse_known_args
+        with mock.patch.object(argparse.ArgumentParser, "parse_known_args",
+                               autospec=True, side_effect=parse) as spy:
+            args = _parse_args(argv)
+        assert spy.call_count == 1  # one argparse pass
+        assert args == build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+
+# sha256 of the stdout of fixed check and taylor requests: a change that
+# moves any byte of them changes jetweil's output
+_PINNED_DIGESTS = {
+    "exactness":
+        "7920a81c7074112fac94bc8d814f90da36b632c23338c4464e12957ea85ff2db",
+    "envelope":
+        "17db9c699bcda9a8393fa41b38ac6ab43f0aca690112407a1bfb29b5fa162b9c",
+    "truncation":
+        "6410f1ad758065332473e7db914faa17d56d57b1ce6152813feed76d44c756c6",
+    "taylor 3,2":
+        "8a1d7bf3f4c0468d4d0d35ac3a59e25f1712db7e2d2acd7fd56c73cd8488312b",
+    "taylor 1,1,1,1,1,1":
+        "95121f8c8e49a5116ab9438510172b54a3e21826e94ecdaa1ec90c9155962d56",
+}
+
+
+@pytest.mark.parametrize("request_name", sorted(_PINNED_DIGESTS))
+def test_pinned_stdout_bytes(capsys, tmp_path, request_name):
+    import hashlib
+    if request_name.startswith("taylor"):
+        # caps (3,2) runs on float kernels, (1,)^6 on numpy
+        caps = request_name.split()[1]
+        path = tmp_path / "p.slp"
+        path.write_text("input a b\nc = mul a b\nd = sin c\ne = exp a\n"
+                        "f = add d e\noutput f c\n")
+        dirs = ["0.6,-0.8", "0,-1", "0.5,0.125", "-0.25,0.5", "0.1,0.1",
+                "0.3,0.4"][:len(caps.split(","))]
+        k = sum(map(int, caps.split(",")))
+        argv = ["taylor", str(path), "--x=0.3,-0.7",
+                "--dirs=" + ";".join(dirs), "--caps=" + caps,
+                "--envelope=" + ",".join(["3.5"] * (k + 1)),
+                "--tail=2.5,0.5", "--json"]
+    else:
+        argv = ["check", request_name, "--count", "20", "--seed", "5",
+                "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _PINNED_DIGESTS[request_name]

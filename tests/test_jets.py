@@ -531,3 +531,58 @@ def test_repeated_large_pass_faults_in_no_pages():
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
     assert faults[2] <= 50, faults
+
+
+# three inputs, z moved by no direction in FLOAT_CASES, and z as an output
+MOVED_AND_STILL = parse_program("""input x y z
+c = const 0.5
+a = add x y
+s = sub a c
+m = mul a s
+n = neg m
+e = exp n
+l = log a
+si = sin z
+co = cos y
+t = tanh s
+q = sqrt a
+r = recip a
+d = div z a
+p = pow s 3
+f = pow a 1.5
+g = mul si z
+output e l si co t q r d p f g z
+""")
+FLOAT_CASES = [((2,), ((0.3, -0.0, 0.0),)),
+               ((4, 4), ((0.3, -0.0, 0.0), (-0.0, 0.5, -0.0)))]
+
+
+@pytest.mark.parametrize("caps, dirs", FLOAT_CASES)
+def test_float_pass_matches_numpy_kernels_bit_for_bit(caps, dirs):
+    # the float pass seeds lists; the numpy kernels on seed()'s arrays give
+    # the same bits, signed zeros included
+    shape = make_shape(caps)
+    assert weil.float_kernels(shape) is not None
+    spec = SeedSpec((0.7, 0.4, -0.3), dirs, caps)
+    outputs = eval_generic(MOVED_AND_STILL, seed(spec), WeilSemantics(shape))
+    want = np.array([w.coeffs for w in outputs]).T[shape.graded()[0]]
+    got = taylor_eval(MOVED_AND_STILL, spec).raw
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("caps", [(2,), (1,) * 6])
+@pytest.mark.parametrize("body, x, v, node", [
+    ("a = exp x\nb = sub a a", 800.0, 1.0, 1),  # every coefficient NaN
+    ("b = exp x", 700.0, 1000.0, 0),  # finite to order 1, inf at order 2
+], ids=["nan", "inf-past-order-1"])
+def test_non_finite_output_node_on_floats_and_numpy(caps, body, x, v, node):
+    # the float pass checks its lists, the numpy pass its arrays: both
+    # name the first output with a non-finite coefficient, not the second
+    floats = weil.float_kernels(make_shape(caps)) is not None
+    assert floats == (caps == (2,))
+    prog = parse_program(f"input x\n{body}\nc = sin x\noutput b c\n")
+    with pytest.raises(NumericOverflowError,
+                       match=f"output coefficient at node {node}$") as err:
+        taylor_eval(prog, SeedSpec((x,), ((v,),) * len(caps), caps))
+    assert err.value.node == node

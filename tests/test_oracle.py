@@ -342,6 +342,22 @@ def test_schedule_tangent_overflow(k):
     assert 0.0 < diag.max_residual < math.inf
 
 
+@pytest.mark.parametrize("x, k, raises", [
+    (708.0, 5, True), (709.0, 5, True), (700.0, 5, False), (709.0, 4, False),
+])
+def test_schedule_entry_overflow(x, k, raises):
+    # exp near its float64 edge: every pass is finite, but from k = 4 the
+    # joint fit's scaling by alpha! / s^|alpha| can take an entry past it
+    prog = parse_program("input x\ny = exp x\noutput y")
+    if raises:
+        with pytest.raises(NumericOverflowError,
+                           match=r"schedule entry \(5,\) of output 0"):
+            nested_jvp_schedule(prog, [x], [(1.0,)], k)
+    else:
+        table, _, _ = nested_jvp_schedule(prog, [x], [(1.0,)], k)
+        assert np.isfinite(table.raw).all()
+
+
 def test_fit_weights_are_built_once_per_p_k(monkeypatch):
     # each (p, k)'s weights come from one pinv in _pass_plan; a later call
     # at the same (p, k) makes no np.linalg call and gives the same bits
