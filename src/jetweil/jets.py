@@ -230,9 +230,10 @@ class EnvelopeReport:
 def check_envelope_args(directions: Sequence[Sequence[float]],
                         caps: Sequence[int], bounds: Sequence[float]) -> None:
     """ValueError unless every direction norm is <= 1, as the envelope
-    assumes (never silently normalized), and bounds cover 0..sum(caps)."""
+    assumes (never silently normalized), and bounds cover 0..sum(caps).
+    ``math.hypot`` cannot overflow on the way to a norm below 1."""
     for d in directions:
-        if np.linalg.norm(d) > 1.0 + 1e-12:
+        if math.hypot(*d) > 1.0 + 1e-12:
             raise ValueError(
                 "envelope check requires direction norms <= 1")
     max_degree = sum(caps)

@@ -6,7 +6,7 @@ convolution, so series truncation is structural: products past any cap are
 simply never formed.  Coefficients may carry a trailing batch axis, which
 every operation broadcasts over.
 
-Four numpy kernels, picked from the operands' own shapes:
+Five numpy kernels, picked from the operands' own shapes and zero rows:
 
 * pair table: products of two unbatched operands, reduced over the cached
   index pairs (alpha, beta) with one ``np.bincount``.
@@ -20,6 +20,11 @@ Four numpy kernels, picked from the operands' own shapes:
   row of one factor: the unbatched one if only one is, else the one with
   fewer nonzero rows, so a constant factor costs one update and a seeded
   input p + 1.  A second factor's rows are visited in descending index.
+* pair loop: a batched product whose factors each have at most half their
+  rows nonzero, where its count of element updates beats the slice loop's
+  (``PAIR_CALL``, ``PAIR_FIXED``): one row update per pair of nonzero rows
+  that fits the caps.  A product of two seeded inputs at (1,)*6 makes 43
+  of them where the slice loop updates 256 rows.
 * graded recurrences: unary lifts.  y = f(x) obeys D y = f'(x) D x, where D
   multiplies coefficient alpha by |alpha|, which fixes y one total degree at
   a time (Griewank & Walther, *Evaluating Derivatives*, ch. 13), through the
@@ -30,6 +35,24 @@ Four numpy kernels, picked from the operands' own shapes:
   A batch runs in column tiles, ``TILE_GATHER`` // widest columns wide
   (widest the most padded pairs of one level), so that a tile's gathers
   and operands stay in L2; an unbatched value is one tile.
+
+Zero rows: a row that is 0.0 or -0.0 in every batch column adds a term of
+0.0 or -0.0 to each sum it meets, and a sum that starts from 0.0 is never
+-0.0, so dropping such a term keeps the sum's bits while the term's other
+factor is finite.  The slice loop skips the zero rows of the factor it
+visits.  The pair loop also skips those of the other factor, so it runs
+only where the visited factor's nonzero rows are finite.  A lift whose
+operand's top row is zero looks for its other zero rows (one row test is
+all a dense operand pays, and a lift too small to gain pays none) and,
+where they drop enough pairs (``LIFT_PAIR``, ``LIFT_FIXED``), runs each
+recurrence on a level plan restricted to its nonzero beta rows
+(``_sparse_levels``, at most ``SPARSE_PLANS`` kept); a seeded input fills
+p + 1 of the 64 rows of (1,)*6.  tanh's y y sum keeps the full plan, and
+its tiles that plan's width.  Where a partner of a dropped term (y, or s
+and c, or u) is inf or NaN when the tile is done, the term would have
+been NaN, so the tile runs again on the full plan: exp of a constant jet
+at 1000 reads NaN above row 0, as every kernel did before.  The float
+kernels, the pair table and the grouped gather add every term.
 
 Each primitive's ``lift`` rule runs on one of two kernel sets with one
 interface (``const``, ``add``, ``sub``, ``neg``, ``mul``, ``unary``,
@@ -121,6 +144,35 @@ FLOAT_MUL_PAIRS = 64
 # per group on (1, 1, 1), (3, 3) and (4, 4); it never won on (1, 1),
 # (2, 2) or any (c,), nor on dense (1,)*6 (729 pairs) at B = 2048.
 GATHER_ROWS = 0.5
+# A batched product whose two factors each have at most half their rows
+# nonzero makes one row update per pair of nonzero rows that fits the caps
+# when npairs * (cols + PAIR_CALL) + PAIR_FIXED < cols * slab, cols being
+# its batch columns and slab the rows the slice loop would update: each
+# row update costs a call, worth PAIR_CALL element updates of the slice
+# loop, and finding the pairs and checking the loop's factor finite costs
+# PAIR_FIXED.  Fitted on the 81 such products among a constant, seeded
+# inputs and products of two and three of them, paired five ways, at the
+# caps of taylor-batched and (4, 4) and (6,), B = 128, 512 and 2048 (2-core
+# Xeon, best of five): the rule took 7.71 ms in all, the faster loop of
+# each product 7.71, the slice loop alone 11.53.  PAIR_FIXED = 0 took 7.84
+# ms, PAIR_CALL = 1000 8.10, and counting len(rows_a) * len(rows_b) in
+# place of the pairs 7.98 at best.
+PAIR_CALL = 200
+PAIR_FIXED = 7000
+# A lift whose operand's top row is zero runs on the plan restricted to the
+# operand's nonzero rows when the pairs it drops times (cols + LIFT_PAIR)
+# reach LIFT_FIXED: each dropped pair saves a gathered product per column
+# and, on the unbatched path, about LIFT_PAIR columns' worth more, while
+# finding the rows and checking the partners finite costs LIFT_FIXED.
+# Fitted on 336 lifts (sin, exp, tanh and log of a constant, a seeded input
+# and a product of two) at the caps of taylor-batched with B = 128, 512 and
+# 2048, and unbatched at (1,)*6, (3, 3, 3), (4, 4, 4), (2, 2, 2), (6,),
+# (15,) and (4, 4) (2-core Xeon, best of three): the rule took 79.5 ms in
+# all, the faster plan of each lift 79.1, the full plan alone 108.0 and the
+# restricted plan wherever the top row is zero 80.5, up to 80% slower on
+# (1, 1) at B = 128; LIFT_FIXED = 7000 took 79.7 ms.
+LIFT_PAIR = 8
+LIFT_FIXED = 15000
 # Most products one level of a batched lift gathers at a time (512 KiB of
 # float64 in each of its two gathers): a lift runs over column tiles
 # TILE_GATHER // widest wide, widest being its widest level's padded pairs,
@@ -131,6 +183,11 @@ GATHER_ROWS = 0.5
 # ops_per_s read 198, 202 and 205 at 2**15, 2**16 and 2**17, against 176
 # untiled (medians of three 12 s runs each).
 TILE_GATHER = 1 << 16
+# Most restricted level plans (``_sparse_levels``) kept, least recently
+# used first out: one per shape and set of nonzero rows.  taylor-batched's
+# schedules and warm-ups at seeds 1 and 2 make 6 of them, taylor-scalar's 1,
+# each a few KiB at (1,)*6.
+SPARSE_PLANS = 64
 # malloc's parameters set at import (see the module docstring), glibc's
 # numbers for them: blocks up to 32 MiB come from the heap, and the heap
 # gives memory back to the OS only past 16 MiB free at its top.  A
@@ -367,9 +424,12 @@ def _slice_table(shape: WeilShape):
 
 
 def _nonzero_rows(w: WeilValue) -> np.ndarray:
-    """Flat indices of the rows of w that are nonzero in some batch column."""
-    return np.flatnonzero((w.coeffs.reshape(w.shape.dim, -1) != 0)
-                          .any(axis=1))
+    """Flat indices of the rows of w that are nonzero in some batch column,
+    ascending; NaN counts as nonzero, -0.0 as zero."""
+    c = w.coeffs
+    if c.ndim > 1:
+        c = (c.reshape(len(c), -1) != 0).any(axis=1)
+    return c.nonzero()[0]
 
 
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
@@ -384,8 +444,12 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     nonzero row of the factor with the smaller (axes, nonzero rows): an
     unbatched factor broadcasts, so it goes first, and a tie keeps a.  The
     loop visits a's rows in ascending index and b's in descending index.
-    Every kernel adds each coefficient's terms in ascending index of a, from
-    0.0, so every batch column equals its unbatched product bit for bit.
+    Where both factors have at most half their rows nonzero and
+    ``_row_pairs`` counts fewer element updates for it, the pair loop
+    replaces the slice loop: one row update per pair of nonzero rows that
+    fits the caps, in ascending index of a.  Every kernel adds each
+    coefficient's terms in ascending index of a, from 0.0, so every batch
+    column equals its unbatched product bit for bit.
     """
     shape = _check_shapes(a, b)
     if a.coeffs.ndim == 1 and b.coeffs.ndim == 1:
@@ -409,12 +473,26 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         for targets, conv in groups:
             out[targets] = conv(ca, cb)[0]
         return _result(shape, result)
-    if (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a)):
+    batch = np.broadcast_shapes(a.coeffs.shape[1:], b.coeffs.shape[1:])
+    swap = (b.coeffs.ndim, len(rows_b)) < (a.coeffs.ndim, len(rows_a))
+    if batch and 2 * max(len(rows_a), len(rows_b)) <= shape.dim:
+        loop, rows = (b, rows_b) if swap else (a, rows_a)
+        pairs = _row_pairs(shape, rows_a, rows_b, rows, math.prod(batch))
+        # beside the slice loop, the pairs drop the terms of the loop's
+        # nonzero rows against the other factor's zero rows: each is
+        # 0.0 or -0.0 while those rows are finite
+        if pairs is not None and np.isfinite(loop.coeffs[rows]).all():
+            ca, cb = a.coeffs, b.coeffs
+            result = np.zeros((shape.dim,) + batch)
+            for ia, ib in zip(*pairs):
+                acc = result[ia + ib]
+                acc += ca[ia] * cb[ib]
+            return _result(shape, result)
+    if swap:
         a, b, rows_a = b, a, rows_b[::-1]
     tshape = shape.tensor_shape
     ta = a.coeffs
     tb = b.coeffs.reshape(tshape + b.coeffs.shape[1:])
-    batch = np.broadcast_shapes(ta.shape[1:], b.coeffs.shape[1:])
     result = np.zeros((shape.dim,) + batch)
     out = result.reshape(tshape + batch)
     table = _slice_table(shape)
@@ -423,6 +501,47 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         acc = out[dst]  # `out[dst] += t` re-assigns the view
         acc += ta[ia] * tb[src]
     return _result(shape, result)
+
+
+def _row_pairs(shape: WeilShape, rows_a, rows_b, loop, cols: int):
+    """The flat indices (ia, ib) of every pair of the rows rows_a of a and
+    rows_b of b whose alpha + beta fits the caps, as two lists in
+    ascending ia, then ib; None where the pair loop would cost more
+    element updates than the slice loop over the rows ``loop``
+    (``PAIR_CALL``).  The row counts come first: row 0 of either factor
+    pairs with every row of the other, and no pair is looked for where
+    that many would leave no room for PAIR_FIXED twice, the search itself
+    costing about as much and being spent even when the slice loop runs.
+    Flat indices add as multi-indices unless a digit carries, and a carry
+    drops the total degree."""
+    call = cols + PAIR_CALL
+    zero_a = rows_a.size > 0 and rows_a[0] == 0
+    zero_b = rows_b.size > 0 and rows_b[0] == 0
+    least = (zero_a * len(rows_b) + zero_b * len(rows_a)
+             - (zero_a and zero_b)) * call + 2 * PAIR_FIXED
+    # the slice loop updates at most dim rows per row it visits
+    if cols * shape.dim * len(loop) <= least:
+        return None
+    budget = cols * _slabs(shape)[0][loop].sum()
+    if budget <= least:
+        return None
+    deg = _degrees(shape)
+    k = np.minimum(rows_a[:, None] + rows_b, shape.dim)
+    ia, ib = (deg[rows_a][:, None] + deg[rows_b] == deg[k]).nonzero()
+    if len(ia) * call + PAIR_FIXED >= budget:
+        return None
+    return rows_a[ia].tolist(), rows_b[ib].tolist()
+
+
+@lru_cache(maxsize=None)
+def _slabs(shape: WeilShape) -> tuple[np.ndarray, int]:
+    """The rows of the slice loop's update for each flat index alpha, the
+    betas that fit beside it, prod(cap + 1 - alpha); and their sum past
+    alpha = 0, the pairs (beta, alpha - beta) with beta != 0."""
+    out = np.ones(1, dtype=np.intp)
+    for c in shape.caps:
+        out = np.multiply.outer(out, np.arange(c + 1, 0, -1)).ravel()
+    return out, int(out[1:].sum())
 
 
 @lru_cache(maxsize=None)
@@ -494,26 +613,47 @@ def _levels(shape: WeilShape):
     rows.  ``widest`` is the most padded pairs, over the levels, that a
     batched ``conv`` gathers per column.
     """
+    return _level_plan(shape, None)
+
+
+@lru_cache(maxsize=SPARSE_PLANS)
+def _sparse_levels(shape: WeilShape, betas: bytes):
+    """``_levels`` with only the pairs whose beta is one of the flat
+    indices ``betas`` (the bytes of an ascending intp array): a target with
+    no such pair sums to 0.0."""
+    return _level_plan(shape, np.frombuffer(betas, dtype=np.intp))
+
+
+def _level_plan(shape: WeilShape, betas):
+    """The plan of ``_levels``, on the pairs whose beta is among the flat
+    indices betas (an intp array) where given; every row of each level is
+    a target, with no pairs or with some."""
     pairs = _target_pairs(shape)
     if pairs is None:
         return None
-    rows = _graded_rows(shape)[1]
-    deg = _degrees(shape)[pairs[2]]
+    if betas is not None:
+        keep = np.isin(pairs[0], betas)
+        pairs = tuple(x[keep] for x in pairs)
+    rows, deg = _graded_rows(shape)[1:]
+    # the first graded row of each total degree, then dim
+    bounds = np.searchsorted(deg[:-1], np.arange(shape.max_total_degree + 2))
     # a degree's targets ascend in flat index and in row alike
     i, j, k = (rows[x] for x in pairs)
+    level = deg[k]
     widest, levels = 0, []
     for d in range(1, shape.max_total_degree + 1):
-        sel = deg == d
-        targets, start, count = np.unique(k[sel], return_index=True,
-                                          return_counts=True)
-        pos = np.repeat(np.arange(len(targets)), count)
-        # column r of I, J: the pairs of targets[r], padded with the zero row
-        I = np.full((count.max(), len(targets)), shape.dim)
+        lo, hi = int(bounds[d]), int(bounds[d + 1])
+        sel = level == d
+        pos = k[sel] - lo
+        count = np.bincount(pos, minlength=hi - lo)
+        # column r of I, J: the pairs of row lo + r, padded with the zero row
+        I = np.full((count.max(), hi - lo), shape.dim)
         J = I.copy()
-        I[np.arange(len(pos)) - start[pos], pos] = i[sel]
-        J[np.arange(len(pos)) - start[pos], pos] = j[sel]
+        at = np.arange(len(pos)) - (np.cumsum(count) - count)[pos]
+        I[at, pos] = i[sel]
+        J[at, pos] = j[sel]
         widest = max(widest, I.size)
-        levels.append((np.float64(d), int(targets[0]), int(targets[-1]) + 1,
+        levels.append((np.float64(d), lo, hi,
                        _level_conv(I, J, i[sel], j[sel], pos, shape.dim, 0)))
     return widest, tuple(levels)
 
@@ -536,7 +676,7 @@ def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
     every entry lies in 0..dim, the rows of an operand with its zero row.
     """
     for table in (I, J):
-        if table.min() < 0 or table.max() > dim:
+        if table.size and (table.min() < 0 or table.max() > dim):
             raise IndexError(f"level table index outside 0..{dim}")
     rows = I.shape[1 - axis]
 
@@ -559,19 +699,55 @@ def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
     return conv
 
 
-def _box_levels(shape: WeilShape):
-    """_levels past PAIR_LIMIT pairs, one target at a time: the pairs of
-    alpha are the beta != 0 of the box beta <= alpha, built when reached."""
+def _box_levels(shape: WeilShape, betas=None):
+    """_levels past PAIR_LIMIT, one target at a time: the pairs of alpha
+    are the beta != 0 of the box beta <= alpha, built when reached; where
+    ``betas`` is given, only those that are among its flat indices."""
     order, rows, deg = _graded_rows(shape)
+    if betas is not None:
+        keep = np.zeros(shape.dim, dtype=bool)
+        keep[np.frombuffer(betas, dtype=np.intp)] = True
     for g in range(1, shape.dim):
         k = int(order[g])
         box = tuple(x + 1 for x in shape.alpha_of(k))
         flat = np.dot(shape.strides,
                       np.indices(box).reshape(shape.p, -1)[:, 1:])
+        if betas is not None:
+            flat = flat[keep[flat]]
         i, j = rows[flat], rows[k - flat]
         yield deg[g], g, g + 1, _level_conv(
             i[:, None], j[:, None], i, j, np.zeros(len(i), dtype=np.intp),
             shape.dim, 0)
+
+
+def _plan(shape: WeilShape, betas: bytes | None = None):
+    """(widest, levels) of the recurrences: ``_levels``, or where betas is
+    given ``_sparse_levels``; past PAIR_LIMIT a new ``_box_levels``
+    generator, whose widest level is the top alpha's box."""
+    full = _levels(shape)
+    if full is None:
+        return shape.dim - 1, _box_levels(shape, betas)
+    return full if betas is None else _sparse_levels(shape, betas)
+
+
+def _restriction(w: WeilValue) -> bytes | None:
+    """The nonzero rows of w, as the bytes of an ascending intp array, where
+    w's top row is zero and a plan restricted to its nonzero rows drops
+    enough pairs (beta, alpha - beta) to pay for finding them and checking
+    the partners (``LIFT_PAIR``, ``LIFT_FIXED``); else None.  The pairs of
+    beta number its slab, and all of them bound what can be dropped, so a
+    small lift looks at no row."""
+    slab, pairs = _slabs(w.shape)
+    weight = w.coeffs[0].size + LIFT_PAIR
+    if pairs * weight < LIFT_FIXED:
+        return None
+    top = w.coeffs[-1]
+    if top.any() if top.ndim else top:
+        return None
+    rows = _nonzero_rows(w)
+    if (pairs - slab[rows[rows > 0]].sum()) * weight < LIFT_FIXED:
+        return None
+    return rows.tobytes()
 
 
 def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
@@ -579,31 +755,42 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     D y = f'(x) D x gives y_alpha from lower degrees of y through one
     ``conv``.  A batch runs in column tiles TILE_GATHER // widest wide, so
     that each level's gathers stay in cache; an unbatched value is one
-    tile.  Domain checks are the caller's."""
+    tile.  An operand whose top row is zero in every column may run on a
+    plan restricted to its nonzero rows (``_restriction``, ``_lift_tile``).
+    Domain checks are the caller's."""
     shape = w.shape
-    plan = _levels(shape)
-    # past PAIR_LIMIT the widest level is the top alpha's box
-    widest, levels = plan if plan is not None else (shape.dim - 1, None)
+    coeffs = w.coeffs
+    betas = _restriction(w)
+    # tanh's y y sum gathers on the full plan: its tiles keep that width
+    widest = _plan(shape, None if kind == "tanh" else betas)[0]
     back = _graded_rows(shape)[1]
-    if w.coeffs.ndim == 1:
-        return _result(shape, _lift_tile(kind, shape, w.coeffs, r,
-                                         levels).take(back))
-    coeffs = w.coeffs.reshape(shape.dim, -1)
+    if coeffs.ndim == 1:
+        return _result(shape, _lift_tile(kind, shape, coeffs, r,
+                                         betas).take(back))
+    coeffs = coeffs.reshape(shape.dim, -1)
     result = np.empty(w.coeffs.shape)
     out = result.reshape(coeffs.shape)
-    width = max(1, TILE_GATHER // widest)
+    width = max(1, TILE_GATHER // max(1, widest))
     for lo in range(0, coeffs.shape[1], width):
-        _lift_tile(kind, shape, coeffs[:, lo:lo + width], r, levels).take(
+        _lift_tile(kind, shape, coeffs[:, lo:lo + width], r, betas).take(
             back, 0, out[:, lo:lo + width], "clip")
     return _result(shape, result)
 
 
 def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
-               levels) -> np.ndarray:
+               betas: bytes | None = None) -> np.ndarray:
     """The recurrence of ``_graded`` on coeffs (dim rows, one or no column
-    axis), levels being ``_levels``' or None for ``_box_levels``: one
-    ``take`` puts x in graded rows, where each level fills the block
-    [lo, hi) of y.  Returns y in graded rows, with a zero row after them."""
+    axis): one ``take`` puts x in graded rows, where each level fills the
+    block [lo, hi) of y.  Returns y in graded rows, with a zero row after
+    them.
+
+    Where ``betas`` is given, the levels gather D x only from those flat
+    indices, x being 0.0 or -0.0 in every other row: each term dropped is
+    then 0.0 or -0.0 times a partner (y, or c and s, or u), and a sum that
+    starts from 0.0 is never -0.0, so adding such a term leaves its bits
+    as they are, while the partner is finite.  Where a partner is inf or
+    NaN the term would be NaN, so the tile runs again on the full plan.
+    tanh's y y sum always runs on the full plan."""
     order, _, deg = _graded_rows(shape)
     # five operands, each with a zero row after its dim rows, which the
     # padding gathers: a tile's other rows are left unset, since each
@@ -619,7 +806,8 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
     coeffs.take(order, 0, x[:-1], "clip")
     np.multiply(deg if x.ndim == 1 else deg[:, None], x, dx)  # D x
     x0 = x[:1]  # a row, so scalar and batched primals take one ufunc path
-    steps = levels or _box_levels(shape)
+    steps = _plan(shape, betas)[1]
+    partners = 2, 3  # the operands that hold y
     # each conv sums into the row block it fills, or returns new unbatched
     # sums, and one ufunc writes the block from them
     if kind == "exp":  # D y = y D x
@@ -635,18 +823,21 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
             sc, ss = conv(dx, c, s, out=(ts, tc))
             np.divide(sc, d, ts)
             np.divide(ss, -d, tc)
+        partners = 2, 4
         y = s if kind == "sin" else c
     elif kind == "tanh":  # D y = u D x with u = 1 - y**2
         u, spare = p, q
         y0 = y[:1] = np.tanh(x0)
         u[:1] = 1.0 - y0 * y0
+        full = None if betas is None else iter(_plan(shape)[1])
         for d, lo, hi, conv in steps:
             t, tu = y[lo:hi], u[lo:hi]
             np.divide(*conv(dx, u, out=(t,)), d, t)
-            yy, = conv(y, y, out=(tu,))
+            yy, = (conv if full is None else next(full)[3])(y, y, out=(tu,))
             # x is spent, and no ufunc here writes over its own input
             np.negative(np.add(yy, np.multiply(y0, t, x[lo:hi]),
                                spare[lo:hi]), tu)
+        partners = 3, 4
     elif kind in ("log", "pow"):
         # log: x D y = D x; pow: x D y = r y D x, sqrt from y**2 = x and
         # recip from x y = 1.  Each level's operand a = d x - D x, or
@@ -671,6 +862,8 @@ def _lift_tile(kind: str, shape: WeilShape, coeffs: np.ndarray, r: float,
             np.divide(sums, np.multiply(x0, d, den), t)
     else:
         raise ValueError(f"unsupported unary primitive {kind!r}")
+    if betas is not None and not np.isfinite(operands[slice(*partners)]).all():
+        return _lift_tile(kind, shape, coeffs, r)
     return y
 
 

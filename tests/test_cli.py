@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -315,6 +316,20 @@ def test_taylor_envelope_arguments_checked_before_the_pass(capsys, tmp_path,
                              *options, "--json")
     assert (code, out) == (2, "")
     assert err == f"error: {word}\n"
+
+
+def test_taylor_envelope_norm_overflow_is_a_usage_error(capsys, tmp_path):
+    # a direction entry of 1e200 squares past float64: the norm check
+    # still refuses it with its one error line, warning nothing
+    path = tmp_path / "sin.slp"
+    path.write_text("input x\ny = sin x\noutput y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "taylor", str(path), "--x=0",
+                                 "--dirs=1e200", "--caps=2",
+                                 "--envelope=1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: envelope check requires direction norms <= 1\n"
 
 
 def test_taylor_table_past_170_factorial(capsys, prod_file):

@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import math
 import os
 import random
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,8 @@ from counting import counting
 from jetweil.errors import (DimensionMismatchError, DomainError,
                             NumericOverflowError)
 from jetweil.jets import (SeedSpec, WeilSemantics, basis_seed,
-                          coefficient_envelope, directional_taylor, seed,
+                          check_envelope_args, coefficient_envelope,
+                          directional_taylor, seed,
                           tail_bound, taylor_eval)
 from jetweil.modes import compose_programs, jvp, pairing_residual
 from jetweil.oracle import SparsePoly
@@ -357,6 +360,24 @@ def test_envelope_rejects_large_directions():
                                       (1, 1)))
     with pytest.raises(ValueError):
         coefficient_envelope(table, [10.0] * 3)
+
+
+def test_envelope_norms_do_not_overflow():
+    # the library keeps its own check: a direction of norm past float64
+    # is refused by hypot, without numpy's overflow warning, and one of
+    # norm 1 reached through tiny entries passes
+    table = taylor_eval(X2Y, SeedSpec((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)),
+                                      (1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="direction norms <= 1"):
+            check_envelope_args([(1e200, 1e200)], (1, 1), [1.0] * 3)
+        check_envelope_args([(0.6, 0.8), (1e-200, 1e-200)], (1, 1),
+                            [1.0] * 3)
+        assert coefficient_envelope(table, [10.0] * 3).passed
+    far = dataclasses.replace(table, directions=((1e200, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="direction norms <= 1"):
+        coefficient_envelope(far, [10.0] * 3)
 
 
 def test_envelope_needs_enough_bounds():

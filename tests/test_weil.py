@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import itertools
 import math
 import pickle
 import time
@@ -1151,3 +1152,255 @@ def test_threads_lift_like_serial():
         for run in runs:
             for got, want in zip(run, ref):
                 assert np.array_equal(got.coeffs, want.coeffs)
+
+
+# Programs of the pinned batched passes: seeded-input lifts (with a product
+# and a constant factor after them), and products of inputs, constants and
+# an all-zero factor (a - a).  The lifts' primals are ones every libm
+# evaluates exactly, so the digests hold on any host.
+_PINNED_LIFTS = parse_program(
+    "input a b c d\ns = sin a\nk = cos a\ne = exp b\nt = tanh c\n"
+    "l = log d\nm = mul s e\nh = const 0.5\nq = mul h t\nu = add m q\n"
+    "v = mul k l\noutput s k e t l u v\n")
+_PINNED_MULS = parse_program(
+    "input a b c\nh = const 0.5\nab = mul a b\nabc = mul ab c\n"
+    "aa = mul a a\ns = add ab c\np = mul s aa\nz = sub a a\npz = mul z p\n"
+    "hc = mul h c\nq = mul abc hc\nr = mul q p\nw = mul r abc\n"
+    "output abc p pz q r w\n")
+
+
+def _seeded_inputs(shape, rng, primals, batch):
+    """Batched inputs seeded along every direction, as taylor-batched
+    seeds them, with some direction entries 0.0 or -0.0, so that inputs
+    fill different rows."""
+    inputs = []
+    for base in primals:
+        coeffs = np.zeros((shape.dim, batch))
+        coeffs[0] = rng.choice(base, size=batch)
+        for stride in shape.strides:
+            v = rng.uniform(-1.0, 1.0, size=batch)
+            pick = rng.random()
+            if pick < 0.25:
+                v[:] = 0.0
+            elif pick < 0.4:
+                v[:] = -0.0
+            coeffs[stride] = v
+        inputs.append(WeilValue(shape, coeffs))
+    return inputs
+
+
+def _pass_digest(caps, batch):
+    """SHA-256 of every output's coefficient bytes of one batched pass of
+    each pinned program at caps and batch size."""
+    shape = make_shape(caps)
+    rng = np.random.default_rng(sum(caps) * 7919 + batch)
+    h = hashlib.sha256()
+    zeros = (0.0, -0.0)
+    for prog, primals in (
+            (_PINNED_LIFTS, (zeros, zeros, zeros, (1.0,))),
+            (_PINNED_MULS, [(-1.5, -0.75, 0.5, 1.25)] * 3)):
+        inputs = _seeded_inputs(shape, rng, primals, batch)
+        for out in eval_generic(prog, inputs, WeilSemantics(shape, (batch,))):
+            h.update(out.coeffs.tobytes())
+    return h.hexdigest()
+
+
+# _pass_digest at the kernels before lifts and products skipped zero rows
+PASS_DIGESTS = {
+    ((1, 1, 1, 1, 1, 1), 1): "26139b175f1178ef44fbe5fe85a0b6be0022c301479e1e81fb2e7c4f2fd36038",
+    ((1, 1, 1, 1, 1, 1), 5): "feb63ab3da954979859192d9fa29abdb6cab090b4b449e114c05732babaa99fe",
+    ((1, 1, 1, 1, 1, 1), 2048): "5106eab1d838d5181332ba2b1050737e27ea0927666fca36c629942d516eb834",
+    ((2, 2, 2), 1): "dc2e581a12489274811fecd3855cbd42ba5ec3f82829303b7f303d0668094b58",
+    ((2, 2, 2), 5): "630bc2d0215aaac091f5afee7d81df2331e8f52847815cb44782b77901a3bd49",
+    ((2, 2, 2), 2048): "68f6a6501fbe13f2c7ff9a232fdb048a7726c0658599743354291944ca3cb192",
+    ((4, 4), 1): "65b45582934cd88e74a4cf4a6c724aa2a5ff8eba5544406bd465a9ad2c61950e",
+    ((4, 4), 5): "c1e61e601ef093459e7b97928fdb528cc35d14891fe78c4d90c3ad612073cf88",
+    ((4, 4), 2048): "3b59d588d88708a6ff39c61e19b1874a15f82997573acb3bfe46d6d47cc42ad0",
+    ((6,), 1): "f073af41f810487d2f9bd925286c7960f78030bfbddf7d1db42086fa05b66b36",
+    ((6,), 5): "6231a0d048cd3b12cb180673a16e45419f64eaed79c1d0a2815a3b049a760fc8",
+    ((6,), 2048): "cedc2372c3bb70ec1599ca7245677d8933abab0fbc46b92041d02e2da5ba9ba1",
+}
+
+
+@pytest.mark.parametrize("caps, batch", list(PASS_DIGESTS))
+def test_batched_passes_keep_their_bits(caps, batch):
+    assert _pass_digest(caps, batch) == PASS_DIGESTS[caps, batch]
+
+
+@contextlib.contextmanager
+def _parent_kernels():
+    """The kernels as they ran before they skipped zero rows: every lift
+    on its full level plan, every product with no pair loop."""
+    plan = weil._plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weil, "_plan", lambda shape, betas=None: plan(shape))
+        mp.setattr(weil, "PAIR_FIXED", math.inf)
+        yield
+
+
+def _sparse_jets(shape, rng, batch):
+    """Batched jets that fill few rows, each primal in [0.5, 2]: a constant,
+    a seeded input, one whose direction holds 0.0, -0.0 and, in one row,
+    0.0 and -0.0 by column, and a product of two seeded inputs."""
+    def seeded():
+        coeffs = np.zeros((shape.dim, batch))
+        coeffs[0] = rng.uniform(0.5, 1.4, batch)
+        for stride in shape.strides:
+            coeffs[stride] = rng.uniform(-1.0, 1.0, batch)
+        return coeffs
+    const = np.zeros((shape.dim, batch))
+    const[0] = rng.uniform(0.5, 2.0, batch)
+    const[shape.dim // 2] = -0.0
+    signed = seeded()
+    strides = shape.strides
+    signed[strides[0]] = -0.0
+    signed[strides[-1]] = np.where(rng.random(batch) < 0.5, 0.0, -0.0)
+    if len(strides) > 2:
+        signed[strides[1]][::2] = 0.0  # zero in some columns: a nonzero row
+    product = weil_mul(WeilValue(shape, seeded()), WeilValue(shape, seeded()))
+    return [WeilValue(shape, const), WeilValue(shape, seeded()),
+            WeilValue(shape, signed), product]
+
+
+def _same_bits(got, want):
+    return got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("caps, limit", [
+    ((1,) * 6, PAIR_LIMIT), ((2, 2, 2), PAIR_LIMIT), ((4, 4), PAIR_LIMIT),
+    ((6,), PAIR_LIMIT), ((3, 2, 2), 0), ((1,) * 4, 0)])
+def test_zero_row_lifts_keep_the_parent_bits(monkeypatch, caps, limit):
+    # every lift of UNARY_CASES of a jet with zero rows runs on a plan
+    # restricted to its nonzero rows (past PAIR_LIMIT, on boxes restricted
+    # to them), here wherever it drops a pair or none, and gives the full
+    # plan's bits, signed zeros included; each batch column equals the
+    # column's own unbatched lift
+    monkeypatch.setattr(weil, "LIFT_FIXED", 0)
+    shape = make_shape(caps)
+    rng = np.random.default_rng(sum(caps) + limit % 7)
+    restricted = []
+    plan = weil._plan
+
+    def spy(shape, betas=None):
+        restricted.append(betas is not None)
+        return plan(shape, betas)
+
+    with _pair_limit(limit):
+        for w in _sparse_jets(shape, rng, 6):
+            for kind, exponent in UNARY_CASES:
+                with mock.patch.object(weil, "_plan", spy):
+                    got = _lift(kind, exponent, w)
+                with _parent_kernels():
+                    want = _lift(kind, exponent, w)
+                assert _same_bits(got, want), (kind, exponent)
+                for col in range(6):
+                    alone = _lift(kind, exponent,
+                                  WeilValue(shape, w.coeffs[:, col]))
+                    assert (alone.coeffs.tobytes()
+                            == got.coeffs[:, col].tobytes()), (kind, col)
+    assert any(restricted)
+
+
+def test_zero_row_lift_facing_inf_keeps_the_parent_nan(monkeypatch):
+    # exp of a constant jet at 1000 is inf in row 0, and 0 * inf = NaN in
+    # every row above it, batched or not; the restricted plan alone would
+    # read 0 there, so the tile runs again on the full plan
+    monkeypatch.setattr(weil, "LIFT_FIXED", 0)
+    shape = make_shape((1,) * 6)
+    coeffs = np.zeros((shape.dim, 4))
+    coeffs[0] = [1000.0, 0.5, 1000.0, -3.0]
+    w = WeilValue(shape, coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = weil_unary("exp", w)
+        with _parent_kernels():
+            want = weil_unary("exp", w)
+        alone = weil_unary("exp", WeilValue(shape, coeffs[:, 0]))
+    assert _same_bits(got, want)
+    assert np.isnan(got.coeffs[1:, [0, 2]]).all()
+    assert (got.coeffs[1:, [1, 3]] == 0.0).all()
+    assert alone.coeffs.tobytes() == got.coeffs[:, 0].tobytes()
+    # a seeded input at 800: exp(800) is inf, and so is every row's partner
+    coeffs[0] = 800.0
+    coeffs[shape.strides[2]] = 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = weil_unary("exp", WeilValue(shape, coeffs))
+        with _parent_kernels():
+            want = weil_unary("exp", WeilValue(shape, coeffs))
+    assert _same_bits(got, want)
+    # sin of 1e300 e_1 at caps (2, 1): every row of s is finite, but cos
+    # overflows at 2 e_1, and 0 * -inf there puts NaN into s at (2, 1)
+    shape = make_shape((2, 1))
+    coeffs = np.zeros((shape.dim, 3))
+    coeffs[shape.strides[0]] = [1e300, 0.5, -1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = weil_unary("sin", WeilValue(shape, coeffs))
+        with _parent_kernels():
+            want = weil_unary("sin", WeilValue(shape, coeffs))
+    assert _same_bits(got, want)
+    assert np.isnan(got.coeffs[-1, [0, 2]]).all()
+
+
+@pytest.mark.parametrize("caps", [(1,) * 6, (2, 2, 2), (1,) * 5])
+def test_zero_row_products_keep_the_parent_bits(caps):
+    # products of sparse factors run one row update per pair of nonzero
+    # rows where that costs less than the slice loop, and give its bits,
+    # signed zeros included: constants, seeded inputs, products of inputs
+    # and an all-zero factor, batched by batched and by an unbatched one
+    shape = make_shape(caps)
+    rng = np.random.default_rng(len(caps))
+    jets = _sparse_jets(shape, rng, 512)
+    jets.append(WeilValue(shape, np.zeros((shape.dim, 512))))
+    jets.append(WeilValue(shape, np.where(jets[1].coeffs != 0.0, 0.0, -0.0)))
+    unbatched = jets[1].coeffs[:, 7].copy()
+    unbatched[shape.strides[0]] = 0.0
+    jets.append(WeilValue(shape, unbatched))
+    pairs = []
+    row_pairs = weil._row_pairs
+
+    def spy(*args):
+        out = row_pairs(*args)
+        pairs.append(out is not None)
+        return out
+
+    for a in jets:
+        for b in jets:
+            with mock.patch.object(weil, "_row_pairs", spy):
+                got = weil_mul(a, b)
+            with _parent_kernels():
+                want = weil_mul(a, b)
+            assert _same_bits(got, want)
+    assert any(pairs)
+
+
+def test_zero_row_product_facing_inf_keeps_the_parent_nan():
+    # where the factor whose rows the slice loop visits holds inf in a
+    # nonzero row, the pair loop would drop inf * 0 = NaN terms against
+    # the other factor's zero rows: the product takes the slice loop.  An
+    # inf in the other factor meets the same zero rows either way.
+    shape = make_shape((1,) * 6)
+    rng = np.random.default_rng(9)
+
+    def seeded(skip):
+        coeffs = np.zeros((shape.dim, 512))
+        coeffs[0] = rng.uniform(0.5, 1.5, 512)
+        for j, stride in enumerate(shape.strides):
+            if j != skip:
+                coeffs[stride] = rng.uniform(-1.0, 1.0, 512)
+        return coeffs
+
+    for (skip_a, skip_b), inf_a, inf_b in itertools.product(
+            ((None, 3), (3, None), (2, 3)), (False, True), (False, True)):
+        ca, cb = seeded(skip_a), seeded(skip_b)
+        ca[shape.strides[1], 5] = np.inf if inf_a else 1.0
+        cb[shape.strides[4], 9] = -np.inf if inf_b else 1.0
+        a, b = WeilValue(shape, ca), WeilValue(shape, cb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for x, y in ((a, b), (b, a)):
+                got = weil_mul(x, y)
+                with _parent_kernels():
+                    want = weil_mul(x, y)
+                assert _same_bits(got, want)
