@@ -591,6 +591,12 @@ def test_command_route_gives_the_top_level_namespace(tmp_path):
 # sha256 of the stdout of fixed check and taylor requests: a change that
 # moves any byte of them changes jetweil's output
 _PINNED_DIGESTS = {
+    "duality":
+        "e95da4490b3969555609e6f695190a53f7ca9623a30e3fe014aaa77ff93e6e95",
+    "functoriality":
+        "687d6adf0d7bf0232ea2979346cd578823219c9a8d162ad120dca040a11e0048",
+    "stability":
+        "37734e9f16c819a9c636831a9231ef608d3468b3676aecf57fdd629f5282dd25",
     "exactness":
         "7920a81c7074112fac94bc8d814f90da36b632c23338c4464e12957ea85ff2db",
     "envelope":
