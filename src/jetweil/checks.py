@@ -4,10 +4,11 @@ Each suite runs `count` deterministic instances from a seed and reports
 the worst residual plus a violation count.  Tolerances are the module
 contracts: duality and functoriality at 1e-10, polynomial exactness at
 1e-12 relative, stability and envelope/truncation bounds as strict
-inequalities.
+inequalities.  A suite is one instance function and one `SUITES` row.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -36,46 +37,29 @@ class CheckResult:
         return asdict(self)
 
 
-def check_duality(count: int = 1000, seed: int = 0) -> CheckResult:
+def _duality(rng, seed, i, tol):
     """pairing_residual on random safe programs (adjoint pairing probe)."""
-    rng = random.Random(seed)
-    worst = 0.0
-    tol = 1e-10
-    bad = 0
-    for i in range(count):
-        prog = random_program(seed=seed * 100003 + i,
-                              depth=rng.randint(1, 50),
-                              n_inputs=rng.randint(1, 8))
-        x = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
-        v = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
-        omega = [rng.uniform(-1.0, 1.0) for _ in prog.outputs]
-        r = pairing_residual(prog, x, v, omega)
-        worst = max(worst, r)
-        bad += r > tol
-    return CheckResult("duality", count, tol, worst, bad, bad == 0)
+    prog = random_program(seed=seed * 100003 + i,
+                          depth=rng.randint(1, 50),
+                          n_inputs=rng.randint(1, 8))
+    x = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
+    v = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
+    omega = [rng.uniform(-1.0, 1.0) for _ in prog.outputs]
+    r = pairing_residual(prog, x, v, omega)
+    return [(r, r > tol)]
 
 
-def check_functoriality(count: int = 500, seed: int = 0) -> CheckResult:
+def _functoriality(rng, seed, i, tol):
     """compose_vjp_check on composable random pairs (chain rule probe)."""
-    rng = random.Random(seed)
-    worst = 0.0
-    tol = 1e-10
-    bad = 0
-    for i in range(count):
-        f = random_program(seed=seed * 7919 + 2 * i,
-                           depth=rng.randint(1, 25),
-                           n_inputs=rng.randint(1, 4))
-        g = random_program(seed=seed * 7919 + 2 * i + 1,
-                           depth=rng.randint(1, 25), n_inputs=1)
-        x = [rng.uniform(-1.0, 1.0) for _ in range(f.n_inputs)]
-        omega = [rng.uniform(-1.0, 1.0) for _ in g.outputs]
-        r = compose_vjp_check(f, g, x, omega)
-        worst = max(worst, r)
-        bad += r > tol
-    return CheckResult("functoriality", count, tol, worst, bad, bad == 0)
-
-
-_POLY_BINARY = [PrimitiveKind.ADD, PrimitiveKind.SUB, PrimitiveKind.MUL]
+    f = random_program(seed=seed * 7919 + 2 * i,
+                       depth=rng.randint(1, 25),
+                       n_inputs=rng.randint(1, 4))
+    g = random_program(seed=seed * 7919 + 2 * i + 1,
+                       depth=rng.randint(1, 25), n_inputs=1)
+    x = [rng.uniform(-1.0, 1.0) for _ in range(f.n_inputs)]
+    omega = [rng.uniform(-1.0, 1.0) for _ in g.outputs]
+    r = compose_vjp_check(f, g, x, omega)
+    return [(r, r > tol)]
 
 
 def random_polynomial_program(seed: int, n_inputs: int = 2,
@@ -110,7 +94,8 @@ def random_polynomial_program(seed: int, n_inputs: int = 2,
                 degrees.append(degrees[a] * e)
         else:
             a, b = pick(), pick()
-            op = rng.choice(_POLY_BINARY)
+            op = rng.choice([PrimitiveKind.ADD, PrimitiveKind.SUB,
+                             PrimitiveKind.MUL])
             if op is PrimitiveKind.MUL and degrees[a] + degrees[b] > max_degree:
                 op = rng.choice([PrimitiveKind.ADD, PrimitiveKind.SUB])
             nodes.append(Node(op, (a, b)))
@@ -121,51 +106,37 @@ def random_polynomial_program(seed: int, n_inputs: int = 2,
                    outputs=(n_inputs + depth - 1,))
 
 
-def check_exactness(count: int = 200, seed: int = 0) -> CheckResult:
+def _exactness(rng, seed, i, tol):
     """taylor_eval vs the symbolic oracle on polynomial programs."""
-    rng = random.Random(seed)
-    worst = 0.0
-    tol = 1e-12
-    bad = 0
-    for i in range(count):
-        n = rng.randint(1, 4)
-        prog = random_polynomial_program(seed=seed * 30011 + i, n_inputs=n,
-                                         max_degree=6,
-                                         depth=rng.randint(4, 14))
-        poly = symbolic_eval(prog)[0]
-        x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        var_deg = [max((e[j] for e in poly.terms), default=0)
-                   for j in range(n)]
-        caps = tuple(max(min(d, 6), 1) for d in var_deg)
-        dirs = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
-        table = taylor_eval(prog, SeedSpec(base=x, directions=dirs, caps=caps))
-        for alpha, got in zip(table.alphas, table.values[:, 0].tolist()):
-            exact = symbolic_partial(poly, alpha, x)
-            r = abs(got - exact) / max(1.0, abs(exact))
-            worst = max(worst, r)
-            bad += r > tol
-    return CheckResult("exactness", count, tol, worst, bad, bad == 0)
+    n = rng.randint(1, 4)
+    prog = random_polynomial_program(seed=seed * 30011 + i, n_inputs=n,
+                                     max_degree=6, depth=rng.randint(4, 14))
+    poly = symbolic_eval(prog)[0]
+    x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    var_deg = [max((e[j] for e in poly.terms), default=0) for j in range(n)]
+    caps = tuple(max(min(d, 6), 1) for d in var_deg)
+    dirs = tuple(tuple(float(i == j) for i in range(n)) for j in range(n))
+    table = taylor_eval(prog, SeedSpec(base=x, directions=dirs, caps=caps))
+    exact = [symbolic_partial(poly, alpha, x) for alpha in table.alphas]
+    rs = [abs(got - e) / max(1.0, abs(e))
+          for got, e in zip(table.values[:, 0].tolist(), exact)]
+    return [(r, r > tol) for r in rs]
 
 
-def check_stability(count: int = 100, seed: int = 0,
-                    delta_const: float = 4.0) -> CheckResult:
+def _ratio(observed: float, bound: float) -> tuple[float, bool]:
+    """(observed/bound, observed > bound); a zero bound adds no residual."""
+    return (observed / bound if bound > 0 else 0.0), observed > bound
+
+
+def _stability(rng, seed, i, tol, delta_const: float = 4.0):
     """Observed pullback norm against the multiplicative product bound."""
-    rng = random.Random(seed)
-    worst_margin = 0.0
-    bad = 0
-    for i in range(count):
-        prog = random_program(seed=seed * 104729 + i,
-                              depth=rng.randint(1, 40),
-                              n_inputs=rng.randint(1, 6))
-        x = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
-        omega = [rng.uniform(-1.0, 1.0) for _ in prog.outputs]
-        rep = stability_bound(prog, x, omega, delta_const=delta_const)
-        if rep.observed_norm > rep.product_bound:
-            bad += 1
-        if rep.product_bound > 0:
-            worst_margin = max(worst_margin,
-                               rep.observed_norm / rep.product_bound)
-    return CheckResult("stability", count, 0.0, worst_margin, bad, bad == 0)
+    prog = random_program(seed=seed * 104729 + i,
+                          depth=rng.randint(1, 40),
+                          n_inputs=rng.randint(1, 6))
+    x = [rng.uniform(-1.0, 1.0) for _ in range(prog.n_inputs)]
+    omega = [rng.uniform(-1.0, 1.0) for _ in prog.outputs]
+    rep = stability_bound(prog, x, omega, delta_const=delta_const)
+    return [_ratio(rep.observed_norm, rep.product_bound)]
 
 
 # the one-node programs sin x and exp x, built once for every instance
@@ -173,73 +144,67 @@ _SIN, _EXP = (Program(1, (Node(kind, (0,)),), (1,))
               for kind in (PrimitiveKind.SIN, PrimitiveKind.EXP))
 
 
-def check_envelope(count: int = 50, seed: int = 0) -> CheckResult:
-    """Coefficient envelope |c_a| <= M_|a| / a! for exp and sin seeds."""
-    rng = random.Random(seed)
-    bad = 0
-    worst = 0.0
-    for i in range(count):
-        k = rng.randint(2, 6)
-        x0 = rng.uniform(-0.5, 0.5)
-        v = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
-        if i % 2 == 0:
-            prog, m = _SIN, 1.0
-        else:
-            prog, m = _EXP, math.exp(x0)
-        spec = SeedSpec(base=(x0,), directions=((v,),), caps=(k,))
-        table = taylor_eval(prog, spec)
-        report = coefficient_envelope(table, [m] * (k + 1))
-        bad += not report.passed
-        for row in report.rows:
-            if row.bound > 0:
-                worst = max(worst, row.coeff_norm / row.bound)
-    return CheckResult("envelope", count, 0.0, worst, bad, bad == 0)
+def _envelope(rng, seed, i, tol):
+    """Coefficient envelope |c_a| <= M_|a| / a! for exp and sin seeds; one
+    violation an instance, however many of its rows break the envelope."""
+    k = rng.randint(2, 6)
+    x0 = rng.uniform(-0.5, 0.5)
+    v = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+    prog, m = (_SIN, 1.0) if i % 2 == 0 else (_EXP, math.exp(x0))
+    spec = SeedSpec(base=(x0,), directions=((v,),), caps=(k,))
+    report = coefficient_envelope(taylor_eval(prog, spec), [m] * (k + 1))
+    ratios = [r.coeff_norm / r.bound for r in report.rows if r.bound > 0]
+    return [(max(ratios, default=0.0), not report.passed)]
 
 
-def check_truncation(count: int = 50, seed: int = 0) -> CheckResult:
+def _truncation(rng, seed, i, tol):
     """Measured Taylor remainder against the Cauchy tail bound."""
-    rng = random.Random(seed)
-    bad = 0
-    worst = 0.0
-    for i in range(count):
-        k = rng.randint(1, 5)
-        rho = rng.uniform(0.05, 0.5)
-        x0 = rng.uniform(-0.5, 0.5)
-        v = rng.choice([-1.0, 1.0])
-        if i % 2 == 0:
-            prog, m_next = _SIN, 1.0
-        else:
-            prog, m_next = _EXP, math.exp(x0 + rho)
-        coeffs = directional_taylor(prog, [x0], [v], k).tolist()
-        partial = 0.0  # a left fold: sum() of floats compensates from 3.12
-        for l, c in enumerate(coeffs):
-            partial += c * rho ** l
-        actual = eval_primal(prog, [x0 + rho * v])[0]
-        remainder = abs(actual - partial)
-        bound = tail_bound(m_next, k, rho)
-        if remainder > bound:
-            bad += 1
-        if bound > 0:
-            worst = max(worst, remainder / bound)
-    return CheckResult("truncation", count, 0.0, worst, bad, bad == 0)
+    k = rng.randint(1, 5)
+    rho = rng.uniform(0.05, 0.5)
+    x0 = rng.uniform(-0.5, 0.5)
+    v = rng.choice([-1.0, 1.0])
+    prog, m_next = (_SIN, 1.0) if i % 2 == 0 else (_EXP, math.exp(x0 + rho))
+    coeffs = directional_taylor(prog, [x0], [v], k).tolist()
+    partial = 0.0  # a left fold: sum() of floats compensates from 3.12
+    for l, c in enumerate(coeffs):
+        partial += c * rho ** l
+    remainder = abs(eval_primal(prog, [x0 + rho * v])[0] - partial)
+    return [_ratio(remainder, tail_bound(m_next, k, rho))]
 
 
+# name -> (default count, tolerance, instance); instance(rng, seed, i, tol,
+# **kwargs) lists instance i's (residual, violated) pairs, drawn from rng
 SUITES = {
-    "duality": check_duality,
-    "functoriality": check_functoriality,
-    "exactness": check_exactness,
-    "stability": check_stability,
-    "envelope": check_envelope,
-    "truncation": check_truncation,
+    "duality": (1000, 1e-10, _duality),
+    "functoriality": (500, 1e-10, _functoriality),
+    "exactness": (200, 1e-12, _exactness),
+    "stability": (100, 0.0, _stability),
+    "envelope": (50, 0.0, _envelope),
+    "truncation": (50, 0.0, _truncation),
 }
 
 
 def run_suite(name: str, count: int | None = None, seed: int = 0,
               **kwargs) -> CheckResult:
+    """Run `count` instances of suite `name` (None: the suite's default)
+    from one generator seeded with `seed`; `kwargs` go to each instance."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; "
                          f"choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    if count is None:
-        return fn(seed=seed, **kwargs)
-    return fn(count=count, seed=seed, **kwargs)
+    default, tol, instance = SUITES[name]
+    count = default if count is None else count
+    rng = random.Random(seed)
+    worst, bad = 0.0, 0
+    for i in range(count):
+        for r, violated in instance(rng, seed, i, tol, **kwargs):
+            worst = max(worst, r)
+            bad += violated
+    return CheckResult(name, count, tol, worst, bad, bad == 0)
+
+
+check_duality = functools.partial(run_suite, "duality")
+check_functoriality = functools.partial(run_suite, "functoriality")
+check_exactness = functools.partial(run_suite, "exactness")
+check_stability = functools.partial(run_suite, "stability")
+check_envelope = functools.partial(run_suite, "envelope")
+check_truncation = functools.partial(run_suite, "truncation")
