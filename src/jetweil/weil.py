@@ -72,8 +72,9 @@ the first factor's index (the descending visit of a second factor's rows
 does exactly that), so batched, unbatched and float results agree bit for
 bit.  A gather of two columns or more multiplies the gathered pairs and
 then adds along the pair axis, which numpy folds in order when that axis
-is not the innermost; a lone column goes to ``np.bincount``, since numpy
-would reduce it pairwise.  The multiply and the add stay two calls: a
+is not the innermost; a lone column, which numpy would reduce pairwise,
+runs the unbatched kernels (a batch of one column, a one-column tile of a
+lift, a product of factors with one column or none each).  The multiply and the add stay two calls: a
 one-call sum of products (``np.einsum``, ``np.dot``) may fuse them into
 one rounding on CPUs with a fused multiply-add, which the tests guard.
 Past ``PAIR_LIMIT`` pairs no pair table is built: products run the slice
@@ -435,8 +436,8 @@ def _nonzero_rows(w: WeilValue) -> np.ndarray:
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
-    Two unbatched operands use the pair table while it has at most
-    PAIR_LIMIT pairs.  Two factors of one batch shape, each with more than
+    Two operands of one column or none each (unbatched, or a lone column)
+    use the pair table while it has at most PAIR_LIMIT pairs.  Two factors of one batch shape, each with more than
     ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, and at most
     GATHER_LIMIT pairs times batch columns, run the grouped gather: one
     ``conv`` per group of ``_product_groups``, each writing its targets
@@ -458,6 +459,16 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
             i, j, k = pairs
             return _result(shape, np.bincount(
                 k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
+    elif a.coeffs.size == b.coeffs.size == shape.dim and (
+            pairs := _pair_table(shape)) is not None:
+        # at most one column each: the unbatched product, in the shape of
+        # the factor with more axes
+        i, j, k = pairs
+        ca, cb = a.coeffs, b.coeffs
+        sums = np.bincount(k, weights=ca.ravel()[i] * cb.ravel()[j],
+                           minlength=shape.dim)
+        return _result(shape, sums.reshape(
+            ca.shape if ca.ndim >= cb.ndim else cb.shape))
     rows_a, rows_b = _nonzero_rows(a), _nonzero_rows(b)
     groups = (_product_groups(shape) if a.coeffs.shape == b.coeffs.shape
               else None)
@@ -667,8 +678,8 @@ def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
     and added along the pair axis by ``np.add.reduce``, into the arrays of
     ``out`` (one per b) where given.  Both add each
     target's pairs in table order, from 0.0, so a batch column matches its
-    unbatched lift exactly.  A lone column goes to ``np.bincount``, since
-    numpy would reduce it pairwise.  Pairs first, each add spans every
+    unbatched lift exactly; a batch has two columns or more, since numpy
+    would reduce a lone one pairwise.  Pairs first, each add spans every
     target and column of a lift's narrow tile; targets first, each target's
     sum over a product's full batch stays in cache.
 
@@ -686,9 +697,6 @@ def _level_conv(I, J, i, j, pos, dim: int, axis: int = 1):
             ai = a[i]
             for b in bs:
                 sums.append(np.bincount(pos, ai * b[j], rows))
-        elif a.shape[1] == 1:  # numpy would sum a lone column pairwise
-            for x in conv(a[:, 0], *[b[:, 0] for b in bs]):
-                sums.append(x[:, None])
         else:
             ga = a.take(I, 0, mode="clip")
             for b, o in zip(bs, out or [None] * len(bs)):
@@ -771,9 +779,12 @@ def _graded(kind: str, w: WeilValue, r: float = 0.0) -> WeilValue:
     result = np.empty(w.coeffs.shape)
     out = result.reshape(coeffs.shape)
     width = max(1, TILE_GATHER // max(1, widest))
-    for lo in range(0, coeffs.shape[1], width):
-        _lift_tile(kind, shape, coeffs[:, lo:lo + width], r, betas).take(
-            back, 0, out[:, lo:lo + width], "clip")
+    cols = coeffs.shape[1]
+    for lo in range(0, cols, width):
+        # a lone column runs unbatched: numpy would sum it pairwise
+        tile = slice(lo, lo + width) if min(width, cols - lo) > 1 else lo
+        _lift_tile(kind, shape, coeffs[:, tile], r, betas).take(
+            back, 0, out[:, tile], "clip")
     return _result(shape, result)
 
 

@@ -303,10 +303,11 @@ def test_dense_product_groups_against_loop(caps, batch):
 
 @pytest.mark.parametrize("batch", [1, 7, 9])
 def test_dense_product_groups_past_gather_limit(monkeypatch, batch):
-    # Each group's conv, given no out arrays, sums into new ones, and a lone
-    # column goes to np.bincount; each still matches its unbatched product.
-    # Past a small GATHER_LIMIT weil_mul itself takes the slice loop, since
-    # the pairs times the columns exceed GATHER_LIMIT.
+    # Each group's conv, given no out arrays, sums into new ones; each still
+    # matches its unbatched product.  Past a small GATHER_LIMIT weil_mul
+    # itself takes the slice loop, since the pairs times the columns exceed
+    # GATHER_LIMIT, but a lone column, which no conv is given, runs the
+    # unbatched product.
     monkeypatch.setattr(weil, "GATHER_LIMIT", 40)
     weil._product_groups.cache_clear()
     try:
@@ -314,10 +315,11 @@ def test_dense_product_groups_past_gather_limit(monkeypatch, batch):
         for caps in [(1,) * 4, (2, 2, 2)]:
             shape = make_shape(caps)
             a, b = rng.normal(size=(2, shape.dim, batch))
-            out = np.empty_like(a)
-            for targets, conv in weil._product_groups(shape):
-                out[targets] = conv(a, b)[0]
-            _columns_match_unbatched(shape, a, b, out)
+            if batch > 1:
+                out = np.empty_like(a)
+                for targets, conv in weil._product_groups(shape):
+                    out[targets] = conv(a, b)[0]
+                _columns_match_unbatched(shape, a, b, out)
             _columns_match_unbatched(shape, a, b, weil_mul(
                 WeilValue(shape, a), WeilValue(shape, b)).coeffs)
     finally:
@@ -700,8 +702,8 @@ def test_unary_batched_in_column_blocks(monkeypatch, batch):
     # A small TILE_GATHER runs a batch in tiles of w = 4 columns, with the
     # level tables and past PAIR_LIMIT, where the widest level is the top
     # alpha's box: one tile of 1 to 4 columns, or whole tiles and a tail,
-    # a lone column (5, 9, 13) going to np.bincount.  Every lift of
-    # UNARY_CASES matches its unbatched columns bit for bit.
+    # a lone column (1, 5, 9, 13) running unbatched, as a tile of shape ().
+    # Every lift of UNARY_CASES matches its unbatched columns bit for bit.
     shape = make_shape((3, 2, 2))
     rng = np.random.default_rng(6)
     w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=batch), batch=(batch,))
@@ -713,7 +715,8 @@ def test_unary_batched_in_column_blocks(monkeypatch, batch):
         return lift_tile(kind, shape, coeffs, *rest)
 
     monkeypatch.setattr(weil, "_lift_tile", counted)
-    widths = [(4,)] * (batch // 4) + [(batch % 4,)] * (batch % 4 > 0)
+    tail = batch % 4
+    widths = [(4,)] * (batch // 4) + [(tail,) if tail > 1 else ()] * (tail > 0)
     for limit in (PAIR_LIMIT, 0):
         with _pair_limit(limit):
             plan = weil._levels(shape)
