@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ def test_compose_square_then_sin():
     composed = compose_programs(f, g)
     grad = vjp(composed, [1.0], [1.0])[0]
     assert abs(grad - 2.0 * math.cos(1.0)) < 1e-14
+
+
+def test_compose_vjp_check_norms_past_float_square_root():
+    # The pullbacks of f = (1e200 x, 1e200 y) square past float64: a norm
+    # through a dot product overflows with a RuntimeWarning and reads inf,
+    # which would turn any gap into 0.0; hypot stays finite.
+    f = parse_program("input x y\nc = const 1e200\nu = mul c x\n"
+                      "w = mul c y\noutput u w")
+    g = parse_program("input u w\nz = add u w\noutput z")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compose_vjp_check(f, g, [1.0, 1.0], [1.0]) == 0.0
 
 
 def test_compose_arity_mismatch():

@@ -326,6 +326,23 @@ def test_dense_product_groups_past_gather_limit(monkeypatch, batch):
         weil._product_groups.cache_clear()
 
 
+@pytest.mark.parametrize("caps", [(1,) * 6, (3, 3, 3), (2, 2, 2)])
+def test_lone_column_products_run_unbatched(monkeypatch, caps):
+    # Factors of one column or none each take the pair table, never the
+    # batched kernels (which look for zero rows first), and the product has
+    # the shape of the factor with more axes; its column is the unbatched
+    # product bit for bit.
+    shape = make_shape(caps)
+    a, b = np.random.default_rng(14).normal(size=(2, shape.dim))
+    want = weil_mul(WeilValue(shape, a), WeilValue(shape, b)).coeffs
+    monkeypatch.setattr(weil, "_nonzero_rows", None)
+    for sa, sb in [((1,), (1,)), ((), (1,)), ((1, 1), (1,)), ((1, 1), (1, 1))]:
+        got = weil_mul(WeilValue(shape, a.reshape((shape.dim,) + sa)),
+                       WeilValue(shape, b.reshape((shape.dim,) + sb))).coeffs
+        assert got.shape == (shape.dim,) + max(sa, sb, key=len)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("caps", [(1, 1, 1), (1,) * 4, (2, 2, 2)])
 @pytest.mark.parametrize("batch", [2, 3])
 def test_negative_zero_products_as_bincount(caps, batch):
@@ -732,6 +749,32 @@ def test_unary_batched_in_column_blocks(monkeypatch, batch):
                                    WeilValue(shape, w.coeffs[:, i]))
                     assert np.array_equal(batched.coeffs[:, i],
                                           single.coeffs), (kind, limit)
+
+
+def test_unary_one_column_tiles_run_unbatched(monkeypatch):
+    # A TILE_GATHER below the widest level makes every tile one column
+    # wide, and each runs unbatched, as a tile of shape (): every lift of
+    # UNARY_CASES matches its unbatched columns bit for bit.
+    shape = make_shape((2, 2, 2))
+    rng = np.random.default_rng(15)
+    w = _jet(shape, rng, rng.uniform(0.5, 2.0, size=3), batch=(3,))
+    tiles = []
+    lift_tile = weil._lift_tile
+
+    def counted(kind, shape, coeffs, *rest):
+        tiles.append(coeffs.shape[1:])
+        return lift_tile(kind, shape, coeffs, *rest)
+
+    monkeypatch.setattr(weil, "_lift_tile", counted)
+    monkeypatch.setattr(weil, "TILE_GATHER", 1)
+    for kind, exponent in UNARY_CASES:
+        tiles.clear()
+        batched = _lift(kind, exponent, w)
+        if (kind, exponent) != ("pow", 3.0):  # pow_int multiplies
+            assert tiles == [()] * 3, kind
+        for i in range(3):
+            single = _lift(kind, exponent, WeilValue(shape, w.coeffs[:, i]))
+            assert np.array_equal(batched.coeffs[:, i], single.coeffs), kind
 
 
 def test_unary_past_pair_limit_matches_table():
