@@ -1,10 +1,9 @@
 """Randomized verification suites shared by the CLI and the test suite.
 
-Each suite runs `count` deterministic instances from a seed and reports
-the worst residual plus a violation count.  Tolerances are the module
-contracts: duality and functoriality at 1e-10, polynomial exactness at
-1e-12 relative, stability and envelope/truncation bounds as strict
-inequalities.  A suite is one instance function and one `SUITES` row.
+A suite is one instance function and one `SUITES` row, which holds its
+default count and tolerance; `run_suite` runs `count` deterministic
+instances from a seed and reports the worst residual plus a violation
+count.  The bound suites compare strictly, at tolerance 0.0.
 """
 from __future__ import annotations
 
@@ -164,9 +163,8 @@ def _truncation(rng, seed, i, tol):
     x0 = rng.uniform(-0.5, 0.5)
     v = rng.choice([-1.0, 1.0])
     prog, m_next = (_SIN, 1.0) if i % 2 == 0 else (_EXP, math.exp(x0 + rho))
-    coeffs = directional_taylor(prog, [x0], [v], k).tolist()
     partial = 0.0  # a left fold: sum() of floats compensates from 3.12
-    for l, c in enumerate(coeffs):
+    for l, c in enumerate(directional_taylor(prog, [x0], [v], k).tolist()):
         partial += c * rho ** l
     remainder = abs(eval_primal(prog, [x0 + rho * v])[0] - partial)
     return [_ratio(remainder, tail_bound(m_next, k, rho))]

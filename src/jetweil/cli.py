@@ -175,14 +175,12 @@ def cmd_check(args) -> int:
     if args.count is not None and args.count < 1:
         raise ValueError("--count must be >= 1")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    failed = False
     results = []
     for name in names:
         kwargs = ({"delta_const": args.delta_const} if name == "stability"
                   else {})
         res = run_suite(name, count=args.count, seed=args.seed, **kwargs)
         results.append(res.to_json_dict())
-        failed = failed or not res.passed
         # with --json, stdout holds only the JSON document
         print(f"{name}: count={res.count} "
               f"max_residual={res.max_residual:.3e} "
@@ -191,7 +189,7 @@ def cmd_check(args) -> int:
               file=sys.stderr if args.json else sys.stdout)
     if args.json:
         _emit({"results": results})
-    return 1 if failed else 0
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 def _bench_family(family: str, args) -> dict:

@@ -176,7 +176,6 @@ def compose_vjp_check(f: Program, g: Program, x: Sequence[float],
     direct = vjp(composed, x, omega)
     y = eval_primal(f, x)
     chained = vjp(f, x, vjp(g, y, omega))
-    # hypot cannot overflow on the way, where np.linalg.norm's dot product
-    # does past about 1.3e154
+    # hypot cannot overflow on the way, as np.linalg.norm's dot product can
     scale = max(1.0, math.hypot(*direct))
     return math.hypot(*(d - c for d, c in zip(direct, chained))) / scale

@@ -73,8 +73,7 @@ does exactly that), so batched, unbatched and float results agree bit for
 bit.  A gather of two columns or more multiplies the gathered pairs and
 then adds along the pair axis, which numpy folds in order when that axis
 is not the innermost; a lone column, which numpy would reduce pairwise,
-runs the unbatched kernels (a batch of one column, a one-column tile of a
-lift, a product of factors with one column or none each).  The multiply and the add stay two calls: a
+runs the unbatched kernels.  The multiply and the add stay two calls: a
 one-call sum of products (``np.einsum``, ``np.dot``) may fuse them into
 one rounding on CPUs with a fused multiply-add, which the tests guard.
 Past ``PAIR_LIMIT`` pairs no pair table is built: products run the slice
@@ -436,11 +435,11 @@ def _nonzero_rows(w: WeilValue) -> np.ndarray:
 def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
     """Truncated convolution; exponent overflow past any cap is dropped.
 
-    Two operands of one column or none each (unbatched, or a lone column)
-    use the pair table while it has at most PAIR_LIMIT pairs.  Two factors of one batch shape, each with more than
-    ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, and at most
-    GATHER_LIMIT pairs times batch columns, run the grouped gather: one
-    ``conv`` per group of ``_product_groups``, each writing its targets
+    Two operands of one column or none each use the pair table while it
+    has at most PAIR_LIMIT pairs.  Two factors of one batch shape, each
+    with more than ``GATHER_ROWS`` * max(dim, 3 * groups) nonzero rows, and
+    at most GATHER_LIMIT pairs times batch columns, run the grouped gather:
+    one ``conv`` per group of ``_product_groups``, each writing its targets
     once.  All other products run the slice loop, one update per
     nonzero row of the factor with the smaller (axes, nonzero rows): an
     unbatched factor broadcasts, so it goes first, and a tie keeps a.  The
@@ -461,14 +460,11 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
                 k, weights=a.coeffs[i] * b.coeffs[j], minlength=shape.dim))
     elif a.coeffs.size == b.coeffs.size == shape.dim and (
             pairs := _pair_table(shape)) is not None:
-        # at most one column each: the unbatched product, in the shape of
-        # the factor with more axes
+        # a lone column each: shaped as the factor with more axes
         i, j, k = pairs
         ca, cb = a.coeffs, b.coeffs
-        sums = np.bincount(k, weights=ca.ravel()[i] * cb.ravel()[j],
-                           minlength=shape.dim)
-        return _result(shape, sums.reshape(
-            ca.shape if ca.ndim >= cb.ndim else cb.shape))
+        sums = np.bincount(k, ca.ravel()[i] * cb.ravel()[j], shape.dim)
+        return _result(shape, sums.reshape(max(ca.shape, cb.shape)))
     rows_a, rows_b = _nonzero_rows(a), _nonzero_rows(b)
     groups = (_product_groups(shape) if a.coeffs.shape == b.coeffs.shape
               else None)

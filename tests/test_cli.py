@@ -519,6 +519,19 @@ def test_check_json_bytes_match_json_dumps(capsys):
     assert [line.split(":")[0] for line in err.splitlines()] == sorted(SUITES)
 
 
+def test_check_exits_1_when_a_suite_fails(capsys, monkeypatch):
+    # a tolerance below every residual makes each duality instance a
+    # violation: that suite fails, the others pass, and the run exits 1
+    default, _, instance = SUITES["duality"]
+    monkeypatch.setitem(SUITES, "duality", (default, -1.0, instance))
+    code, out, _ = run_cli(capsys, "check", "all", "--count", "2", "--json")
+    assert code == 1
+    verdicts = {r["suite"]: (r["violations"], r["passed"])
+                for r in json.loads(out)["results"]}
+    assert verdicts.pop("duality") == (2, False)
+    assert all(passed for _, passed in verdicts.values())
+
+
 def test_closed_stdout_exits_2_quietly(tmp_path):
     # `jetweil taylor ... | head -n 1` on a table larger than a pipe holds
     path = tmp_path / "big.slp"
