@@ -464,8 +464,8 @@ def weil_mul(a: WeilValue, b: WeilValue) -> WeilValue:
         i, j, k = pairs
         ca, cb = a.coeffs, b.coeffs
         sums = np.bincount(k, ca.ravel()[i] * cb.ravel()[j], shape.dim)
-        return _result(shape, sums[:, None] if ca.ndim == cb.ndim == 2
-                       else sums.reshape(max(ca.shape, cb.shape)))
+        return _result(shape, sums.reshape(
+            (ca if ca.ndim >= cb.ndim else cb).shape))
     rows_a, rows_b = _nonzero_rows(a), _nonzero_rows(b)
     groups = (_product_groups(shape) if a.coeffs.shape == b.coeffs.shape
               else None)

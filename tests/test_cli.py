@@ -532,6 +532,19 @@ def test_check_exits_1_when_a_suite_fails(capsys, monkeypatch):
     assert all(passed for _, passed in verdicts.values())
 
 
+def test_envelope_fold_skips_a_nan_row(monkeypatch):
+    # the worst residual is a left fold from 0.0 over every row: a NaN
+    # row is skipped, and a row after it still counts
+    from jetweil import checks
+    from jetweil.jets import EnvelopeReport, EnvelopeRow
+    rows = (EnvelopeRow((1,), math.nan, 1.0, False),
+            EnvelopeRow((2,), 2.0, 1.0, True))
+    monkeypatch.setattr(checks, "coefficient_envelope",
+                        lambda table, bounds: EnvelopeReport(rows, False))
+    result = run_suite("envelope", count=1, seed=0)
+    assert (result.max_residual, result.violations) == (2.0, 1)
+
+
 def test_closed_stdout_exits_2_quietly(tmp_path):
     # `jetweil taylor ... | head -n 1` on a table larger than a pipe holds
     path = tmp_path / "big.slp"
