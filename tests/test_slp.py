@@ -469,3 +469,113 @@ def test_bench_mul_family_cancels_no_node():
 def test_rule_table_covers_every_primitive():
     # div is desugared by the parser and never reaches an evaluator
     assert set(PRIMITIVES) == set(PrimitiveKind) - {PrimitiveKind.DIV}
+
+
+# Programs the mutation corpus starts from: every primitive, div and its
+# reciprocal's name, literals, comments and blank lines.
+_CORPUS_BASES = [
+    "input a b\nc = mul a b\nd = sin c\ne = exp a\nf = add d e\noutput f c",
+    "input x y\nq = div x y\nr = div q q__recip\nk = const -2.5\n"
+    "p = pow r -1.5\ns = sub p k\noutput s q x",
+    "input x\ny = pow x 3\nz = neg y\nw = sqrt x\nv = log w\nu = recip v\n"
+    "t = tanh u\ns = cos t\noutput s z",
+    "# header\ninput a # one input\n\nb = const 1.5e3 # literal\n"
+    "c = mul a b\noutput c",
+]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+_SEPARATORS = [" ", "  ", "\t", "\u3000", " \u3000 "]
+_ODD_TOKENS = ["frob", "Sin", "DIV", "mul2", "exp(", "=", "input", "output",
+               "é", "xé", "ñ", "π1", "\uff21", "_", "x__recip", "1x",
+               "1e400", "-1e400", "nan", "inf", "\u0661\u0662", "\uff12",
+               "1.", ".5", "+3", "1e-400", "0x10", "1_0", "-0.0", "5e-324",
+               "a#b", "#", "mu\u3000l", "const", "pow", "div"]
+
+
+def _mutant(rng: random.Random) -> str:
+    """One program text: a base program with one to four random token,
+    line or character mutations, rendered with random separators and line
+    breaks."""
+    lines = [line.split(" ") for line in rng.choice(_CORPUS_BASES).split("\n")]
+    for _ in range(rng.randint(1, 4)):
+        line = rng.choice(lines)
+        i = rng.randrange(len(line) + 1)
+        kind = rng.randrange(11)
+        if kind == 0 and line:  # drop a token
+            del line[min(i, len(line) - 1)]
+        elif kind == 1 and line:  # duplicate a token
+            line.insert(i, rng.choice(line))
+        elif kind == 2 and len(line) > 1:  # swap two tokens
+            j, k = rng.sample(range(len(line)), 2)
+            line[j], line[k] = line[k], line[j]
+        elif kind == 3:  # swap, drop or duplicate a line
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            how = rng.randrange(3)
+            if how == 0:
+                lines[j], lines[k] = lines[k], lines[j]
+            elif how == 1 and len(lines) > 1:
+                del lines[j]
+            else:
+                lines.insert(j, list(lines[k]))
+        elif kind == 4 and len(line) > 2:  # unknown or other op
+            line[2] = rng.choice(_ODD_TOKENS[:8] + ["sqrt", "neg", "add"])
+        elif kind == 5:  # a statement whose name clashes with a div's
+            divs = [ln[0] for ln in lines if len(ln) > 2 and ln[2] == "div"]
+            name = rng.choice(divs) if divs else "q"
+            lines.insert(rng.randrange(len(lines) + 1),
+                         [f"{name}__recip", "=", "sin", "a"])
+        elif kind == 6:  # an odd token anywhere
+            line.insert(i, rng.choice(_ODD_TOKENS))
+        elif kind == 7 and line:  # an odd token in place of one
+            line[min(i, len(line) - 1)] = rng.choice(_ODD_TOKENS)
+        elif kind == 8:  # a comment, or a blank or comment-only line
+            if rng.random() < 0.5:
+                line.insert(i, rng.choice(["#", "#c", "# x = sin y"]))
+            else:
+                lines.insert(rng.randrange(len(lines) + 1),
+                             rng.choice([[], ["#"], ["", "#", "note"]]))
+        elif kind == 9:  # an odd literal on a const or pow line
+            payload = [ln for ln in lines if len(ln) > 3
+                       and ln[2] in ("const", "pow")]
+            if payload:
+                rng.choice(payload)[-1] = rng.choice(_ODD_TOKENS[16:30])
+        elif line:  # a character inside a token
+            j = rng.randrange(len(line))
+            tok = line[j]
+            at = rng.randrange(len(tok) + 1)
+            line[j] = tok[:at] + rng.choice(
+                ["#", "\u3000", "\x0b", "\x85", "é"]) + tok[at:]
+    out = []
+    for line in lines:
+        sep = rng.choice(_SEPARATORS)
+        lead = rng.choice(["", "", " ", "\u3000"])
+        out.append(lead + sep.join(line))
+    brk = rng.choice(_BREAKS)
+    text = brk.join(out)
+    return text + brk if rng.random() < 0.5 else text
+
+
+def _parse_outcome(text: str) -> tuple:
+    try:
+        prog = parse_program(text)
+    except Exception as err:  # noqa: BLE001 - the class is the outcome
+        return (type(err).__name__, str(err), getattr(err, "line", None))
+    return ("ok", prog.n_inputs,
+            tuple((n.op.value, n.operands, repr(n.const)) for n in prog.nodes),
+            prog.outputs, prog.names)
+
+
+def test_parser_mutation_corpus_digest():
+    # every outcome of parse_program on a fixed corpus of mutated programs:
+    # a parsed program's fields, or an error's class, message and line
+    rng = random.Random(20251022)
+    outcomes = [_parse_outcome(_mutant(rng)) for _ in range(3000)]
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(repr(outcome).encode() + b"\n")
+    kinds = {o[0] for o in outcomes}
+    assert kinds == {"ok", "ParseError"}
+    assert sum(o[0] == "ok" for o in outcomes) > 200
+    assert len({o[1] for o in outcomes if o[0] != "ok"}) > 40
+    assert digest.hexdigest() == \
+        "1fa8d846cbc8a3940811dfa91723be280e5f6ccfc75abdef247d9ffb8646d7d4"
