@@ -13,6 +13,7 @@ import math
 import os
 import random
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .bench import (DEFAULT_DIMS, bench_program, run_nested_bench,
 from .checks import SUITES, run_suite
 from .errors import (DomainError, JetweilError, NumericOverflowError,
                      ParseError, ShapeTooLargeError)
-from .jets import (SeedSpec, check_envelope_args, coefficient_envelope,
-                   tail_bound, taylor_eval)
+from .jets import (DerivativeTable, SeedSpec, check_envelope_args,
+                   coefficient_envelope, tail_bound, taylor_eval)
 from .modes import vjp, vjp_and_pairing
 from .oracle import finite_difference
 from .slp import eval_primal, parse_program, random_program
@@ -59,38 +60,60 @@ def _resolve_max_dim(flag_value) -> int:
     return int(env) if env else DEFAULT_MAX_DIM
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload: dict, table: DerivativeTable | None = None) -> None:
     """Print ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
 
-    A taylor table's ``entries`` go through one ``%`` template per row,
-    spliced in where json.dumps writes the rest of the payload with entries
-    None: with ``indent`` set, json runs its pure-Python encoder, which spent
-    most of its time on the per-entry dicts.  A line that starts with two
-    spaces and a quote holds a top-level key, so the splice is exact.
+    Given a taylor table, print that of ``table.to_json_dict()`` joined with
+    ``payload``, whose keys sort after ``entries``.  The table is written
+    through one ``%`` of templates, laid out as json.dumps lays out its
+    lists and dicts: with ``indent`` set, json runs its pure-Python encoder,
+    which spent most of its time on the per-entry dicts.  Every float is
+    written by %r, float.__repr__, as json writes a finite float (a table
+    holds no other).
     """
-    if "entries" not in payload:
+    if table is None:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
-    text = json.dumps(dict(payload, entries=None), indent=2, sort_keys=True)
-    entries = payload["entries"]
-    row = _entry_template(len(entries[0]["alpha"]), len(entries[0]["coeff"]))
-    rows = ",\n".join([row % (*e["alpha"], *e["coeff"], *e["value"])
-                       for e in entries])
-    print(text.replace('\n  "entries": null',
-                       '\n  "entries": [\n' + rows + "\n  ]", 1))
+    n, p = len(table.base), len(table.directions)
+    alphas = table.alphas
+    row = _entry_template(p, table.raw.shape[1])
+    text = (_head_template(n, p) + _json_list([row] * len(alphas), 2)) % (
+        *table.base, *table.shape.caps, *chain.from_iterable(table.directions),
+        *chain.from_iterable(chain.from_iterable(
+            zip(alphas, table.raw.tolist(), table.values.tolist()))))
+    for key in sorted(payload):
+        text += f',\n  "{key}": ' + json.dumps(
+            payload[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+    print(text + "\n}")
+
+
+def _json_list(items: list[str], pad: int) -> str:
+    """A list of laid-out items, laid out as json.dumps(indent=2) lays out
+    a list whose closing bracket is ``pad`` spaces in."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (pad + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
+
+
+@functools.lru_cache(maxsize=None)
+def _head_template(n: int, p: int) -> str:
+    """A table's keys up to ``entries`` for n inputs and p directions: n
+    base values and p rows of n direction values (%r), and p caps (%d)."""
+    return ('{\n  "base": ' + _json_list(["%r"] * n, 2)
+            + ',\n  "caps": ' + _json_list(["%d"] * p, 2)
+            + ',\n  "directions": '
+            + _json_list([_json_list(["%r"] * n, 4)] * p, 2)
+            + ',\n  "entries": ')
 
 
 @functools.lru_cache(maxsize=None)
 def _entry_template(p: int, m: int) -> str:
-    """One entry of p alpha indices (%d) and m outputs (%r: float.__repr__,
-    which json uses for finite floats; a table holds no others), laid out
-    as json.dumps(indent=2, sort_keys=True) lays out a top-level list."""
-    def field(key: str, spec: str, n: int) -> str:
-        return (f'      "{key}": [\n' + ",\n".join([f"        {spec}"] * n)
-                + "\n      ]")
-    return ("    {\n" + ",\n".join([field("alpha", "%d", p),
-                                     field("coeff", "%r", m),
-                                     field("value", "%r", m)]) + "\n    }")
+    """One entry of p alpha indices (%d) and m outputs (%r), as an item of
+    a top-level list."""
+    return ('{\n      "alpha": ' + _json_list(["%d"] * p, 6)
+            + ',\n      "coeff": ' + _json_list(["%r"] * m, 6)
+            + ',\n      "value": ' + _json_list(["%r"] * m, 6) + "\n    }")
 
 
 def cmd_eval(args) -> int:
@@ -158,12 +181,13 @@ def cmd_taylor(args) -> int:
         tail_json = {"m_next": m_next, "rho": rho, "k": k,
                      "value": tail_bound(m_next, k, rho)}
     table = taylor_eval(prog, spec, max_dim=_resolve_max_dim(args.max_dim))
-    payload = table.to_json_dict()
+    table.values  # an overflowing derivative raises before the envelope
+    payload = {}
     if bounds is not None:
         payload["envelope"] = coefficient_envelope(table, bounds).to_json_dict()
     if tail is not None:
         payload["tail_bound"] = tail_json
-    _emit(payload)
+    _emit(payload, table)
     if bounds is not None and not payload["envelope"]["passed"]:
         return 1
     return 0
@@ -361,10 +385,9 @@ def main(argv=None) -> int:
     except (DomainError, NumericOverflowError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, JetweilError) as err:
+    except (OSError, ValueError, JetweilError) as err:
+        # OSError: a program path that cannot be read (missing, a
+        # directory, no permission)
         print(f"error: {err}", file=sys.stderr)
         return 2
 

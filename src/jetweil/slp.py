@@ -328,17 +328,9 @@ class Program:
         return peak
 
 
-def _unchecked_node(op: PrimitiveKind, operands: tuple[int, ...],
-                    const: float | None = None) -> Node:
-    """A Node without ``__post_init__``'s arity check, for the parser, which
-    has made it: the fields go through the slots' own setters."""
-    node = object.__new__(Node)
-    _set_op(node, op)
-    _set_operands(node, operands)
-    _set_const(node, const)
-    return node
-
-
+# the parser builds each Node without ``__post_init__``'s arity check,
+# which it has made: the fields go through the slots' own setters
+_new_node = object.__new__
 _set_op, _set_operands, _set_const = (
     Node.op.__set__, Node.operands.__set__, Node.const.__set__)
 
@@ -354,14 +346,16 @@ def _unchecked_program(n_inputs: int, nodes: tuple[Node, ...],
     return prog
 
 
-# every primitive's spelling in the program text, with its operand count
-_SYNTAX = {kind.value: (kind, ARITY[kind]) for kind in PrimitiveKind}
-_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 # the primitives whose last token is a numeric literal, and their usage
 _LITERAL_USAGE = {
     "const": "const takes one numeric literal",
     "pow": "pow takes an operand and a numeric exponent",
 }
+# every primitive's spelling in the program text, with its operand count
+# and its literal's usage (None for the rest)
+_SYNTAX = {kind.value: (kind, ARITY[kind], _LITERAL_USAGE.get(kind.value))
+           for kind in PrimitiveKind}
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 
 
 def parse_program(text: str) -> Program:
@@ -369,35 +363,38 @@ def parse_program(text: str) -> Program:
     the first statement, the last, those between in order, then the names
     on the output line.  The parser checks what ``Node`` and ``Program``
     would, so it builds both unchecked."""
-    stmts: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.partition("#")[0].split()
-        if toks:
-            stmts.append((lineno, toks))
-    if not stmts:
+    rows = text.splitlines()
+    lines = ([row.partition("#")[0].split() for row in rows] if "#" in text
+             else [row.split() for row in rows])
+    first = 0
+    while first < len(lines) and not lines[first]:
+        first += 1
+    if first == len(lines):
         raise ParseError("empty program", 1)
+    last = len(lines) - 1
+    while not lines[last]:
+        last -= 1
 
-    lineno, first = stmts[0]
-    if first[0] != "input":
-        raise ParseError("program must start with an 'input' line", lineno)
-    names = first[1:]
+    if lines[first][0] != "input":
+        raise ParseError("program must start with an 'input' line", first + 1)
     scope: dict[str, int] = {}
-    for name in names:
+    for name in lines[first][1:]:
         # on a token, isidentifier() and isascii() is [A-Za-z_][A-Za-z0-9_]*
         if not (name.isidentifier() and name.isascii()):
-            raise ParseError(f"bad input name {name!r}", lineno)
+            raise ParseError(f"bad input name {name!r}", first + 1)
         if name in scope:
-            raise ParseError(f"duplicate name {name!r}", lineno)
+            raise ParseError(f"duplicate name {name!r}", first + 1)
         scope[name] = len(scope)
     n_inputs = len(scope)
-
-    lineno_out, last = stmts[-1]
-    if last[0] != "output":
-        raise ParseError("program must end with an 'output' line", lineno_out)
+    if lines[last][0] != "output":
+        raise ParseError("program must end with an 'output' line", last + 1)
 
     div, recip, mul = PrimitiveKind.DIV, PrimitiveKind.RECIP, PrimitiveKind.MUL
     nodes: list[Node] = []
-    for lineno, toks in stmts[1:-1]:
+    for lineno in range(first + 2, last + 1):
+        toks = lines[lineno - 1]
+        if not toks:
+            continue
         name = toks[0]
         if name == "input" or name == "output":
             raise ParseError(f"{name!r} line out of place", lineno)
@@ -408,11 +405,10 @@ def parse_program(text: str) -> Program:
         if name in scope:
             raise ParseError(f"duplicate name {name!r}", lineno)
         try:
-            op, arity = _SYNTAX[toks[2]]
+            op, arity, usage = _SYNTAX[toks[2]]
         except KeyError:
             raise ParseError(f"unknown primitive {toks[2]!r}", lineno) from None
         const = None
-        usage = _LITERAL_USAGE.get(toks[2])
         if usage is not None:
             if len(toks) != 4 + arity or not _NUMBER.match(toks[-1]):
                 raise ParseError(usage, lineno)
@@ -437,22 +433,27 @@ def parse_program(text: str) -> Program:
             recip_name = f"{name}__recip"
             if recip_name in scope:
                 raise ParseError(f"duplicate name {recip_name!r}", lineno)
-            scope[recip_name] = n_inputs + len(nodes)
-            nodes.append(_unchecked_node(recip, refs[1:]))
-            names.append(recip_name)
+            scope[recip_name] = len(scope)
+            node = _new_node(Node)
+            _set_op(node, recip)
+            _set_operands(node, refs[1:])
+            _set_const(node, None)
+            nodes.append(node)
             op, refs = mul, (refs[0], scope[recip_name])
-        scope[name] = n_inputs + len(nodes)
-        nodes.append(_unchecked_node(op, refs, const))
-        names.append(name)
+        scope[name] = len(scope)
+        node = _new_node(Node)
+        _set_op(node, op)
+        _set_operands(node, refs)
+        _set_const(node, const)
+        nodes.append(node)
 
     try:
-        outputs = tuple(scope[arg] for arg in last[1:])
+        outputs = tuple(scope[arg] for arg in lines[last][1:])
     except KeyError as err:
-        raise ParseError(f"undefined name {err.args[0]!r}",
-                         lineno_out) from None
+        raise ParseError(f"undefined name {err.args[0]!r}", last + 1) from None
     if not outputs:
-        raise ParseError("output line names no values", lineno_out)
-    return _unchecked_program(n_inputs, tuple(nodes), outputs, tuple(names))
+        raise ParseError("output line names no values", last + 1)
+    return _unchecked_program(n_inputs, tuple(nodes), outputs, tuple(scope))
 
 
 def pretty_print(prog: Program) -> str:

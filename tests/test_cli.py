@@ -61,6 +61,28 @@ def test_eval_missing_file(capsys):
     assert code == 2
 
 
+def test_eval_directory_path_exits_2(capsys, tmp_path):
+    # IsADirectoryError: one error line, no traceback
+    code, out, err = run_cli(capsys, "eval", str(tmp_path), "--x", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_program_exits_2(capsys, tmp_path, monkeypatch):
+    # root reads a file whatever its mode, so open raises here instead
+    from jetweil import cli
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = tmp_path / "p.slp"
+    path.write_text("input x\ny = sin x\noutput y\n")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, out, err = run_cli(capsys, "eval", str(path), "--x", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+
+
 @pytest.mark.parametrize("command, inputs, body, x, word", [
     ("eval", "x", "y = log x", "-1", "log"),
     ("grad", "x", "y = exp x", "1000", "overflow at node 0"),
@@ -507,6 +529,68 @@ def test_taylor_json_bytes_match_json_dumps(capsys, tmp_path, caps, outputs,
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == _dumps(payload)
+
+
+def _taylor_reference(text, base, dirs, caps, extras):
+    """The exit code and json.dumps stdout of a taylor request, from the
+    library calls, with --envelope and --tail when extras is set."""
+    table = taylor_eval(parse_program(text), SeedSpec(base, dirs, caps))
+    payload = table.to_json_dict()
+    code = 0
+    if extras:
+        bounds = [100.0] * (sum(caps) + 1)
+        envelope = coefficient_envelope(table, bounds)
+        payload["envelope"] = envelope.to_json_dict()
+        payload["tail_bound"] = {"m_next": 2.5, "rho": 0.5, "k": sum(caps),
+                                 "value": tail_bound(2.5, sum(caps), 0.5)}
+        code = 0 if envelope.passed else 1
+    return code, _dumps(payload)
+
+
+def _taylor_argv(path, base, dirs, caps, extras):
+    argv = ["taylor", str(path), "--x=" + ",".join(map(repr, base)),
+            "--dirs=" + ";".join(",".join(map(repr, d)) or "," for d in dirs),
+            "--caps=" + ",".join(map(str, caps)), "--json"]
+    if extras:
+        argv += ["--envelope=" + ",".join(["100.0"] * (sum(caps) + 1)),
+                 "--tail=2.5,0.5"]
+    return argv
+
+
+@pytest.mark.parametrize("caps", [(3,), (2, 1), (1,) * 6])
+@pytest.mark.parametrize("extras", [False, True])
+def test_taylor_writer_bytes_at_float_edges(capsys, tmp_path, caps, extras):
+    # -0.0, the smallest subnormal, the smallest normal and 1e300 in base,
+    # directions and entries (output d is an input, so its entries are its
+    # seed), at n = 4 inputs and two outputs; (1,)^6 runs on numpy.  An
+    # envelope needs direction norms <= 1, so 1e300 is only in the base there
+    text = "input a b c d\ne = mul a b\nf = sub e c\noutput f d\n"
+    path = tmp_path / "edges.slp"
+    path.write_text(text)
+    base = (0.5, -0.0, 5e-324, 1e300)
+    edges = (-0.0, 5e-324, 2.2250738585072014e-308,
+             0.125 if extras else 1e300)
+    dirs = tuple((0.25 * (-1) ** j, edges[j % 4], edges[(j + 1) % 4],
+                  edges[(j + 2) % 4]) for j in range(len(caps)))
+    code, out, err = run_cli(capsys, *_taylor_argv(path, base, dirs, caps,
+                                                   extras))
+    assert err == ""
+    assert (code, out) == _taylor_reference(text, base, dirs, caps, extras)
+    for value in ("-0.0", "5e-324", "2.2250738585072014e-308", "1e+300"):
+        assert f" {value}" in out
+
+
+@pytest.mark.parametrize("extras", [False, True])
+def test_taylor_writer_bytes_with_no_inputs(capsys, tmp_path, extras):
+    # no inputs: "base" is [] and the one direction is []
+    text = "input\ny = const 1.5\noutput y\n"
+    path = tmp_path / "zero.slp"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *_taylor_argv(path, (), ((),), (1,),
+                                                   extras))
+    assert (code, err) == (0, "")
+    assert (code, out) == _taylor_reference(text, (), ((),), (1,), extras)
+    assert '"base": [],' in out and '"directions": [\n    []\n  ],' in out
 
 
 def test_check_json_bytes_match_json_dumps(capsys):
