@@ -61,23 +61,19 @@ def _resolve_max_dim(flag_value) -> int:
 
 
 def _emit(payload: dict, table: DerivativeTable | None = None) -> None:
-    """Print ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
-
-    Given a taylor table, print that of ``table.to_json_dict()`` joined with
-    ``payload``, whose keys sort after ``entries``.  The table is written
-    through one ``%`` of templates, laid out as json.dumps lays out its
-    lists and dicts: with ``indent`` set, json runs its pure-Python encoder,
-    which spent most of its time on the per-entry dicts.  Every float is
-    written by %r, float.__repr__, as json writes a finite float (a table
-    holds no other).
-    """
+    """Print ``json.dumps(payload, indent=2, sort_keys=True)``, byte for
+    byte; given a taylor table, that of ``table.to_json_dict()`` joined with
+    ``payload``, whose keys sort after ``entries``.  The table is one ``%``
+    of templates in json's layout (json's pure-Python ``indent`` encoder
+    spent most of its time on the per-entry dicts), each float by %r, as
+    json writes a finite float; a table holds no other."""
     if table is None:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
-    n, p = len(table.base), len(table.directions)
     alphas = table.alphas
-    row = _entry_template(p, table.raw.shape[1])
-    text = (_head_template(n, p) + _json_list([row] * len(alphas), 2)) % (
+    head, row = _templates(len(table.base), len(alphas[0]),
+                           table.raw.shape[1])
+    text = (head + _json_list([row] * len(alphas), 2)) % (
         *table.base, *table.shape.caps, *chain.from_iterable(table.directions),
         *chain.from_iterable(chain.from_iterable(
             zip(alphas, table.raw.tolist(), table.values.tolist()))))
@@ -88,32 +84,25 @@ def _emit(payload: dict, table: DerivativeTable | None = None) -> None:
 
 
 def _json_list(items: list[str], pad: int) -> str:
-    """A list of laid-out items, laid out as json.dumps(indent=2) lays out
-    a list whose closing bracket is ``pad`` spaces in."""
-    if not items:
-        return "[]"
+    """Laid-out items, as json.dumps(indent=2) lays out a list whose closing
+    bracket is ``pad`` spaces in."""
     inner = "\n" + " " * (pad + 2)
-    return "[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
+    return ("[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
+            if items else "[]")
 
 
 @functools.lru_cache(maxsize=None)
-def _head_template(n: int, p: int) -> str:
-    """A table's keys up to ``entries`` for n inputs and p directions: n
-    base values and p rows of n direction values (%r), and p caps (%d)."""
-    return ('{\n  "base": ' + _json_list(["%r"] * n, 2)
-            + ',\n  "caps": ' + _json_list(["%d"] * p, 2)
-            + ',\n  "directions": '
-            + _json_list([_json_list(["%r"] * n, 4)] * p, 2)
-            + ',\n  "entries": ')
-
-
-@functools.lru_cache(maxsize=None)
-def _entry_template(p: int, m: int) -> str:
-    """One entry of p alpha indices (%d) and m outputs (%r), as an item of
-    a top-level list."""
-    return ('{\n      "alpha": ' + _json_list(["%d"] * p, 6)
-            + ',\n      "coeff": ' + _json_list(["%r"] * m, 6)
-            + ',\n      "value": ' + _json_list(["%r"] * m, 6) + "\n    }")
+def _templates(n: int, p: int, m: int) -> tuple[str, str]:
+    """A table's keys up to ``entries`` for n inputs and p directions, and
+    one entry of p alpha indices and m outputs: floats %r, ints %d."""
+    floats, ints, outputs = ["%r"] * n, ["%d"] * p, ["%r"] * m
+    head = ('{\n  "base": ' + _json_list(floats, 2) + ',\n  "caps": '
+            + _json_list(ints, 2) + ',\n  "directions": '
+            + _json_list([_json_list(floats, 4)] * p, 2) + ',\n  "entries": ')
+    row = ('{\n      "alpha": ' + _json_list(ints, 6) + ',\n      "coeff": '
+           + _json_list(outputs, 6) + ',\n      "value": '
+           + _json_list(outputs, 6) + "\n    }")
+    return head, row
 
 
 def cmd_eval(args) -> int:
@@ -181,7 +170,7 @@ def cmd_taylor(args) -> int:
         tail_json = {"m_next": m_next, "rho": rho, "k": k,
                      "value": tail_bound(m_next, k, rho)}
     table = taylor_eval(prog, spec, max_dim=_resolve_max_dim(args.max_dim))
-    table.values  # an overflowing derivative raises before the envelope
+    table.values  # a derivative past float64 raises before the envelope
     payload = {}
     if bounds is not None:
         payload["envelope"] = coefficient_envelope(table, bounds).to_json_dict()
@@ -386,8 +375,6 @@ def main(argv=None) -> int:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
     except (OSError, ValueError, JetweilError) as err:
-        # OSError: a program path that cannot be read (missing, a
-        # directory, no permission)
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -593,6 +593,19 @@ def test_taylor_writer_bytes_with_no_inputs(capsys, tmp_path, extras):
     assert '"base": [],' in out and '"directions": [\n    []\n  ],' in out
 
 
+def test_taylor_derivative_overflow_reported_before_envelope_norm(
+        capsys, tmp_path):
+    # row (0,) has a norm past float64 and row (2,) a derivative past it:
+    # the derivative is reported, as the table is read before the envelope
+    path = tmp_path / "both.slp"
+    path.write_text("input a b c\nk = const 1e308\nq = mul c c\n"
+                    "s = mul k q\noutput a b s\n")
+    assert run_cli(capsys, "taylor", str(path), "--x=1.5e308,1.5e308,0",
+                   "--dirs=0,0,1", "--caps=2", "--envelope=1,1,1") == (
+        3, "", "numeric error: derivative (2,) of output 2 overflows "
+               "float64\n")
+
+
 def test_check_json_bytes_match_json_dumps(capsys):
     code, out, err = run_cli(capsys, "check", "all", "--count", "2",
                              "--seed", "3", "--json")

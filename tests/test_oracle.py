@@ -305,6 +305,20 @@ def test_schedule_joint_fit_reports_its_residual():
     assert 0.0 < diag.max_residual < math.inf
 
 
+def test_schedule_double_layout_fits_from_off_x_passes():
+    # the docstring's case: every pass is 1.2e-5 from x, where (recip x)^2
+    # is some 1e196 times smaller; only the residual shows it
+    prog = parse_program("input x y\nr = recip x\ns = mul r r\nf = mul s y\n"
+                         "output f")
+    table, _, diag = nested_jvp_schedule(prog, [1.05e-103, 1.0], AXIS2, 2)
+    assert np.isfinite(table.values).all()
+    assert table.values[0, 0] == pytest.approx(3.0e205, rel=0.01)
+    assert eval_primal(prog, [1.05e-103, 1.0])[0] == pytest.approx(9.07e205,
+                                                                   rel=0.01)
+    assert diag.max_residual == pytest.approx(4.535e205, rel=1e-3)
+    assert not diag.ill_conditioned
+
+
 def test_schedule_nan_residual_reads_nan(monkeypatch):
     # max() drops a NaN that is not its first argument; the diagnostics
     # must not, whichever fit it comes from
