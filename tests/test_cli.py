@@ -548,6 +548,7 @@ def _taylor_reference(text, base, dirs, caps, extras):
 
 
 def _taylor_argv(path, base, dirs, caps, extras):
+    # an empty direction is written "," so that --dirs keeps it
     argv = ["taylor", str(path), "--x=" + ",".join(map(repr, base)),
             "--dirs=" + ";".join(",".join(map(repr, d)) or "," for d in dirs),
             "--caps=" + ",".join(map(str, caps)), "--json"]
